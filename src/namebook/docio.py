@@ -27,6 +27,7 @@ blocks sort by address.  Within a name block the field order is fixed.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .formula import is_identifier, names_referenced, parse_formula, render
@@ -65,6 +66,9 @@ class UndeclaredName(Exception):
 
 # --- literal field codec -----------------------------------------------------
 
+# Held to these characters, float() reads just the signed formula numbers,
+# not "nan", "inf", "1_000" or padded text; isfinite then refuses "1e999".
+_NUMBER_CHARS = frozenset("0123456789.eE+-")
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", '"': '"', "t": "\t", "n": "\n", "r": "\r"}
 
@@ -89,6 +93,14 @@ def encode_field(v) -> str:
 def decode_field(text: str, line: int):
     if text == "":
         return None
+    if _NUMBER_CHARS.issuperset(text):
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if math.isfinite(value):
+            return value
+        raise DocSyntaxError(line, "unreadable literal %r" % text)
     if text == "TRUE":
         return True
     if text == "FALSE":
@@ -114,10 +126,7 @@ def decode_field(text: str, line: int):
                 out.append(ch)
             i += 1
         return "".join(out)
-    try:
-        return float(text)
-    except ValueError:
-        raise DocSyntaxError(line, "unreadable literal %r" % text) from None
+    raise DocSyntaxError(line, "unreadable literal %r" % text)
 
 
 # --- export ------------------------------------------------------------------

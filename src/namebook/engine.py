@@ -15,6 +15,9 @@ range classified as recurrence edges.  The scheduler behind evaluate()
 additionally resolves every read down to the formula ranges that own the
 cells being read, which is what makes cross-name recurrences (interest on
 a prior balance feeding the balance itself) come out in the right order.
+Reads resolve through Workbook.formula_owners, an index of the cells that
+formula ranges own, so scheduling grows with the number of reads rather
+than with reads times formula ranges.
 """
 
 from __future__ import annotations
@@ -138,33 +141,38 @@ def topo_order(g: DepGraph) -> list:
     and deterministic.  Raises CycleError naming the strongly connected
     component when no such order exists.
     """
-    deps = {k: set() for k in g.nodes}
-    for u, vs in g.edges.items():
-        for v in vs:
-            if (u, v) in g.recurrence or v not in deps:
-                continue
-            deps[u].add(v)
-    dependents = {k: [] for k in g.nodes}
-    for u, vs in deps.items():
-        for v in vs:
-            if v != u:
-                dependents[v].append(u)
-    ready = [_sort_key(k) + (k,) for k, d in deps.items() if not d]
-    heapq.heapify(ready)
-    seen_ready = {k for k, d in deps.items() if not d}
-    order = []
-    while ready:
-        key = heapq.heappop(ready)[-1]
-        order.append(key)
-        for u in dependents[key]:
-            deps[u].discard(key)
-            if not deps[u] and u not in seen_ready:
-                seen_ready.add(u)
-                heapq.heappush(ready, _sort_key(u) + (u,))
+    deps = {u: {v for v in g.edges.get(u, ()) if (u, v) not in g.recurrence}
+            for u in g.nodes}
+    order = _kahn(g.nodes, deps, _sort_key)
     if len(order) != len(g.nodes):
-        stuck = [k for k in g.nodes if k not in seen_ready]
+        placed = set(order)
+        stuck = [k for k in g.nodes if k not in placed]
         comp = _cycle_component(stuck, deps)
         raise CycleError([g.display[k] for k in comp])
+    return order
+
+
+def _kahn(nodes, deps, key):
+    """Kahn's sort: each node after those of deps[n] that are nodes, the
+    ready node of least key(n) first.  Nodes on or behind a cycle (a
+    self-loop too) are left out, so a short result means a cycle."""
+    waiting = {n: 0 for n in nodes}
+    dependents = {n: [] for n in nodes}
+    for n in nodes:
+        for d in deps[n]:
+            if d in waiting:
+                waiting[n] += 1
+                dependents[d].append(n)
+    ready = [(key(n), n) for n in nodes if not waiting[n]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)[1]
+        order.append(n)
+        for u in dependents[n]:
+            waiting[u] -= 1
+            if not waiting[u]:
+                heapq.heappush(ready, (key(u), u))
     return order
 
 
@@ -305,6 +313,7 @@ class _Group:
     members: list       # NameKeys of formula ranges scheduled together
     displaced: dict     # (u, w) -> (dr, dc) edges inside the group
     plain_inside: list  # (u, w) plain edges inside the group, u reads w aligned
+    order: list | None = None  # within-step member order of a valid sweep
     failed: str | None = None
 
     def direction(self):
@@ -312,7 +321,8 @@ class _Group:
 
 
 class _Scheduler:
-    """Orders formula ranges by who owns the cells each formula reads."""
+    """Orders formula ranges by who owns the cells each formula reads, as
+    Workbook.formula_owners reports them."""
 
     def __init__(self, wb: Workbook):
         self.wb = wb
@@ -328,12 +338,8 @@ class _Scheduler:
         u = self.wb.names[ukey]
         for v in _expanded_range_targets(self.wb, u):
             vr = v.target
-            for wkey in self.fkeys:
+            for wkey in sorted(self.wb.formula_owners(vr), key=_sort_key):
                 w = self.wb.names[wkey]
-                if w.target.sheet != vr.sheet:
-                    continue
-                if not _overlapping(self.wb, vr, w.target):
-                    continue
                 if vr == w.target:
                     if wkey != ukey:
                         self.plain[ukey].add(wkey)
@@ -355,43 +361,27 @@ class _Scheduler:
         adj = {k: set(self.plain[k]) for k in self.fkeys}
         for (u, w) in self.disp:
             adj[u].add(w)
-        made = []
-        for comp in _tarjan(self.fkeys, {k: sorted(vs, key=_sort_key)
-                                         for k, vs in adj.items()}):
-            comp_set = set(comp)
-            displaced = {(u, w): d for (u, w), d in self.disp.items()
-                         if u in comp_set and w in comp_set}
-            plain_inside = sorted(
-                ((u, w) for u in comp for w in self.plain[u]
-                 if w in comp_set and u != w),
-                key=lambda e: (_sort_key(e[0]), _sort_key(e[1])))
-            g = _Group(list(comp), displaced, plain_inside)
-            self._validate(g)
-            made.append(g)
-        index = {}
-        for i, g in enumerate(made):
-            for m in g.members:
-                index[m] = i
-        gdeps = {i: set() for i in range(len(made))}
+        made = [_Group(list(c), {}, []) for c in _tarjan(self.fkeys, adj)]
+        index = {m: i for i, g in enumerate(made) for m in g.members}
+        gdeps = [set() for _ in made]
+        for (u, w), d in self.disp.items():
+            if index[u] == index[w]:
+                made[index[u]].displaced[(u, w)] = d
+            else:
+                gdeps[index[u]].add(index[w])
         for u in self.fkeys:
             for w in self.plain[u]:
                 if index[u] != index[w]:
                     gdeps[index[u]].add(index[w])
-        for (u, w) in self.disp:
-            if index[u] != index[w]:
-                gdeps[index[u]].add(index[w])
-        ordered = []
-        left = dict(gdeps)
-        while left:
-            avail = sorted((i for i, d in left.items() if not (d & left.keys())),
-                           key=lambda i: _sort_key(made[i].members[0]))
-            if not avail:
-                # unreachable: the component condensation is acyclic
-                avail = sorted(left, key=lambda i: _sort_key(made[i].members[0]))
-            i = avail[0]
-            del left[i]
-            ordered.append(made[i])
-        return ordered
+                else:
+                    made[index[u]].plain_inside.append((u, w))
+        for g in made:
+            g.plain_inside.sort(key=lambda e: (_sort_key(e[0]),
+                                               _sort_key(e[1])))
+            self._validate(g)
+        order = _kahn(range(len(made)), gdeps,
+                      lambda i: _sort_key(made[i].members[0]))
+        return [made[i] for i in order]
 
     def _validate(self, g: _Group):
         members = g.members
@@ -416,26 +406,12 @@ class _Scheduler:
         if len(extents) > 1:
             g.failed = "recurrence ranges disagree on sweep extent"
             return
-        if _member_order(members, g.plain_inside) is None:
+        deps = {m: set() for m in members}
+        for u, w in g.plain_inside:
+            deps[u].add(w)
+        g.order = _kahn(members, deps, _sort_key)
+        if len(g.order) != len(members):
             g.failed = "mutual reference"
-
-
-def _member_order(members, plain_inside):
-    """Within-step order over a group, or None when plain edges cycle."""
-    deps = {m: set() for m in members}
-    for u, w in plain_inside:
-        deps[u].add(w)
-    out = []
-    left = dict(deps)
-    while left:
-        avail = sorted((m for m, d in left.items() if not (d & left.keys())),
-                       key=_sort_key)
-        if not avail:
-            return None
-        m = avail[0]
-        del left[m]
-        out.append(m)
-    return out
 
 
 # --- builtin functions -------------------------------------------------------
@@ -940,9 +916,11 @@ class _SweepContext:
                         break
 
     def whole(self, expr, ctx_sheet):
-        key = id(expr)
+        """Dereferenced whole value of a sweep-constant subexpression."""
+        key = (id(expr), ctx_sheet)
         if key not in self.whole_memo:
-            self.whole_memo[key] = _eval_expr(self.state, expr, ctx_sheet)
+            self.whole_memo[key] = _deref(
+                self.state, _eval_expr(self.state, expr, ctx_sheet))
         return self.whole_memo[key]
 
 
@@ -991,8 +969,7 @@ def _eval_cell(swp: _SweepContext, e: Expr, member, i, j, ctx_sheet):
             # plain sheet cells; read them directly.
             return state.cell_value(vrng.sheet, vrng.row_start + vi,
                                     vrng.col_start + vj)
-        val = _deref(state, swp.whole(e, ctx_sheet))
-        return V.element_at(val, i, j, shape)
+        return V.element_at(swp.whole(e, ctx_sheet), i, j, shape)
     if isinstance(e, Unary):
         return V.negate(_eval_cell(swp, e.operand, member, i, j, ctx_sheet))
     if isinstance(e, Percent):
@@ -1017,14 +994,13 @@ def _eval_cell(swp: _SweepContext, e: Expr, member, i, j, ctx_sheet):
         return False
     # Aggregations, gathers and intersections read whole ranges; those are
     # constant across the sweep, so compute once and index in.
-    val = _deref(state, swp.whole(e, ctx_sheet))
-    return V.element_at(val, i, j, shape)
+    return V.element_at(swp.whole(e, ctx_sheet), i, j, shape)
 
 
 def _run_sweep(state: _EvalState, group: _Group):
     wb = state.wb
     swp = _SweepContext(state, group)
-    order = _member_order(group.members, group.plain_inside)
+    order = group.order
     dr, dc = group.direction()
 
     def step_col(j):

@@ -17,6 +17,11 @@ All binary operators associate left.  Unary minus binds tighter than "^"
 (so -2 ^ 2 is 4) and looser than "%".  Range intersection is written as
 whitespace between two reference terms and binds tightest of all.
 
+Parentheses, call arguments and unary minus signs nest at most
+MAX_NESTING levels and the expression tree is at most MAX_DEPTH levels
+deep; a deeper formula is a ParseError, which keeps the parser and every
+later walk of the tree well inside Python's recursion limit.
+
 Identifiers: first character a letter or "←", then letters, digits,
 "." and "_", with one optional trailing "?".  A candidate identifier that
 matches the A1 cell-reference pattern (like J16 or $F$5) or the column-range
@@ -26,6 +31,7 @@ legacy formulas can be parsed and linted, and never name anything.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
@@ -69,6 +75,8 @@ class Token:
 
 
 ARROW = "←"
+MAX_NESTING = 64
+MAX_DEPTH = 256
 
 CELLREF_RE = re.compile(
     r"\$?[A-Za-z]{1,3}\$?[0-9]{1,7}(?::\$?[A-Za-z]{1,3}\$?[0-9]{1,7})?"
@@ -314,6 +322,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.nesting = 0  # nested() calls in progress
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -346,6 +355,11 @@ class _Parser:
         e = self.compare()
         if self.peek() is not None:
             self.fail("end of formula")
+        # A tree has no more levels than the formula has tokens.
+        if (len(self.tokens) > MAX_DEPTH
+                and max(level for _, level in walk(e)) > MAX_DEPTH):
+            raise ParseError(0, "an expression at most %d levels deep"
+                             % MAX_DEPTH, "a deeper one")
         return e
 
     def compare(self):
@@ -383,10 +397,19 @@ class _Parser:
             e = Binary("^", e, self.unary())
         return e
 
+    def nested(self, parse):
+        """parse() one level deeper, refusing to pass MAX_NESTING."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            self.fail("at most %d levels of nesting" % MAX_NESTING)
+        e = parse()
+        self.nesting -= 1
+        return e
+
     def unary(self):
         if self.at_op("-"):
             self.advance()
-            return Unary("-", self.unary())
+            return Unary("-", self.nested(self.unary))
         return self.postfix()
 
     def postfix(self):
@@ -408,8 +431,11 @@ class _Parser:
         if tok is None:
             self.fail("a value or reference")
         if tok.kind is TokenKind.NUMBER:
+            value = float(tok.lexeme)
+            if not math.isfinite(value):
+                self.fail("a finite number")
             self.advance()
-            return NumberLit(float(tok.lexeme))
+            return NumberLit(value)
         if tok.kind is TokenKind.TEXT:
             self.advance()
             return TextLit(tok.lexeme[1:-1].replace('""', '"'))
@@ -436,10 +462,10 @@ class _Parser:
                 if self.peek() is not None and self.peek().kind is TokenKind.RPAREN:
                     self.advance()
                 else:
-                    args.append(self.compare())
+                    args.append(self.nested(self.compare))
                     while self.peek() is not None and self.peek().kind is TokenKind.COMMA:
                         self.advance()
-                        args.append(self.compare())
+                        args.append(self.nested(self.compare))
                     self.expect(TokenKind.RPAREN, "')'")
                 return Call(tok.lexeme.upper(), tuple(args))
             return NameRef(tok.lexeme)
@@ -448,7 +474,7 @@ class _Parser:
             return CellRef(_normalize_cellref(tok.lexeme))
         if tok.kind is TokenKind.LPAREN:
             self.advance()
-            e = self.compare()
+            e = self.nested(self.compare)
             self.expect(TokenKind.RPAREN, "')'")
             return e
         self.fail("a value or reference")
@@ -537,48 +563,31 @@ def render(e: Expr) -> str:
     raise TypeError("not an expression: %r" % (e,))
 
 
+def walk(e: Expr) -> list:
+    """(node, level) for every node in reading order, the root at level 1.
+
+    Iterative, so it is safe on a tree of any depth."""
+    out = []
+    stack = [(e, 1)]
+    while stack:
+        item = stack.pop()
+        out.append(item)
+        node, level = item[0], item[1] + 1
+        kind = type(node)
+        if kind is Binary or kind is Intersect:
+            stack += ((node.rhs, level), (node.lhs, level))
+        elif kind is Unary or kind is Percent:
+            stack.append((node.operand, level))
+        elif kind is Call:
+            stack += [(a, level) for a in reversed(node.args)]
+    return out
+
+
 def names_referenced(e: Expr) -> set[tuple[str | None, str]]:
     """All (sheet qualifier, identifier) pairs referenced by the expression."""
-    out: set[tuple[str | None, str]] = set()
-
-    def walk(node):
-        if isinstance(node, NameRef):
-            out.add((node.sheet, node.name))
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Percent):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, Intersect):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a)
-
-    walk(e)
-    return out
+    return {(n.sheet, n.name) for n, _ in walk(e) if isinstance(n, NameRef)}
 
 
 def cell_refs(e: Expr) -> list[CellRef]:
     """All CellRef nodes, in reading order; used by the linter."""
-    out: list[CellRef] = []
-
-    def walk(node):
-        if isinstance(node, CellRef):
-            out.append(node)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Percent):
-            walk(node.operand)
-        elif isinstance(node, (Binary, Intersect)):
-            walk(node.lhs)
-            walk(node.rhs)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a)
-
-    walk(e)
-    return out
+    return [n for n, _ in walk(e) if isinstance(n, CellRef)]

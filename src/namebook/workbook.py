@@ -10,7 +10,9 @@ rectangle.
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
 from .formula import Expr, is_identifier, render
@@ -290,6 +292,9 @@ class Workbook:
     def __init__(self):
         self.sheets: dict[str, Sheet] = {}
         self.names: dict[tuple, NameDef] = {}
+        # sheet -> column -> sorted [(row_start, row_end, key)], one entry per
+        # formula range shared by its columns (no two tie); None when stale.
+        self._owners: dict | None = None
 
     # -- sheets ---------------------------------------------------------
 
@@ -336,6 +341,7 @@ class Workbook:
         """
         self.sheet(name)
         del self.sheets[name]
+        self._owners = None
         for key in [k for k, d in self.names.items() if d.scope == name]:
             del self.names[key]
         for d in self.names.values():
@@ -355,13 +361,48 @@ class Workbook:
         if not target.is_whole_rows and target.row_end > sh.rows:
             raise RefError("%s exceeds sheet rows" % target.address(True))
 
+    def _index_owner(self, nd: NameDef):
+        rng = nd.target.clamp(self.sheets[nd.target.sheet].rows)
+        entry = (rng.row_start, rng.row_end, nd.key())
+        columns = self._owners.setdefault(rng.sheet, {})
+        for col in range(rng.col_start, rng.col_end + 1):
+            insort(columns.setdefault(col, []), entry)
+
+    def formula_owners(self, rng: GridRange) -> set:
+        """Keys of the formula ranges that own any cell of rng.
+
+        Formula ranges never overlap, so within a column they sort by first
+        and by last row alike: bisect past the last one starting on or
+        above rng's bottom row, then step back while they still reach its
+        top row.  Costs O(columns * log n + hits).
+        """
+        if self._owners is None:
+            self._owners = {}
+            for nd in self.formula_bearing():
+                self._index_owner(nd)
+        sh = self.sheets.get(rng.sheet)
+        if sh is None:
+            return set()
+        rng = rng.clamp(sh.rows)
+        columns = self._owners.get(rng.sheet, {})
+        probe, top = (rng.row_end, math.inf), rng.row_start
+        out = set()
+        for col in range(rng.col_start, rng.col_end + 1):
+            column = columns.get(col, ())
+            i = bisect_right(column, probe)
+            while i > 0 and column[i - 1][1] >= top:
+                i -= 1
+                out.add(column[i][2])
+        return out
+
     def _check_formula_overlap(self, candidate: NameDef):
         if candidate.formula is None or candidate.target is None:
             return
+        if not self.formula_owners(candidate.target):
+            return
+        # Name the earliest-defined conflicting range.
         mine = candidate.target.clamp(self.sheet(candidate.target.sheet).rows)
         for other in self.names.values():
-            if other.key() == candidate.key():
-                continue
             if other.formula is None or other.target is None:
                 continue
             theirs = other.target.clamp(self.sheet(other.target.sheet).rows)
@@ -390,6 +431,9 @@ class Workbook:
             raise ValueError("unknown name kind %r" % nd.kind)
         self._check_formula_overlap(nd)
         self.names[nd.key()] = nd
+        if (self._owners is not None and nd.formula is not None
+                and nd.target is not None):
+            self._index_owner(nd)
         return self
 
     def rebind_name(self, identifier: str, scope: str | None, refers_to) -> "Workbook":
@@ -404,6 +448,7 @@ class Workbook:
         nd = self.names.get(key)
         if nd is None:
             raise UnknownNameError("no name %r in scope %r" % (identifier, scope))
+        self._owners = None
         if isinstance(refers_to, GridRange):
             self._check_target(refers_to)
             nd.kind = RANGE

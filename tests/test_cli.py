@@ -9,6 +9,10 @@ import sys
 import pytest
 
 from namebook.cli import main
+from namebook.docio import export_doc, rebuild
+from namebook.engine import evaluate
+
+from gen import random_workbook
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 LOAN_DOC = os.path.join(FIXDIR, "fixtureC.nsdoc")
@@ -105,6 +109,65 @@ def test_unreadable_documents_exit_one(tmp_path, capsys):
     doc = _write(tmp_path, CHAIN_DOC.replace("SUM(dbl)", "SUM(ghost)"))
     assert main(["lint", doc]) == 1
     assert capsys.readouterr().err.count("\n") == 4
+
+
+@pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1_000", "1e999"])
+def test_unreadable_data_literals_exit_one(tmp_path, capsys, literal):
+    text = CHAIN_DOC.replace("\n1.5\n", "\n%s\n" % literal)
+    doc = _write(tmp_path, text)
+    assert main(["eval", doc]) == 1
+    assert main(["fmt", doc]) == 1
+    assert open(doc, encoding="utf-8").read() == text
+    err = capsys.readouterr().err
+    assert "unreadable literal %r" % literal in err
+    assert "Traceback" not in err
+
+
+def _deep_doc(formula):
+    return CHAIN_DOC.replace("formula=xs * 2", "formula=" + formula)
+
+
+@pytest.mark.parametrize("formula", [
+    "(" * 300 + "xs" + ")" * 300,
+    " + ".join(["xs"] * 3000),
+], ids=["300 nested parentheses", "3000-term sum"])
+def test_too_deep_formulas_exit_one(tmp_path, capsys, formula):
+    doc = _write(tmp_path, _deep_doc(formula))
+    assert main(["eval", doc]) == 1
+    err = capsys.readouterr().err
+    assert "line 5" in err and "levels" in err
+    assert "Traceback" not in err
+
+
+def test_formulas_at_the_depth_limits_evaluate_and_format(tmp_path, capsys):
+    # 64 nested calls around a 190-term sum: 64 levels of nesting and a
+    # tree 254 levels deep, both within the limits.
+    formula = "SUM(" * 64 + " + ".join(["xs"] * 190) + ")" * 64
+    doc = _write(tmp_path, _deep_doc(formula))
+    assert main(["eval", doc, "--name", "total"]) == 0
+    assert capsys.readouterr().out == "# total 1x1\n1330\n"
+    assert main(["fmt", doc]) == 0
+    assert main(["lint", doc, "--output", "total"]) == 0
+
+
+def _fixture_and_generated_docs():
+    for name in sorted(os.listdir(FIXDIR)):
+        if name.endswith(".nsdoc"):
+            with open(os.path.join(FIXDIR, name), encoding="utf-8") as fh:
+                yield name, fh.read()
+    for seed in (5, 42):
+        yield "gen %d" % seed, export_doc(random_workbook(seed))
+
+
+def test_fmt_output_always_rebuilds(tmp_path, capsys):
+    for label, text in _fixture_and_generated_docs():
+        doc = _write(tmp_path, text)
+        assert main(["fmt", doc]) == 0, label
+        written = open(doc, encoding="utf-8").read()
+        again = rebuild(written)
+        assert export_doc(again) == written, label
+        assert evaluate(again) == evaluate(rebuild(text)), label
+    assert capsys.readouterr().err == ""
 
 
 # --- audit ------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """The document form: export is a fixed point, rebuild inverts it, and every
 malformed document is refused with a line-numbered complaint."""
 
+import itertools
+import re
+
 import pytest
 
 from namebook.docio import (DocSyntaxError, ExportError, UndeclaredName,
                             UnknownVersion, decode_field, encode_field,
                             export_doc, rebuild, stray_formula_cells)
 from namebook.engine import evaluate
-from namebook.formula import parse_formula
+from namebook.formula import NUMBER_RE, parse_formula
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook)
 
 from gen import random_workbook
@@ -92,11 +95,24 @@ def test_field_codec_round_trips_every_scalar_shape():
 
 @pytest.mark.parametrize("field", [
     '"unterminated', '"bad \\x escape"', '"inner " quote"', '"trail\\"',
-    "12x", "true",
+    "12x", "true", "nan", "-inf", "Infinity", "1_000", "1e999", " 2", "2 ",
+    "0x10", "1e", "+", ".",
 ])
 def test_field_codec_rejects_malformed_literals(field):
     with pytest.raises(DocSyntaxError):
         decode_field(field, 7)
+
+
+def test_number_fields_are_exactly_signed_formula_numbers():
+    signed = re.compile(r"[+-]?(?:%s)" % NUMBER_RE.pattern)
+    for n in range(1, 5):
+        for chars in itertools.product("09.eE+-_ naif", repeat=n):
+            text = "".join(chars)
+            if signed.fullmatch(text):
+                assert decode_field(text, 1) == float(text), text
+            else:
+                with pytest.raises(DocSyntaxError):
+                    decode_field(text, 1)
 
 
 def test_syntax_errors_carry_the_line_number():

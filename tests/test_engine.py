@@ -325,6 +325,35 @@ def test_lazy_condition_guards_the_out_of_band_read():
     assert not store.has_errors()
 
 
+def test_co_swept_members_sharing_one_formula_read_their_own_scope():
+    # Two members of one sweep group share a formula object but resolve
+    # k and other in different scopes, so the sweep-constant SUM(k) must
+    # be computed once per scope, not once per formula object.
+    wb = Workbook().add_sheet("s", 3, 6).add_sheet("aux", 1, 1)
+    wb.set_cell("s", 1, 1, 10.0)
+    wb.set_cell("s", 2, 1, 100.0)
+    for col, flag in zip(range(3, 7), (True, False, False, False)):
+        wb.set_cell("s", 3, col, flag)
+    wb.define_name(NameDef("first?", target=GridRange("s", 3, 6, 3, 3)))
+    wb.define_name(NameDef("k", target=GridRange("s", 1, 1, 1, 1)))
+    wb.define_name(NameDef("k", "aux", RANGE,
+                           target=GridRange("s", 1, 1, 2, 2)))
+    shared = parse_formula("IF(first?, SUM(k), other + 1)")
+    for scope, row in ((None, 1), ("aux", 2)):
+        wb.define_name(NameDef("acc", scope, RANGE,
+                               target=GridRange("s", 3, 6, row, row),
+                               formula=shared, array=True))
+    # Each member's "other" is the other member, one column left.
+    wb.define_name(NameDef("other", None, RANGE,
+                           target=GridRange("s", 2, 5, 2, 2)))
+    wb.define_name(NameDef("other", "aux", RANGE,
+                           target=GridRange("s", 2, 5, 1, 1)))
+    store = evaluate(wb)
+    assert store.value("acc") == Array([[10.0, 101.0, 12.0, 103.0]])
+    assert store.value("acc", "aux") == Array([[100.0, 11.0, 102.0, 13.0]])
+    assert store.values == oracle_evaluate(wb)
+
+
 # --- cycles -----------------------------------------------------------------
 
 def test_pure_formula_cycle_raises_before_any_work():

@@ -7,11 +7,13 @@ import random
 
 import pytest
 
-from namebook.formula import (Binary, BoolLit, Call, CellRef, Intersect,
-                              LexError, NameRef, NumberLit, ParseError,
-                              Percent, TextLit, TokenKind, Unary,
-                              is_identifier, matches_cellref, parse_formula,
-                              render, tokenize)
+from namebook.formula import (MAX_DEPTH, MAX_NESTING, Binary, BoolLit, Call,
+                              CellRef, Intersect, LexError, NameRef,
+                              NumberLit, ParseError, Percent, TextLit,
+                              TokenKind, Unary, cell_refs,
+                              is_identifier, matches_cellref,
+                              names_referenced, parse_formula, render,
+                              tokenize, walk)
 
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
@@ -215,3 +217,41 @@ def test_identifier_rules():
 def test_malformed_formulas_raise(text):
     with pytest.raises((LexError, ParseError)):
         parse_formula(text)
+
+
+# --- depth limits and literal range -----------------------------------------
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_formula(deepest) == NameRef("x")
+    assert parse_formula("-" * MAX_NESTING + "x") is not None
+    over = MAX_NESTING + 1
+    for text in ("(" * over + "x" + ")" * over,
+                 "(" * 300 + "x" + ")" * 300,
+                 "-" * over + "x",
+                 "SUM(" * over + "x" + ")" * over):
+        with pytest.raises(ParseError):
+            parse_formula(text)
+
+
+def test_tree_depth_past_the_limit_is_a_parse_error():
+    longest = parse_formula("+".join(["x"] * MAX_DEPTH))
+    assert max(level for _, level in walk(longest)) == MAX_DEPTH
+    assert render(longest) == " + ".join(["x"] * MAX_DEPTH)
+    for terms in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(ParseError):
+            parse_formula("+".join(["x"] * terms))
+
+
+def test_number_literals_must_be_finite():
+    assert parse_formula("1e308") == NumberLit(1e308)
+    with pytest.raises(ParseError):
+        parse_formula("1e999 + x")
+
+
+def test_walks_see_every_reference_in_reading_order():
+    e = parse_formula("SUM(a, B2) + -plan!c * IF(D4:E5 x, $F$6, d%)")
+    assert names_referenced(e) == {(None, "a"), ("plan", "c"), (None, "x"),
+                                   (None, "d")}
+    assert [r.ref for r in cell_refs(e)] == ["B2", "D4:E5", "$F$6"]
+    assert max(level for _, level in walk(e)) == 5

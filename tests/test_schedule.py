@@ -1,0 +1,159 @@
+"""The evaluation schedule: which formula ranges read which, the groups
+they form and the order those groups run in.
+
+The scheduler finds the owners of each read through the workbook's
+formula-owner index and orders groups with one heap-based Kahn sort.  The
+reference below is the direct form of the same rules: every read checked
+against every formula range, and the next group picked by sorting all
+that are ready after each pick.  Both must agree exactly, and the indexed
+form must grow linearly with the number of names."""
+
+import cProfile
+import pstats
+
+from namebook.corpus import fixture_a, fixture_b, fixture_c
+from namebook.docio import rebuild
+from namebook.engine import (_Scheduler, _expanded_range_targets,
+                             _overlapping, _shift_between, _sort_key,
+                             _tarjan, _unit_axis_shift, evaluate)
+from namebook.formula import parse_formula
+from namebook.workbook import RANGE, GridRange, NameDef, Workbook
+
+from gen import random_workbook
+
+
+def _ready_first(nodes, deps, key):
+    """Order nodes after their deps, re-sorting the ready ones each step;
+    None when a cycle is left."""
+    left = {n: set(deps[n]) & set(nodes) for n in nodes}
+    out = []
+    while left:
+        ready = sorted((n for n, d in left.items() if not d & left.keys()),
+                       key=key)
+        if not ready:
+            return None
+        del left[ready[0]]
+        out.append(ready[0])
+    return out
+
+
+def _reference_schedule(wb):
+    fkeys = sorted((nd.key() for nd in wb.formula_bearing()), key=_sort_key)
+    plain = {k: set() for k in fkeys}
+    disp = {}
+    bad_self = set()
+    for u in fkeys:
+        for v in _expanded_range_targets(wb, wb.names[u]):
+            for w in fkeys:
+                wt = wb.names[w].target
+                if wt.sheet != v.target.sheet:
+                    continue
+                if not _overlapping(wb, v.target, wt):
+                    continue
+                if v.target == wt:
+                    (plain[u].add(w) if w != u else bad_self.add(u))
+                    continue
+                d = _shift_between(wb.names[w], v)
+                if _unit_axis_shift(d):
+                    disp[(u, w)] = d
+                elif w == u:
+                    bad_self.add(u)
+                else:
+                    plain[u].add(w)
+    adj = {u: plain[u] | {w for (x, w) in disp if x == u} for u in fkeys}
+    comps = _tarjan(fkeys, adj)
+    index = {m: i for i, comp in enumerate(comps) for m in comp}
+    gdeps = {i: {index[w] for u in comp for w in adj[u]} - {i}
+             for i, comp in enumerate(comps)}
+    order = _ready_first(list(gdeps), gdeps,
+                         lambda i: _sort_key(comps[i][0]))
+    groups = []
+    for i in order:
+        comp = comps[i]
+        inside = {u: {w for w in plain[u] if w in comp} for u in comp}
+        groups.append((comp, _ready_first(comp, inside, _sort_key)))
+    return groups, plain, disp, bad_self
+
+
+def _crossed_book():
+    """Two scopes' accumulators swept as one group, one name reading the
+    cells of both, and a third name competing with them to go first."""
+    wb = Workbook().add_sheet("s", 4, 6)
+    wb.add_sheet("ab", 1, 1).add_sheet("aux", 1, 1)
+    for col, flag in zip(range(3, 7), (True, False, False, False)):
+        wb.set_cell("s", 3, col, flag)
+
+    def formula_range(ident, scope, target, text):
+        wb.define_name(NameDef(ident, scope, RANGE, target=target,
+                               formula=parse_formula(text), array=True))
+
+    wb.define_name(NameDef("first?", target=GridRange("s", 3, 6, 3, 3)))
+    wb.define_name(NameDef("cover", target=GridRange("s", 3, 6, 1, 2)))
+    wb.define_name(NameDef("other", target=GridRange("s", 2, 5, 2, 2)))
+    wb.define_name(NameDef("other", "aux", RANGE,
+                           target=GridRange("s", 2, 5, 1, 1)))
+    formula_range("acc", None, GridRange("s", 3, 6, 1, 1),
+                  "IF(first?, 1, other + 1)")
+    formula_range("acc", "aux", GridRange("s", 3, 6, 2, 2),
+                  "IF(first?, 2, other + 1)")
+    formula_range("acc", "ab", GridRange("s", 1, 1, 4, 4), "3")
+    formula_range("total", None, GridRange("s", 2, 2, 4, 4), "SUM(cover)")
+    return wb
+
+
+def _books():
+    yield "crossed", _crossed_book()
+    yield "fixtureA", fixture_a()
+    yield "fixtureB", fixture_b()
+    yield "fixtureC", fixture_c()
+    for seed in range(50):
+        yield "gen %d" % seed, random_workbook(seed)
+
+
+def test_schedule_matches_the_direct_scan_and_selection_order():
+    swept = 0
+    for label, wb in _books():
+        sched = _Scheduler(wb)
+        groups, plain, disp, bad_self = _reference_schedule(wb)
+        assert sched.plain == plain, label
+        assert sched.disp == disp, label
+        assert sched.bad_self == bad_self, label
+        got = sched.groups()
+        assert [g.members for g in got] == [m for m, _ in groups], label
+        for g, (_, within) in zip(got, groups):
+            if g.displaced and g.failed is None:
+                assert g.order == within, label
+                swept += 1
+    assert swept > 10   # the books exercise recurrence sweeps
+
+
+def _chain_doc(n):
+    """n 1x8 array names, each reading the one before it."""
+    lines = ["#%NAMESDOC v1", "[SHEET] s rows=%d cols=8" % (n + 1),
+             "[NAME] scope=workbook id=base kind=range array=0",
+             "  target=s!A1:H1"]
+    for i in range(1, n + 1):
+        prev = "base" if i == 1 else "link.%04d" % (i - 1)
+        lines += ["[NAME] scope=workbook id=link.%04d kind=range array=1" % i,
+                  "  target=s!A%d:H%d" % (i + 1, i + 1),
+                  "  formula=%s + 1" % prev]
+    lines += ["[DATA] s!A1:H1", "\t".join(str(j) for j in range(8))]
+    return "\n".join(lines) + "\n"
+
+
+def _python_calls(text):
+    prof = cProfile.Profile()
+    prof.enable()
+    store = evaluate(rebuild(text))
+    prof.disable()
+    assert not store.has_errors()
+    return pstats.Stats(prof).total_calls
+
+
+def test_rebuild_and_evaluate_grow_linearly_with_the_names():
+    # Counting calls instead of timing keeps the gate deterministic.  A
+    # linear engine doubles its calls when the names double; the
+    # quadratic overlap check and owner scan gave a ratio above 3.
+    small = _python_calls(_chain_doc(50))
+    large = _python_calls(_chain_doc(100))
+    assert large / small <= 2.3

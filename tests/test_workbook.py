@@ -226,6 +226,94 @@ def test_formula_ranges_must_not_overlap_each_other():
                            formula=f, array=True))
 
 
+def _formula_range(ident, target, scope=None):
+    return NameDef(ident, scope, RANGE, target=target,
+                   formula=parse_formula("1"), array=True)
+
+
+def test_overlap_error_names_the_earliest_defined_conflict():
+    wb = _book()
+    # Defined first but sorting last, so only definition order picks it.
+    wb.define_name(_formula_range("zeta", GridRange("main", 1, 2, 1, 1)))
+    wb.define_name(_formula_range("alpha", GridRange("main", 1, 2, 2, 2)))
+    with pytest.raises(OverlappingFormulaRangeError) as info:
+        wb.define_name(_formula_range("late", GridRange("main", 2, 2, 1, 2)))
+    assert str(info.value) == "late overlaps formula range zeta"
+    assert wb.resolve("late") is None
+
+
+def test_formula_owners_matches_a_scan_of_every_formula_range():
+    rng = random.Random(11)
+    for _ in range(40):
+        wb = Workbook().add_sheet("s", 30, 20).add_sheet("t", 9, 9)
+        defined = []
+        for k in range(rng.randrange(1, 25)):
+            sheet = rng.choice(("s", "s", "t"))
+            c1 = rng.randrange(1, 8)
+            if rng.random() < 0.2:
+                target = GridRange(sheet, c1, c1 + rng.randrange(0, 2))
+            else:
+                r1 = rng.randrange(1, 9)
+                target = GridRange(sheet, c1, c1 + rng.randrange(0, 2),
+                                   r1, r1 + rng.randrange(0, 2))
+            try:
+                wb.define_name(_formula_range("owner%d" % k, target))
+            except OverlappingFormulaRangeError:
+                continue
+            defined.append(wb.resolve("owner%d" % k))
+        for _ in range(30):
+            sheet = rng.choice(("s", "t"))
+            c1, r1 = rng.randrange(1, 9), rng.randrange(1, 10)
+            query = (GridRange(sheet, c1, c1 + rng.randrange(0, 3))
+                     if rng.random() < 0.2 else
+                     GridRange(sheet, c1, c1 + rng.randrange(0, 3),
+                               r1, r1 + rng.randrange(0, 3)))
+            rows = wb.sheet(sheet).rows
+            expected = {nd.key() for nd in defined
+                        if query.clamp(rows).intersect(
+                            nd.target.clamp(wb.sheet(nd.target.sheet).rows))}
+            assert wb.formula_owners(query) == expected
+
+
+def test_rebind_frees_formula_cells_for_a_new_formula_range():
+    wb = _book()
+    wb.define_name(_formula_range("old", GridRange("main", 1, 3, 1, 2)))
+    taken = GridRange("main", 2, 2, 2, 3)
+    with pytest.raises(OverlappingFormulaRangeError):
+        wb.define_name(_formula_range("new", taken))
+    wb.rebind_name("old", None, GridRange("main", 1, 3, 1, 2))
+    wb.define_name(_formula_range("new", taken))
+    assert wb.formula_owners(GridRange("main", 1, 3, 1, 2)) == {(None, "new")}
+
+
+def test_delete_sheet_frees_formula_cells_for_a_new_formula_range():
+    wb = _book()
+    wb.define_name(_formula_range("remote", GridRange("aux", 1, 2, 1, 2)))
+    assert wb.formula_owners(GridRange("aux", 1, 1, 1, 1)) == {(None,
+                                                               "remote")}
+    wb.delete_sheet("aux")
+    wb.add_sheet("aux", 6, 6)
+    assert wb.formula_owners(GridRange("aux", 1, 1, 1, 1)) == set()
+    wb.define_name(_formula_range("again", GridRange("aux", 1, 2, 1, 2)))
+    assert wb.formula_owners(GridRange("aux", 2, 2, 2, 2)) == {(None,
+                                                               "again")}
+
+
+def test_defining_in_a_copy_leaves_the_original_index_alone():
+    wb = _book()
+    wb.define_name(_formula_range("kept", GridRange("main", 1, 1, 1, 1)))
+    spot = GridRange("main", 2, 2, 1, 1)
+    assert wb.formula_owners(spot) == set()
+    dup = wb.copy()
+    dup.define_name(_formula_range("extra", spot))
+    assert dup.formula_owners(spot) == {(None, "extra")}
+    assert wb.formula_owners(spot) == set()
+    wb.define_name(_formula_range("mine", spot))
+    assert dup.formula_owners(spot) == {(None, "extra")}
+    assert wb.formula_owners(GridRange("main", 1, 2, 1, 1)) == {
+        (None, "kept"), (None, "mine")}
+
+
 def test_delete_sheet_kills_its_scope_and_dangles_targets():
     wb = _book()
     wb.define_name(NameDef("local", "aux", RANGE,
