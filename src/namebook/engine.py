@@ -8,16 +8,16 @@ are swept cell by cell in the direction that makes each displaced
 predecessor available, and any names entangled with them through same-shape
 displaced reads are swept together in the same pass.
 
-The public dependency graph (build_dep_graph / topo_order) is syntactic:
-edges mirror names_referenced over the defining formulas, with the subset
-whose target is a displaced overlapping copy of the referencing name's own
-range classified as recurrence edges.  The scheduler behind evaluate()
-additionally resolves every read down to the formula ranges that own the
-cells being read, which is what makes cross-name recurrences (interest on
-a prior balance feeding the balance itself) come out in the right order.
-Reads resolve through Workbook.formula_owners, an index of the cells that
-formula ranges own, so scheduling grows with the number of reads rather
-than with reads times formula ranges.
+There is one dependency graph (build_dep_graph / topo_order), and it is
+syntactic: edges mirror names_referenced over the defining formulas, with
+the subset whose target is a displaced overlapping copy of the referencing
+name's own range classified as recurrence edges.  evaluate() builds it once
+to refuse cycles, and its scheduler walks the same edges through formula
+names to find the range names each formula reads.  It resolves every read
+down to the formula ranges that own the cells read, which is what makes
+cross-name recurrences (interest on a prior balance feeding the balance
+itself) come out in the right order.  Owners come from
+Workbook.formula_owners, the index that also serves every range read.
 """
 
 from __future__ import annotations
@@ -281,27 +281,31 @@ class RangeValue:
 
 # --- scheduling --------------------------------------------------------------
 
-def _expanded_range_targets(wb: Workbook, nd: NameDef):
-    """Range names readable from nd's formula, seen through formula names."""
-    out = []
-    seen_formula = set()
-
-    def visit(expr, ctx):
-        for qual, ident in sorted(names_referenced(expr),
-                                  key=lambda p: (p[1], p[0] or "")):
-            hit = wb.resolve(ident, context=ctx, qualifier=qual)
-            if hit is None:
+def _through_formulas(wb: Workbook, graph: DepGraph, root, skip=()):
+    """Depth-first walk of graph.edges from root that enters formula names,
+    except those in skip.  Returns the range names reached, in the order
+    first reached, and the keys of the formula names entered, each after
+    every one it reads (post-order), with root last."""
+    reads = []
+    entered = []
+    seen = set()
+    stack = [(root, iter(graph.edges[root]))]
+    while stack:
+        key, succ = stack[-1]
+        for k in succ:
+            if k in seen or k in skip:
                 continue
-            if hit.kind == FORMULA:
-                if hit.key() in seen_formula:
-                    continue
-                seen_formula.add(hit.key())
-                visit(hit.formula, wb.context_sheet(hit))
-            elif hit.target is not None:
-                out.append(hit)
-
-    visit(nd.formula, wb.context_sheet(nd))
-    return out
+            seen.add(k)
+            nd = wb.names[k]
+            if nd.kind == FORMULA:
+                stack.append((k, iter(graph.edges[k])))
+                break
+            if nd.target is not None:
+                reads.append(nd)
+        else:
+            stack.pop()
+            entered.append(key)
+    return reads, entered
 
 
 def _unit_axis_shift(d) -> bool:
@@ -322,10 +326,12 @@ class _Group:
 
 class _Scheduler:
     """Orders formula ranges by who owns the cells each formula reads, as
-    Workbook.formula_owners reports them."""
+    Workbook.formula_owners reports them.  The reads come from the
+    dependency graph, seen through formula names."""
 
-    def __init__(self, wb: Workbook):
+    def __init__(self, wb: Workbook, graph: DepGraph):
         self.wb = wb
+        self.graph = graph
         self.fkeys = sorted((nd.key() for nd in wb.formula_bearing()),
                             key=_sort_key)
         self.plain = {k: set() for k in self.fkeys}
@@ -335,8 +341,7 @@ class _Scheduler:
             self._edges_for(key)
 
     def _edges_for(self, ukey):
-        u = self.wb.names[ukey]
-        for v in _expanded_range_targets(self.wb, u):
+        for v in _through_formulas(self.wb, self.graph, ukey)[0]:
             vr = v.target
             for wkey in sorted(self.wb.formula_owners(vr), key=_sort_key):
                 w = self.wb.names[wkey]
@@ -434,18 +439,30 @@ def _elementwise1(fn, a):
     return Array([[fn(s) for s in row] for row in a.cells])
 
 
-def _elementwise2(fn, a, b):
-    shape = V.broadcast_shapes(V.value_shape(a), V.value_shape(b))
-    if shape is None:
-        return V.VALUE_ERROR
+def _rows_of(v, shape):
+    """v laid out as rows of shape: a scalar, single row or single column
+    repeats along the missing axis.  v must conform to shape."""
+    rows, cols = shape
+    if not isinstance(v, Array):
+        return [[v] * cols] * rows
+    cells = v.cells
+    if len(cells[0]) != cols:
+        cells = [row * cols for row in cells]
+    return cells if len(cells) == rows else cells * rows
+
+
+def _broadcast(fn, *args):
+    """fn applied across args broadcast to one shape; #VALUE! when the
+    shapes do not conform, a scalar when they are all 1x1."""
+    shape = (1, 1)
+    for a in args:
+        shape = V.broadcast_shapes(shape, V.value_shape(a))
+        if shape is None:
+            return V.VALUE_ERROR
     if shape == (1, 1):
-        return fn(V.collapse(a), V.collapse(b))
-    rows = []
-    for i in range(shape[0]):
-        rows.append([fn(V.element_at(a, i, j, shape),
-                        V.element_at(b, i, j, shape))
-                     for j in range(shape[1])])
-    return Array(rows)
+        return fn(*map(V.collapse, args))
+    laid_out = [_rows_of(a, shape) for a in args]
+    return Array([list(map(fn, *row)) for row in zip(*laid_out)])
 
 
 def _builtin_sum(args):
@@ -473,32 +490,11 @@ def _builtin_minmax(args, pick):
     return 0.0 if best is None else best
 
 
-def _builtin_if(args):
-    if len(args) == 2:
-        args = (args[0], args[1], False)
-    cond, yes, no = args
-    shape = V.value_shape(cond)
-    for v in (yes, no):
-        s = V.broadcast_shapes(shape, V.value_shape(v))
-        if s is None:
-            return V.VALUE_ERROR
-        shape = s
-
-    def pick(c, a, b):
-        t = V.to_bool(c)
-        if isinstance(t, CellError):
-            return t
-        return a if t else b
-
-    if shape == (1, 1):
-        return pick(V.collapse(cond), V.collapse(yes), V.collapse(no))
-    rows = []
-    for i in range(shape[0]):
-        rows.append([pick(V.element_at(cond, i, j, shape),
-                          V.element_at(yes, i, j, shape),
-                          V.element_at(no, i, j, shape))
-                     for j in range(shape[1])])
-    return Array(rows)
+def _if(cond, yes, no=False):
+    t = V.to_bool(cond)
+    if isinstance(t, CellError):
+        return t
+    return yes if t else no
 
 
 def _as_vector(v):
@@ -675,7 +671,7 @@ def _builtin_index(state, args):
             return V.REF_ERROR
         return src.cells[i - 1][j - 1]
 
-    return _elementwise2(gather, row_idx, col_idx)
+    return _broadcast(gather, row_idx, col_idx)
 
 
 def _bool_reduce(args, fold, seed):
@@ -698,28 +694,12 @@ def _bool_reduce(args, fold, seed):
 # --- whole-array evaluation --------------------------------------------------
 
 class _EvalState:
-    def __init__(self, wb: Workbook):
+    def __init__(self, wb: Workbook, graph: DepGraph):
         self.wb = wb
+        self.graph = graph
         self.computed = {}        # NameKey -> Value for formula ranges
         self.formula_cache = {}   # NameKey -> Value | RangeValue
         self.in_progress = set()
-        self.owner = {}           # (sheet, row, col) -> NameKey
-        for nd in wb.formula_bearing():
-            rows = wb.sheet(nd.target.sheet).rows
-            for (r, c) in nd.target.cells(rows):
-                self.owner[(nd.target.sheet, r, c)] = nd.key()
-
-    def cell_value(self, sheet: str, row: int, col: int):
-        okey = self.owner.get((sheet, row, col))
-        if okey is not None:
-            arr = self.ensure_computed(okey)
-            rng = self.wb.names[okey].target.clamp(self.wb.sheet(sheet).rows)
-            return V.element_at(arr, row - rng.row_start, col - rng.col_start,
-                                rng.shape())
-        sh = self.wb.sheets.get(sheet)
-        if sh is None:
-            return V.REF_ERROR
-        return sh.get(row, col)
 
     def ensure_computed(self, key):
         if key in self.computed:
@@ -738,29 +718,39 @@ class _EvalState:
             self.in_progress.discard(key)
 
     def formula_value(self, key):
-        if key in self.formula_cache:
-            return self.formula_cache[key]
-        if key in self.in_progress:
-            return V.CYCLE_ERROR
-        self.in_progress.add(key)
-        try:
-            nd = self.wb.names[key]
-            out = _eval_expr(self, nd.formula, self.wb.context_sheet(nd))
-            self.formula_cache[key] = out
-            return out
-        finally:
-            self.in_progress.discard(key)
+        """Value of a formula name.  The uncached formula names it reaches
+        are evaluated first, each after the ones it reads, so a chain of
+        names costs no recursion per hop.  topo_order has refused every
+        cycle through a formula name, so none can be reached twice."""
+        if key not in self.formula_cache:
+            _, entered = _through_formulas(self.wb, self.graph, key,
+                                           self.formula_cache)
+            for k in entered:
+                nd = self.wb.names[k]
+                self.formula_cache[k] = _eval_expr(self, nd.formula,
+                                                   self.wb.context_sheet(nd))
+        return self.formula_cache[key]
 
     def materialize(self, rv: RangeValue):
-        rng = rv.rng
-        sh = self.wb.sheets.get(rng.sheet)
+        """The cells of a rectangle: plain cells from the sheet, overlaid
+        with the blocks of the formula ranges that own any of them."""
+        sh = self.wb.sheets.get(rv.rng.sheet)
         if sh is None:
             return V.REF_ERROR
-        bounded = rng.clamp(sh.rows)
-        rows = []
-        for r in range(bounded.row_start, bounded.row_end + 1):
-            rows.append([self.cell_value(rng.sheet, r, c)
-                         for c in range(bounded.col_start, bounded.col_end + 1)])
+        rng = rv.rng.clamp(sh.rows)
+        r0, c0 = rng.row_start, rng.col_start
+        cols = range(c0, rng.col_end + 1)
+        rows = [[sh.cells.get((r, c)) for c in cols]
+                for r in range(r0, rng.row_end + 1)]
+        for okey in sorted(self.wb.formula_owners(rng), key=_sort_key):
+            value = self.ensure_computed(okey)
+            own = self.wb.names[okey].target.clamp(sh.rows)
+            block = _rows_of(value, own.shape())
+            hit = own.intersect(rng)
+            lo, hi = hit.col_start - own.col_start, hit.col_end - own.col_start
+            for r in range(hit.row_start, hit.row_end + 1):
+                rows[r - r0][hit.col_start - c0:hit.col_end - c0 + 1] = \
+                    block[r - own.row_start][lo:hi + 1]
         if len(rows) == 1 and len(rows[0]) == 1:
             return rows[0][0]
         return Array(rows)
@@ -782,7 +772,7 @@ def _eval_call(state, func, raw_args, ctx_sheet):
     if func == "IF":
         if len(args) not in (2, 3):
             return V.VALUE_ERROR
-        return _builtin_if(args)
+        return _broadcast(_if, *args)
     if func == "SUM":
         return _builtin_sum(args)
     if func == "MIN":
@@ -832,10 +822,10 @@ def _eval_expr(state: _EvalState, e: Expr, ctx_sheet):
         b = _deref(state, _eval_expr(state, e.rhs, ctx_sheet))
         op = e.op
         if op in ("+", "-", "*", "/", "^"):
-            return _elementwise2(lambda x, y: V.arith(op, x, y), a, b)
+            return _broadcast(lambda x, y: V.arith(op, x, y), a, b)
         if op == "&":
-            return _elementwise2(V.concat, a, b)
-        return _elementwise2(lambda x, y: V.compare(op, x, y), a, b)
+            return _broadcast(V.concat, a, b)
+        return _broadcast(lambda x, y: V.compare(op, x, y), a, b)
     if isinstance(e, Intersect):
         a = _eval_expr(state, e.lhs, ctx_sheet)
         b = _eval_expr(state, e.rhs, ctx_sheet)
@@ -860,10 +850,7 @@ def _expand_to_shape(value, shape):
         return V.VALUE_ERROR if isinstance(out, Array) else out
     if V.broadcast_shapes(V.value_shape(value), shape) != shape:
         value = V.VALUE_ERROR
-    rows = []
-    for i in range(shape[0]):
-        rows.append([V.element_at(value, i, j, shape) for j in range(shape[1])])
-    return Array(rows)
+    return Array(_rows_of(value, shape))
 
 
 def _eval_whole_name(state: _EvalState, nd: NameDef):
@@ -899,7 +886,7 @@ class _SweepContext:
         self.refmap = {}
         by_target = {state.wb.names[m].target: m for m in group.members}
         for m in group.members:
-            for v in _expanded_range_targets(state.wb, state.wb.names[m]):
+            for v in _through_formulas(state.wb, state.graph, m)[0]:
                 vkey = v.key()
                 if vkey in self.refmap:
                     continue
@@ -967,8 +954,9 @@ def _eval_cell(swp: _SweepContext, e: Expr, member, i, j, ctx_sheet):
                 return swp.partial[w][ti][tj]
             # The slice of the band hanging past the swept range holds
             # plain sheet cells; read them directly.
-            return state.cell_value(vrng.sheet, vrng.row_start + vi,
-                                    vrng.col_start + vj)
+            row, col = vrng.row_start + vi, vrng.col_start + vj
+            return state.materialize(RangeValue(
+                GridRange(vrng.sheet, col, col, row, row)))
         return V.element_at(swp.whole(e, ctx_sheet), i, j, shape)
     if isinstance(e, Unary):
         return V.negate(_eval_cell(swp, e.operand, member, i, j, ctx_sheet))
@@ -1040,8 +1028,8 @@ def evaluate(wb: Workbook) -> ValueStore:
     graph = build_dep_graph(wb)
     topo_order(graph)  # a name-level cycle fails here, before any work
 
-    state = _EvalState(wb)
-    for group in _Scheduler(wb).groups():
+    state = _EvalState(wb, graph)
+    for group in _Scheduler(wb, graph).groups():
         if group.failed is not None:
             for m in group.members:
                 nd = wb.names[m]

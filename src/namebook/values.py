@@ -92,20 +92,14 @@ def broadcast_shapes(sa, sb):
     return tuple(out)
 
 
-def element_at(v, i, j, shape=None):
+def element_at(v, i, j, shape):
     """Scalar at (i, j) under broadcasting against an output of `shape`."""
     if not isinstance(v, Array):
         return v
     r, c = v.shape
-    if shape is not None:
-        ri = i if r == shape[0] else 0
-        cj = j if c == shape[1] else 0
-        if (r not in (1, shape[0])) or (c not in (1, shape[1])):
-            return VALUE_ERROR
-    else:
-        ri = i if r > 1 else 0
-        cj = j if c > 1 else 0
-    return v.cells[ri][cj]
+    if (r not in (1, shape[0])) or (c not in (1, shape[1])):
+        return VALUE_ERROR
+    return v.cells[i if r == shape[0] else 0][j if c == shape[1] else 0]
 
 
 def collapse(v):

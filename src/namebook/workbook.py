@@ -272,6 +272,8 @@ class Sheet:
         return self.cells.get((row, col))
 
     def set(self, row: int, col: int, value):
+        """Store a literal; None clears the cell.  A number must be finite,
+        since no document can hold nan or inf."""
         if not (1 <= row <= self.rows and 1 <= col <= self.cols):
             raise RefError("cell (%d, %d) outside sheet %s" % (row, col, self.name))
         if value is None:
@@ -279,6 +281,9 @@ class Sheet:
         else:
             if isinstance(value, int) and not isinstance(value, bool):
                 value = float(value)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("cell (%d, %d) of sheet %s: %r is not finite"
+                                 % (row, col, self.name, value))
             self.cells[(row, col)] = value
 
 

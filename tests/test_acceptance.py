@@ -314,7 +314,7 @@ def test_acceptance_10_property_suites_hold_at_their_stated_counts():
         for key in want:
             assert store.values[key] == want[key], (seed, key)
 
-    assert time.perf_counter() - started < 30.0
+    assert time.perf_counter() - started < 3.0
     print("ACCEPTANCE 10: PASS")
 
 

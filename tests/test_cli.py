@@ -100,6 +100,60 @@ def test_eval_cycle_exits_two_with_a_note(tmp_path, capsys):
     assert err.startswith("#CYCLE!") and "pf" in err and "qf" in err
 
 
+def _formula_names_doc(formulas):
+    """A document of formula names over base = 0.1, plus a range head that
+    reads f.0001."""
+    lines = ["#%NAMESDOC v1", "[SHEET] s rows=2 cols=1",
+             "[NAME] scope=workbook id=base kind=range array=0",
+             "  target=s!A1"]
+    for ident, formula in sorted(formulas.items()):
+        lines += ["[NAME] scope=workbook id=%s kind=formula array=0" % ident,
+                  "  formula=" + formula]
+    lines += ["[NAME] scope=workbook id=head kind=range array=0",
+              "  target=s!A2", "  formula=f.0001",
+              "[DATA] s!A1", "0.1"]
+    return "\n".join(lines) + "\n"
+
+
+def _eval_scalars(capsys, doc):
+    assert main(["eval", doc]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    lines = out.out.splitlines()
+    return {lines[i].split()[1]: float(lines[i + 1])
+            for i in range(0, len(lines), 2)}
+
+
+def test_eval_follows_a_400_name_chain_of_formula_names(tmp_path, capsys):
+    n = 400
+    formulas = {"f.%04d" % i: "f.%04d + 0.1" % (i + 1) for i in range(1, n)}
+    formulas["f.%04d" % n] = "base + 0.1"
+    doc = _write(tmp_path, _formula_names_doc(formulas))
+    got = _eval_scalars(capsys, doc)
+    v = 0.1
+    for i in range(n, 0, -1):
+        v = v + 0.1
+        assert got["f.%04d" % i] == v
+    assert got["head"] == v
+
+
+def test_eval_follows_a_400_name_diamond_of_formula_names(tmp_path, capsys):
+    n = 400
+    formulas = {"f.%04d" % i: "f.%04d + f.%04d" % (i + 1, i + 2)
+                for i in range(1, n - 1)}
+    formulas["f.%04d" % (n - 1)] = "f.%04d + base" % n
+    formulas["f.%04d" % n] = "base + 0.5"
+    doc = _write(tmp_path, _formula_names_doc(formulas))
+    got = _eval_scalars(capsys, doc)
+    v = {n: 0.1 + 0.5}
+    v[n - 1] = v[n] + 0.1
+    for i in range(n - 2, 0, -1):
+        v[i] = v[i + 1] + v[i + 2]
+    for i in range(1, n + 1):
+        assert got["f.%04d" % i] == v[i]
+    assert got["head"] == v[1]
+
+
 def test_unreadable_documents_exit_one(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "missing.nsdoc")]) == 1
     doc = _write(tmp_path, "not a document\n")

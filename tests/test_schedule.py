@@ -1,25 +1,50 @@
 """The evaluation schedule: which formula ranges read which, the groups
 they form and the order those groups run in.
 
-The scheduler finds the owners of each read through the workbook's
+The scheduler reads the range names each formula reads from the
+dependency graph, finds the owners of each read through the workbook's
 formula-owner index and orders groups with one heap-based Kahn sort.  The
-reference below is the direct form of the same rules: every read checked
-against every formula range, and the next group picked by sorting all
-that are ready after each pick.  Both must agree exactly, and the indexed
-form must grow linearly with the number of names."""
+reference below is the direct form of the same rules: the reads found by
+walking each formula's syntax tree through formula names, every read
+checked against every formula range, and the next group picked by sorting
+all that are ready after each pick.  Both must agree exactly, and the
+indexed form must grow linearly with the number of names."""
 
 import cProfile
 import pstats
 
 from namebook.corpus import fixture_a, fixture_b, fixture_c
 from namebook.docio import rebuild
-from namebook.engine import (_Scheduler, _expanded_range_targets,
-                             _overlapping, _shift_between, _sort_key,
-                             _tarjan, _unit_axis_shift, evaluate)
-from namebook.formula import parse_formula
-from namebook.workbook import RANGE, GridRange, NameDef, Workbook
+from namebook.engine import (_Scheduler, _overlapping, _shift_between,
+                             _sort_key, _tarjan, _through_formulas,
+                             _unit_axis_shift, build_dep_graph, evaluate)
+from namebook.formula import names_referenced, parse_formula
+from namebook.workbook import FORMULA, RANGE, GridRange, NameDef, Workbook
 
 from gen import random_workbook
+
+
+def _expanded_range_targets(wb, nd):
+    """Range names readable from nd's formula, seen through formula names."""
+    out = []
+    seen_formula = set()
+
+    def visit(expr, ctx):
+        for qual, ident in sorted(names_referenced(expr),
+                                  key=lambda p: (p[1], p[0] or "")):
+            hit = wb.resolve(ident, context=ctx, qualifier=qual)
+            if hit is None:
+                continue
+            if hit.kind == FORMULA:
+                if hit.key() in seen_formula:
+                    continue
+                seen_formula.add(hit.key())
+                visit(hit.formula, wb.context_sheet(hit))
+            elif hit.target is not None:
+                out.append(hit)
+
+    visit(nd.formula, wb.context_sheet(nd))
+    return out
 
 
 def _ready_first(nodes, deps, key):
@@ -113,7 +138,13 @@ def _books():
 def test_schedule_matches_the_direct_scan_and_selection_order():
     swept = 0
     for label, wb in _books():
-        sched = _Scheduler(wb)
+        graph = build_dep_graph(wb)
+        for nd in wb.formula_bearing():
+            walked = [v.key() for v in _expanded_range_targets(wb, nd)]
+            reads = _through_formulas(wb, graph, nd.key())[0]
+            assert [v.key() for v in reads] == list(dict.fromkeys(walked)), \
+                (label, nd.display())
+        sched = _Scheduler(wb, graph)
         groups, plain, disp, bad_self = _reference_schedule(wb)
         assert sched.plain == plain, label
         assert sched.disp == disp, label

@@ -2,10 +2,12 @@
 shifts invert, scope resolution shadows predictably, and the structural
 validation catches every malformed definition."""
 
+import math
 import random
 
 import pytest
 
+from namebook.docio import export_doc, rebuild
 from namebook.formula import parse_formula
 from namebook.workbook import (FORMULA, RANGE, BadIdentifierError,
                                DuplicateNameError, GridRange, NameDef,
@@ -369,6 +371,24 @@ def test_cell_values_coerce_and_clear():
         wb.set_cell("main", 0, 1, 1.0)
     with pytest.raises(RefError):
         wb.set_cell("main", 13, 1, 1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+def test_non_finite_cells_are_refused_so_documents_rebuild(bad):
+    wb = _book()
+    wb.define_name(NameDef("xs", target=GridRange("main", 1, 2, 1, 1)))
+    wb.set_cell("main", 1, 1, 2.0)
+    with pytest.raises(ValueError):
+        wb.set_cell("main", 1, 1, bad)
+    with pytest.raises(ValueError):
+        wb.set_cell("main", 1, 2, bad)
+    with pytest.raises(ValueError):
+        wb.fill_block(GridRange("main", 1, 2, 1, 1), [[bad, 3.0]])
+    assert wb.sheet("main").cells == {(1, 1): 2.0}
+    text = export_doc(wb)
+    assert "[DATA] main!A1:B1\n2\t\n" in text
+    assert export_doc(rebuild(text)) == text
 
 
 def test_fill_block_rejects_shape_mismatch():
