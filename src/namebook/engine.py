@@ -8,6 +8,14 @@ are swept cell by cell in the direction that makes each displaced
 predecessor available, and any names entangled with them through same-shape
 displaced reads are swept together in the same pass.
 
+A sweep compiles each member's formula once into a closure over the cell
+position (_compile_cell): names are resolved, reads of the members
+become index closures, and every part constant across the sweep is
+evaluated whole once and indexed.  The whole-array path stays an
+interpreter, since it runs each formula only once per evaluate and
+compiling it would save nothing.  Both paths apply the same operator
+kernels (values.BINARY).
+
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
 the subset whose target is a displaced overlapping copy of the referencing
@@ -526,7 +534,7 @@ def _match_scalar(key, vector, exact):
         if isinstance(s, CellError):
             return s
         if exact:
-            eq = V.compare("=", key, s)
+            eq = V.BINARY["="](key, s)
             if isinstance(eq, CellError):
                 return eq
             if eq:
@@ -536,7 +544,7 @@ def _match_scalar(key, vector, exact):
                           and isinstance(s, str) == isinstance(key, str))
             if not same_class:
                 continue
-            le = V.compare("<=", s, key)
+            le = V.BINARY["<="](s, key)
             if isinstance(le, CellError):
                 return le
             if le:
@@ -820,12 +828,7 @@ def _eval_expr(state: _EvalState, e: Expr, ctx_sheet):
     if isinstance(e, Binary):
         a = _deref(state, _eval_expr(state, e.lhs, ctx_sheet))
         b = _deref(state, _eval_expr(state, e.rhs, ctx_sheet))
-        op = e.op
-        if op in ("+", "-", "*", "/", "^"):
-            return _broadcast(lambda x, y: V.arith(op, x, y), a, b)
-        if op == "&":
-            return _broadcast(V.concat, a, b)
-        return _broadcast(lambda x, y: V.compare(op, x, y), a, b)
+        return _broadcast(V.BINARY[e.op], a, b)
     if isinstance(e, Intersect):
         a = _eval_expr(state, e.lhs, ctx_sheet)
         b = _eval_expr(state, e.rhs, ctx_sheet)
@@ -867,8 +870,12 @@ class _SweepContext:
 
     refmap sends each readable range name to the group member whose cells
     it denotes, either aligned or displaced by the sweep direction; reads
-    through it index the partially built arrays.  Everything else in a
-    member formula is constant across the sweep and is computed whole once.
+    through it index the partially built arrays.  Each member formula is
+    compiled once per sweep (_compile_cell) into a closure over the cell
+    position.  Everything in it that is constant across the sweep is
+    computed whole once, at compile time, and indexed per cell: plain
+    range names, aggregates, gathers, intersections, and the formula
+    names whose reads reach no refmap name (inlined lists the others).
     """
 
     def __init__(self, state: _EvalState, group: _Group):
@@ -882,11 +889,13 @@ class _SweepContext:
             shape = nd.target.clamp(rows).shape()
             self.shapes[m] = shape
             self.partial[m] = [[None] * shape[1] for _ in range(shape[0])]
-        self.whole_memo = {}
         self.refmap = {}
         by_target = {state.wb.names[m].target: m for m in group.members}
+        entered = []
         for m in group.members:
-            for v in _through_formulas(state.wb, state.graph, m)[0]:
+            reads, through = _through_formulas(state.wb, state.graph, m)
+            entered += through[:-1]  # the member itself comes last
+            for v in reads:
                 vkey = v.key()
                 if vkey in self.refmap:
                     continue
@@ -901,119 +910,142 @@ class _SweepContext:
                                                        state.wb.names[w].target):
                         self.refmap[vkey] = (w, d[0], d[1], vrng)
                         break
+        # Post-order: each formula name comes after every one it reads.
+        self.inlined = set()
+        for k in entered:
+            if any(t in self.refmap or t in self.inlined
+                   for t in state.graph.edges[k]):
+                self.inlined.add(k)
 
-    def whole(self, expr, ctx_sheet):
-        """Dereferenced whole value of a sweep-constant subexpression."""
-        key = (id(expr), ctx_sheet)
-        if key not in self.whole_memo:
-            self.whole_memo[key] = _deref(
-                self.state, _eval_expr(self.state, expr, ctx_sheet))
-        return self.whole_memo[key]
+    def reader(self, hit, shape):
+        """Closure reading a refmap name at a cell of a member of shape."""
+        w, dr, dc, vrng = hit
+        axes = _axes(vrng.shape(), shape)
+        if axes is None:
+            return _const(V.VALUE_ERROR)
+        si, sj = axes
+        part = self.partial[w]
+        rows, cols = self.shapes[w]
+        materialize = self.state.materialize
 
-
-def _eval_cell(swp: _SweepContext, e: Expr, member, i, j, ctx_sheet):
-    state = swp.state
-    shape = swp.shapes[member]
-    if isinstance(e, NumberLit):
-        return e.value
-    if isinstance(e, TextLit):
-        return e.value
-    if isinstance(e, BoolLit):
-        return e.value
-    if isinstance(e, CellRef):
-        return V.REF_ERROR
-    if isinstance(e, NameRef):
-        nd = state.wb.resolve(e.name, context=ctx_sheet, qualifier=e.sheet)
-        if nd is None:
-            return V.NAME_ERROR
-        if nd.kind == FORMULA:
-            return _eval_cell(swp, nd.formula, member, i, j,
-                              state.wb.context_sheet(nd))
-        if nd.target is None:
-            return V.REF_ERROR
-        hit = swp.refmap.get(nd.key())
-        if hit is not None:
-            w, dr, dc, vrng = hit
-            vshape = vrng.shape()
-            # broadcast this cell's position over the read range's shape
-            if vshape[0] == shape[0]:
-                vi = i
-            elif vshape[0] == 1:
-                vi = 0
-            else:
-                return V.VALUE_ERROR
-            if vshape[1] == shape[1]:
-                vj = j
-            elif vshape[1] == 1:
-                vj = 0
-            else:
-                return V.VALUE_ERROR
+        def read(i, j):
+            vi, vj = i * si, j * sj
             ti, tj = vi + dr, vj + dc
-            wshape = swp.shapes[w]
-            if 0 <= ti < wshape[0] and 0 <= tj < wshape[1]:
-                return swp.partial[w][ti][tj]
+            if 0 <= ti < rows and 0 <= tj < cols:
+                return part[ti][tj]
             # The slice of the band hanging past the swept range holds
             # plain sheet cells; read them directly.
             row, col = vrng.row_start + vi, vrng.col_start + vj
-            return state.materialize(RangeValue(
+            return materialize(RangeValue(
                 GridRange(vrng.sheet, col, col, row, row)))
-        return V.element_at(swp.whole(e, ctx_sheet), i, j, shape)
-    if isinstance(e, Unary):
-        return V.negate(_eval_cell(swp, e.operand, member, i, j, ctx_sheet))
-    if isinstance(e, Percent):
-        return V.percent(_eval_cell(swp, e.operand, member, i, j, ctx_sheet))
-    if isinstance(e, Binary):
-        a = _eval_cell(swp, e.lhs, member, i, j, ctx_sheet)
-        b = _eval_cell(swp, e.rhs, member, i, j, ctx_sheet)
-        if e.op in ("+", "-", "*", "/", "^"):
-            return V.arith(e.op, a, b)
-        if e.op == "&":
-            return V.concat(a, b)
-        return V.compare(e.op, a, b)
-    if isinstance(e, Call) and e.func == "IF" and len(e.args) in (2, 3):
-        cond = _eval_cell(swp, e.args[0], member, i, j, ctx_sheet)
-        t = V.to_bool(cond)
-        if isinstance(t, CellError):
-            return t
-        if t:
-            return _eval_cell(swp, e.args[1], member, i, j, ctx_sheet)
-        if len(e.args) == 3:
-            return _eval_cell(swp, e.args[2], member, i, j, ctx_sheet)
-        return False
-    # Aggregations, gathers and intersections read whole ranges; those are
-    # constant across the sweep, so compute once and index in.
-    return V.element_at(swp.whole(e, ctx_sheet), i, j, shape)
+        return read
+
+
+def _const(value):
+    return lambda i, j: value
+
+
+def _axes(vshape, shape):
+    """(si, sj) that send a cell (i, j) of shape to (i * si, j * sj) of a
+    value of vshape: 1 along an axis they share, 0 along one the value
+    repeats.  None when vshape does not conform to shape."""
+    out = []
+    for v, n in zip(vshape, shape):
+        if v == n:
+            out.append(1)
+        elif v == 1:
+            out.append(0)
+        else:
+            return None
+    return tuple(out)
+
+
+def _indexer(value, shape):
+    """Closure giving a sweep-constant value's scalar at a cell of shape."""
+    if not isinstance(value, Array):
+        return _const(value)
+    axes = _axes(value.shape, shape)
+    if axes is None:
+        return _const(V.VALUE_ERROR)
+    si, sj = axes
+    cells = value.cells
+    return lambda i, j: cells[i * si][j * sj]
+
+
+def _compile_cell(swp: _SweepContext, e: Expr, member, ctx_sheet):
+    """Closure (i, j) -> the scalar e takes at cell (i, j) of member.
+
+    Names are resolved here, once per sweep; IF stays lazy per cell."""
+    state = swp.state
+    shape = swp.shapes[member]
+    if isinstance(e, (NumberLit, TextLit, BoolLit)):
+        return _const(e.value)
+    if isinstance(e, CellRef):
+        return _const(V.REF_ERROR)
+    if isinstance(e, NameRef):
+        nd = state.wb.resolve(e.name, context=ctx_sheet, qualifier=e.sheet)
+        if nd is None:
+            return _const(V.NAME_ERROR)
+        if nd.kind == FORMULA:
+            if nd.key() in swp.inlined:
+                return _compile_cell(swp, nd.formula, member,
+                                     state.wb.context_sheet(nd))
+            return _indexer(_deref(state, state.formula_value(nd.key())),
+                            shape)
+        if nd.target is None:
+            return _const(V.REF_ERROR)
+        hit = swp.refmap.get(nd.key())
+        if hit is not None:
+            return swp.reader(hit, shape)
+    elif isinstance(e, (Unary, Percent)):
+        fn = V.negate if isinstance(e, Unary) else V.percent
+        operand = _compile_cell(swp, e.operand, member, ctx_sheet)
+        return lambda i, j: fn(operand(i, j))
+    elif isinstance(e, Binary):
+        lhs = _compile_cell(swp, e.lhs, member, ctx_sheet)
+        rhs = _compile_cell(swp, e.rhs, member, ctx_sheet)
+        kernel = V.BINARY[e.op]
+        return lambda i, j: kernel(lhs(i, j), rhs(i, j))
+    elif isinstance(e, Call) and e.func == "IF" and len(e.args) in (2, 3):
+        cond, yes, *no = [_compile_cell(swp, a, member, ctx_sheet)
+                          for a in e.args]
+        no = no[0] if no else _const(False)
+
+        def pick(i, j):
+            t = cond(i, j)
+            if type(t) is not bool:
+                t = V.to_bool(t)
+                if isinstance(t, CellError):
+                    return t
+            return yes(i, j) if t else no(i, j)
+        return pick
+    # Plain range names, aggregations, gathers and intersections read
+    # whole ranges; those are constant across the sweep, so compute once
+    # and index in.
+    return _indexer(_deref(state, _eval_expr(state, e, ctx_sheet)), shape)
 
 
 def _run_sweep(state: _EvalState, group: _Group):
     wb = state.wb
     swp = _SweepContext(state, group)
-    order = group.order
     dr, dc = group.direction()
-
-    def step_col(j):
-        for m in order:
-            nd = wb.names[m]
-            ctx = wb.context_sheet(nd)
-            for i in range(swp.shapes[m][0]):
-                swp.partial[m][i][j] = _eval_cell(swp, nd.formula, m, i, j, ctx)
-
-    def step_row(i):
-        for m in order:
-            nd = wb.names[m]
-            ctx = wb.context_sheet(nd)
-            for j in range(swp.shapes[m][1]):
-                swp.partial[m][i][j] = _eval_cell(swp, nd.formula, m, i, j, ctx)
-
-    first = swp.shapes[order[0]]
+    plan = []
+    for m in group.order:
+        nd = wb.names[m]
+        plan.append((_compile_cell(swp, nd.formula, m, wb.context_sheet(nd)),
+                     swp.partial[m], swp.shapes[m]))
+    first = swp.shapes[group.order[0]]
     if dc != 0:
-        cols = range(first[1]) if dc < 0 else range(first[1] - 1, -1, -1)
-        for j in cols:
-            step_col(j)
+        for j in (range(first[1]) if dc < 0 else range(first[1] - 1, -1, -1)):
+            for cell, part, (rows, _) in plan:
+                for i in range(rows):
+                    part[i][j] = cell(i, j)
     else:
-        rows = range(first[0]) if dr < 0 else range(first[0] - 1, -1, -1)
-        for i in rows:
-            step_row(i)
+        for i in (range(first[0]) if dr < 0 else range(first[0] - 1, -1, -1)):
+            for cell, part, (_, cols) in plan:
+                row = part[i]
+                for j in range(cols):
+                    row[j] = cell(i, j)
     for m in group.members:
         cells = swp.partial[m]
         if len(cells) == 1 and len(cells[0]) == 1:

@@ -2,13 +2,15 @@
 
 A scalar is one of: None (blank), float, bool, str, or CellError.  Array wraps
 a rectangular, non-empty grid of scalars; arrays never nest.  The kernels here
-define coercion and error propagation once so the array evaluator and the
-per-cell sweep evaluator cannot drift apart.
+define coercion and error propagation once, one kernel per operator in
+BINARY, so the array evaluator and the compiled sweep closures cannot drift
+apart.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 ERROR_KINDS = ("#NAME?", "#VALUE!", "#NULL!", "#REF!", "#DIV/0!", "#CYCLE!")
@@ -34,27 +36,20 @@ DIV0_ERROR = CellError("#DIV/0!")
 CYCLE_ERROR = CellError("#CYCLE!")
 
 
-def is_scalar(v) -> bool:
-    return v is None or isinstance(v, (bool, float, int, str, CellError))
-
-
 class Array:
-    """Rectangular non-empty grid of scalars."""
+    """Rectangular non-empty grid of scalars.
+
+    Arrays are built from rows an evaluator has just made or from sheet
+    cells, which Sheet.set checked on entry, so the rows are kept as
+    given: no copy and no per-scalar check.  Rows may be shared
+    between arrays (a broadcast repeats one row object), so an Array and
+    its rows are never mutated after construction.
+    """
 
     __slots__ = ("cells",)
 
     def __init__(self, cells):
-        rows = [list(r) for r in cells]
-        if not rows or not rows[0]:
-            raise ValueError("arrays are non-empty")
-        width = len(rows[0])
-        for r in rows:
-            if len(r) != width:
-                raise ValueError("arrays are rectangular")
-            for v in r:
-                if isinstance(v, Array) or not is_scalar(v):
-                    raise ValueError("array cells are scalars, never arrays")
-        self.cells = rows
+        self.cells = cells
 
     @classmethod
     def filled(cls, shape, scalar):
@@ -90,16 +85,6 @@ def broadcast_shapes(sa, sb):
         else:
             return None
     return tuple(out)
-
-
-def element_at(v, i, j, shape):
-    """Scalar at (i, j) under broadcasting against an output of `shape`."""
-    if not isinstance(v, Array):
-        return v
-    r, c = v.shape
-    if (r not in (1, shape[0])) or (c not in (1, shape[1])):
-        return VALUE_ERROR
-    return v.cells[i if r == shape[0] else 0][j if c == shape[1] else 0]
 
 
 def collapse(v):
@@ -159,37 +144,40 @@ def to_bool(s):
     return VALUE_ERROR
 
 
-def arith(op: str, a, b):
-    """Binary arithmetic on scalars; first error (left to right) wins."""
-    if isinstance(a, CellError):
-        return a
-    if isinstance(b, CellError):
-        return b
-    x = to_number(a)
-    if isinstance(x, CellError):
-        return x
-    y = to_number(b)
-    if isinstance(y, CellError):
-        return y
-    if op == "+":
-        return x + y
-    if op == "-":
-        return x - y
-    if op == "*":
-        return x * y
-    if op == "/":
-        if y == 0:
-            return DIV0_ERROR
-        return x / y
-    if op == "^":
-        try:
-            r = math.pow(x, y)
-        except (ValueError, OverflowError):
-            return VALUE_ERROR
-        if r != r or r in (math.inf, -math.inf):
-            return VALUE_ERROR
-        return r
-    raise ValueError("unknown arithmetic operator %r" % op)
+def _arithmetic(fn):
+    """Kernel applying fn to two numbers: floats go straight through,
+    anything else is coerced, and the first error (left to right) wins."""
+    def kernel(a, b):
+        if type(a) is float and type(b) is float:
+            return fn(a, b)
+        if isinstance(a, CellError):
+            return a
+        if isinstance(b, CellError):
+            return b
+        x = to_number(a)
+        if isinstance(x, CellError):
+            return x
+        y = to_number(b)
+        if isinstance(y, CellError):
+            return y
+        return fn(x, y)
+    return kernel
+
+
+def _divide(x, y):
+    if y == 0:
+        return DIV0_ERROR
+    return x / y
+
+
+def _power(x, y):
+    try:
+        r = math.pow(x, y)
+    except (ValueError, OverflowError):
+        return VALUE_ERROR
+    if r != r or r in (math.inf, -math.inf):
+        return VALUE_ERROR
+    return r
 
 
 def concat(a, b):
@@ -223,44 +211,32 @@ def _coerce_blank_like(other):
     return 0.0
 
 
-def compare(op: str, a, b):
-    """Comparison on scalars. Text comparison is case-insensitive."""
-    if isinstance(a, CellError):
-        return a
-    if isinstance(b, CellError):
-        return b
-    if a is None and b is None:
-        a = b = 0.0
-    elif a is None:
-        a = _coerce_blank_like(b)
-    elif b is None:
-        b = _coerce_blank_like(a)
-    ca, cb = _cmp_class(a), _cmp_class(b)
-    if ca != cb:
-        # Distinct type classes never compare equal and order by class rank.
-        if op == "=":
-            return False
-        if op == "<>":
-            return True
-        lt = ca < cb
-        return {"<": lt, "<=": lt, ">": not lt, ">=": not lt}[op]
-    if ca == 1:
-        a, b = a.casefold(), b.casefold()
-    elif ca == 0:
-        a, b = float(a), float(b)
-    if op == "=":
-        return a == b
-    if op == "<>":
-        return a != b
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError("unknown comparison operator %r" % op)
+def _comparison(fn):
+    """Kernel comparing two scalars with fn.  Text compares
+    case-insensitively; blank compares as the other operand's zero."""
+    def kernel(a, b):
+        if type(a) is float and type(b) is float:
+            return fn(a, b)
+        if isinstance(a, CellError):
+            return a
+        if isinstance(b, CellError):
+            return b
+        if a is None and b is None:
+            a = b = 0.0
+        elif a is None:
+            a = _coerce_blank_like(b)
+        elif b is None:
+            b = _coerce_blank_like(a)
+        ca, cb = _cmp_class(a), _cmp_class(b)
+        if ca != cb:
+            # Distinct type classes never compare equal and order by rank.
+            return fn(ca, cb)
+        if ca == 1:
+            a, b = a.casefold(), b.casefold()
+        elif ca == 0:
+            a, b = float(a), float(b)
+        return fn(a, b)
+    return kernel
 
 
 def negate(a):
@@ -286,3 +262,20 @@ def logical_not(a):
     if isinstance(b, CellError):
         return b
     return not b
+
+
+# One kernel per binary operator, for whole arrays and sweeps alike.
+BINARY = {
+    "+": _arithmetic(operator.add),
+    "-": _arithmetic(operator.sub),
+    "*": _arithmetic(operator.mul),
+    "/": _arithmetic(_divide),
+    "^": _arithmetic(_power),
+    "&": concat,
+    "=": _comparison(operator.eq),
+    "<>": _comparison(operator.ne),
+    "<": _comparison(operator.lt),
+    "<=": _comparison(operator.le),
+    ">": _comparison(operator.gt),
+    ">=": _comparison(operator.ge),
+}

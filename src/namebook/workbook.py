@@ -16,6 +16,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
 from .formula import Expr, is_identifier, render
+from .values import CellError
 
 
 class WorkbookError(Exception):
@@ -272,19 +273,26 @@ class Sheet:
         return self.cells.get((row, col))
 
     def set(self, row: int, col: int, value):
-        """Store a literal; None clears the cell.  A number must be finite,
-        since no document can hold nan or inf."""
+        """Store a literal; None clears the cell.  A literal is a finite
+        number, a bool, text or an error value, since evaluation trusts
+        every cell it reads to be one and no document can hold nan or
+        inf.  Anything else raises ValueError and leaves the cell as it
+        was."""
         if not (1 <= row <= self.rows and 1 <= col <= self.cols):
             raise RefError("cell (%d, %d) outside sheet %s" % (row, col, self.name))
         if value is None:
             self.cells.pop((row, col), None)
-        else:
-            if isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            if isinstance(value, float) and not math.isfinite(value):
+            return
+        if isinstance(value, float):
+            if not math.isfinite(value):
                 raise ValueError("cell (%d, %d) of sheet %s: %r is not finite"
                                  % (row, col, self.name, value))
-            self.cells[(row, col)] = value
+        elif isinstance(value, int) and not isinstance(value, bool):
+            value = float(value)
+        elif not isinstance(value, (bool, str, CellError)):
+            raise ValueError("cell (%d, %d) of sheet %s: %r is not a literal"
+                             % (row, col, self.name, value))
+        self.cells[(row, col)] = value
 
 
 class Workbook:

@@ -235,6 +235,23 @@ class _Builder:
         self._register(NameDef(total, None, FORMULA,
                                formula=parse_formula("SUM(%s)" % alias)))
 
+    def _input_chain(self, band):
+        """Head of a chain of 1-3 formula names ending at an input clear of
+        band, so a sweep reading it sees a value constant across the sweep
+        (an array when the input has several cells)."""
+        rng = self.rng
+        link = self._aside_name(band)
+        if link is None:
+            return None
+        text = rng.choice(("%s + 1", "MIN(%s) * 2", "%s - 0.5"))
+        for _ in range(rng.randrange(1, 4)):
+            nd = NameDef(self._ident("calc"), self._scope_for(self._sheet()),
+                         FORMULA, formula=parse_formula(text % link))
+            self._register(nd)
+            link = self._ref_text(nd.identifier, nd.scope)
+            text = rng.choice(("%s * 2", "%s + 1", "1 - %s"))
+        return link
+
     def _recurrence_band(self):
         rng = self.rng
         h = rng.choice((1, 2, 3))
@@ -259,10 +276,15 @@ class _Builder:
         factor = rng.choice(("1.5", "0.5", "2", "1.01"))
         prev = "←" + band_name
         body = "%s * %s + 1" % (prev, factor)
-        if rng.random() < 0.4:
+        roll = rng.random()
+        if roll < 0.4:
             extra = self._aside_name(band)
             if extra is not None:
                 body = "%s * %s + MIN(%s)" % (prev, factor, extra)
+        elif roll < 0.7:
+            head = self._input_chain(band)
+            if head is not None:
+                body = "%s * %s + %s" % (prev, factor, head)
         text = "IF(%s, %s, %s)" % (init_name, seed_name, body)
         nd = NameDef(band_name, None, RANGE, band,
                      formula=parse_formula(text), array=True)

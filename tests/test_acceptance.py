@@ -48,7 +48,7 @@ def test_acceptance_1_revenue_is_one_array_formula_over_228_cells(plan_store):
     started = time.perf_counter()
     store = evaluate(wb)
     elapsed = time.perf_counter() - started
-    assert elapsed < 0.25
+    assert elapsed < 0.05
 
     revenue = store.value("revenue")
     price = store.value("product.price")

@@ -154,6 +154,41 @@ def test_eval_follows_a_400_name_diamond_of_formula_names(tmp_path, capsys):
     assert got["head"] == v[1]
 
 
+def test_eval_follows_a_600_name_chain_into_a_sweep(tmp_path, capsys):
+    # A recurrence reads the head of a chain of formula names that ends at
+    # an input: the chain is constant across the sweep, so it is evaluated
+    # whole once instead of being followed per swept cell.
+    n = 600
+    lines = ["#%NAMESDOC v1", "[SHEET] s rows=2 cols=6",
+             "[NAME] scope=workbook id=bal kind=range array=1",
+             "  target=s!B1:F1", "  formula=prev + f.0001",
+             "[NAME] scope=workbook id=base kind=range array=0",
+             "  target=s!A2"]
+    for i in range(1, n + 1):
+        link = "f.%04d" % (i + 1) if i < n else "base"
+        lines += ["[NAME] scope=workbook id=f.%04d kind=formula array=0" % i,
+                  "  formula=%s + 0.1" % link]
+    lines += ["[NAME] scope=workbook id=opening kind=range array=0",
+              "  target=s!A1",
+              "[NAME] scope=workbook id=prev kind=range array=0",
+              "  target=s!A1:E1", "  derive=shift(bal,0,-1)",
+              "[DATA] s!A1", "1.5", "[DATA] s!A2", "0.1"]
+    doc = _write(tmp_path, "\n".join(lines) + "\n")
+    assert main(["eval", doc, "--name", "bal"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    head, row = out.out.splitlines()
+    assert head == "# bal 1x5"
+    f = 0.1
+    for _ in range(n):
+        f = f + 0.1
+    want, b = [], 1.5
+    for _ in range(5):
+        b = b + f
+        want.append(b)
+    assert [float(x) for x in row.split("\t")] == want
+
+
 def test_unreadable_documents_exit_one(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "missing.nsdoc")]) == 1
     doc = _write(tmp_path, "not a document\n")

@@ -8,7 +8,8 @@ reference below is the direct form of the same rules: the reads found by
 walking each formula's syntax tree through formula names, every read
 checked against every formula range, and the next group picked by sorting
 all that are ready after each pick.  Both must agree exactly, and the
-indexed form must grow linearly with the number of names."""
+indexed form must grow linearly with the number of names, and a sweep's
+per-cell work must not look names up again."""
 
 import cProfile
 import pstats
@@ -19,7 +20,8 @@ from namebook.engine import (_Scheduler, _overlapping, _shift_between,
                              _sort_key, _tarjan, _through_formulas,
                              _unit_axis_shift, build_dep_graph, evaluate)
 from namebook.formula import names_referenced, parse_formula
-from namebook.workbook import FORMULA, RANGE, GridRange, NameDef, Workbook
+from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
+                               shift_name)
 
 from gen import random_workbook
 
@@ -188,3 +190,56 @@ def test_rebuild_and_evaluate_grow_linearly_with_the_names():
     small = _python_calls(_chain_doc(50))
     large = _python_calls(_chain_doc(100))
     assert large / small <= 2.3
+
+
+def _one_row_recurrence(width):
+    """acc = IF(first?, seed, ←acc + grow) over one row, where grow is a
+    formula name reading the swept twin and rate one that does not."""
+    wb = Workbook().add_sheet("s", 3, width + 1)
+    for col in range(2, width + 2):
+        wb.set_cell("s", 1, col, col == 2)
+    wb.set_cell("s", 3, 1, 4.0)
+    wb.define_name(NameDef("first?", target=GridRange("s", 2, width + 1, 1, 1)))
+    wb.define_name(NameDef("seed", target=GridRange("s", 1, 1, 3, 3)))
+    wb.define_name(NameDef("rate", None, FORMULA,
+                           formula=parse_formula("SUM(seed) / 100")))
+    wb.define_name(NameDef("grow", None, FORMULA,
+                           formula=parse_formula("←acc * rate")))
+    acc = NameDef("acc", None, RANGE, GridRange("s", 2, width + 1, 2, 2),
+                  formula=parse_formula("IF(first?, seed, ←acc + grow)"),
+                  array=True)
+    wb.define_name(acc)
+    wb.define_name(shift_name(acc, "←acc", 0, -1))
+    return wb
+
+
+def _resolves_during_evaluate(wb, monkeypatch):
+    calls = []
+    resolve = Workbook.resolve
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return resolve(self, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Workbook, "resolve", counted)
+        store = evaluate(wb)
+    assert not store.has_errors()
+    return len(calls), store
+
+
+def test_a_sweep_resolves_names_once_not_per_cell(monkeypatch):
+    # Counting calls instead of timing keeps the gate deterministic: a
+    # sweep compiles each member formula once, so widening the swept row
+    # adds cells but no name lookups.
+    narrow, _ = _resolves_during_evaluate(_one_row_recurrence(20),
+                                          monkeypatch)
+    wide, store = _resolves_during_evaluate(_one_row_recurrence(40),
+                                            monkeypatch)
+    assert wide == narrow
+    acc, rate = 4.0, 4.0 / 100
+    want = [acc]
+    for _ in range(39):
+        acc = acc + acc * rate
+        want.append(acc)
+    assert store.value("acc").cells == [want]

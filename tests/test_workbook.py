@@ -9,6 +9,7 @@ import pytest
 
 from namebook.docio import export_doc, rebuild
 from namebook.formula import parse_formula
+from namebook.values import DIV0_ERROR, Array
 from namebook.workbook import (FORMULA, RANGE, BadIdentifierError,
                                DuplicateNameError, GridRange, NameDef,
                                OverlappingFormulaRangeError, RefError, Sheet,
@@ -389,6 +390,22 @@ def test_non_finite_cells_are_refused_so_documents_rebuild(bad):
     text = export_doc(wb)
     assert "[DATA] main!A1:B1\n2\t\n" in text
     assert export_doc(rebuild(text)) == text
+
+
+@pytest.mark.parametrize("bad", [[1.0], Array([[1.0]]), object()],
+                         ids=["list", "array", "object"])
+def test_cells_hold_only_literals(bad):
+    # Sheet.set is where data enters, so evaluation can trust every cell.
+    wb = _book()
+    wb.set_cell("main", 1, 1, 2.0)
+    with pytest.raises(ValueError):
+        wb.set_cell("main", 1, 1, bad)
+    with pytest.raises(ValueError):
+        wb.fill_block(GridRange("main", 2, 3, 1, 1), [[bad, 3.0]])
+    assert wb.sheet("main").cells == {(1, 1): 2.0}
+    wb.fill_block(GridRange("main", 1, 4, 2, 2), [[3, True, "t", DIV0_ERROR]])
+    assert [wb.sheet("main").get(2, c) for c in range(1, 5)] == \
+        [3.0, True, "t", DIV0_ERROR]
 
 
 def test_fill_block_rejects_shape_mismatch():
