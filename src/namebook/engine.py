@@ -920,10 +920,12 @@ class _SweepContext:
     def reader(self, hit, shape):
         """Closure reading a refmap name at a cell of a member of shape."""
         w, dr, dc, vrng = hit
-        axes = _axes(vrng.shape(), shape)
-        if axes is None:
+        vshape = vrng.shape()
+        if V.broadcast_shapes(vshape, shape) != shape:
             return _const(V.VALUE_ERROR)
-        si, sj = axes
+        # A cell (i, j) reads (i * si, j * sj): the read runs along an axis
+        # it shares with the member and repeats its one row or column.
+        si, sj = vshape[0] == shape[0], vshape[1] == shape[1]
         part = self.partial[w]
         rows, cols = self.shapes[w]
         materialize = self.state.materialize
@@ -945,31 +947,14 @@ def _const(value):
     return lambda i, j: value
 
 
-def _axes(vshape, shape):
-    """(si, sj) that send a cell (i, j) of shape to (i * si, j * sj) of a
-    value of vshape: 1 along an axis they share, 0 along one the value
-    repeats.  None when vshape does not conform to shape."""
-    out = []
-    for v, n in zip(vshape, shape):
-        if v == n:
-            out.append(1)
-        elif v == 1:
-            out.append(0)
-        else:
-            return None
-    return tuple(out)
-
-
 def _indexer(value, shape):
     """Closure giving a sweep-constant value's scalar at a cell of shape."""
     if not isinstance(value, Array):
         return _const(value)
-    axes = _axes(value.shape, shape)
-    if axes is None:
+    if V.broadcast_shapes(value.shape, shape) != shape:
         return _const(V.VALUE_ERROR)
-    si, sj = axes
-    cells = value.cells
-    return lambda i, j: cells[i * si][j * sj]
+    rows = _rows_of(value, shape)
+    return lambda i, j: rows[i][j]
 
 
 def _compile_cell(swp: _SweepContext, e: Expr, member, ctx_sheet):
