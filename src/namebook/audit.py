@@ -9,6 +9,7 @@ Graphviz, and lint enforces the discipline that makes the rest work.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .docio import stray_formula_cells
@@ -92,6 +93,10 @@ def focus_graph(wb: Workbook, name: str, radius: int = 1) -> GraphSlice:
     """
     g = build_dep_graph(wb)
     focus = _find_name(wb, name).key()
+    readers = {}  # key -> the names whose formulas read it, in node order
+    for u in g.nodes:
+        for v in g.edges[u]:
+            readers.setdefault(v, []).append(u)
     kept_edges = set()
     seen = {focus}
     frontier = [focus]
@@ -109,7 +114,7 @@ def focus_graph(wb: Workbook, name: str, radius: int = 1) -> GraphSlice:
     for _ in range(max(radius, 0)):
         nxt = []
         for u in frontier:
-            for w in g.dependents(u):
+            for w in readers.get(u, ()):
                 kept_edges.add((w, u))
                 if w not in back:
                     back.add(w)
@@ -207,16 +212,10 @@ def lint(wb: Workbook, outputs=()) -> list:
     inputs = [nd for nd in sorted_names
               if nd.kind == RANGE and nd.formula is None
               and nd.target is not None]
-    for i, a in enumerate(inputs):
-        for b in inputs[i + 1:]:
-            if a.target.sheet != b.target.sheet:
-                continue
-            rows = wb.sheet(a.target.sheet).rows
-            if a.target.clamp(rows).intersect(b.target.clamp(rows)) is not None:
-                findings.append(Finding(
-                    "N3", WARNING, a.display(),
-                    "input ranges %s and %s overlap" % (a.display(),
-                                                        b.display())))
+    for i, j in _overlapping_pairs(wb, inputs):
+        a, b = inputs[i].display(), inputs[j].display()
+        findings.append(Finding("N3", WARNING, a,
+                                "input ranges %s and %s overlap" % (a, b)))
 
     referenced = set()
     g = build_dep_graph(wb)
@@ -251,6 +250,31 @@ def lint(wb: Workbook, outputs=()) -> list:
     order = {"N1": 1, "N2": 2, "N3": 3, "N4": 4, "N5": 5}
     findings.sort(key=lambda f: (order[f.rule], f.locus, f.message))
     return findings
+
+
+def _overlapping_pairs(wb: Workbook, inputs) -> set:
+    """(i, j), i < j, for every two inputs whose rectangles share a cell.
+
+    Each sheet column is swept down its rows: the spans that cover it are
+    sorted by first row, and a heap keeps those still open, each of which
+    overlaps the next span to open.  The cost is the total width of the
+    inputs plus the pairs found, not the square of their number."""
+    columns = {}
+    for i, nd in enumerate(inputs):
+        rng = nd.target.clamp(wb.sheet(nd.target.sheet).rows)
+        for col in range(rng.col_start, rng.col_end + 1):
+            columns.setdefault((rng.sheet, col), []).append(
+                (rng.row_start, rng.row_end, i))
+    pairs = set()
+    for spans in columns.values():
+        spans.sort()
+        open_spans = []  # heap of (last row, input)
+        for first, last, i in spans:
+            while open_spans and open_spans[0][0] < first:
+                heapq.heappop(open_spans)
+            pairs.update((j, i) if j < i else (i, j) for _, j in open_spans)
+            heapq.heappush(open_spans, (last, i))
+    return pairs
 
 
 def has_errors(findings) -> bool:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 
-from .formula import is_identifier, names_referenced, parse_formula, render
+from .formula import names_referenced, parse_formula, render
 from .values import format_number
 from .workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                        WorkbookError, parse_a1)
@@ -244,8 +244,6 @@ def rebuild(text: str) -> Workbook:
         if scope is not None and scope not in wb.sheets:
             raise DocSyntaxError(header_line,
                                  "scope %s is not a declared sheet" % scope)
-        if not is_identifier(ident):
-            raise DocSyntaxError(header_line, "bad identifier %r" % ident)
         i += 1
         target = None
         derive = None

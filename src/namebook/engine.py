@@ -63,11 +63,6 @@ class DepGraph:
     def predecessors(self, key: NameKey):
         return self.edges.get(key, ())
 
-    def dependents(self, key: NameKey):
-        out = [u for u, vs in self.edges.items() if key in vs]
-        out.sort(key=_sort_key)
-        return tuple(out)
-
 
 def _sort_key(key: NameKey):
     return (key[1], key[0] or "")

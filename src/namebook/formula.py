@@ -17,6 +17,16 @@ All binary operators associate left.  Unary minus binds tighter than "^"
 (so -2 ^ 2 is 4) and looser than "%".  Range intersection is written as
 whitespace between two reference terms and binds tightest of all.
 
+The lexer is one compiled pattern, _TOKEN, with one alternative per token
+class, run over the formula once by finditer.  The parser climbs
+precedence (Pratt, "Top Down Operator Precedence", POPL 1973): one loop
+reads every binary operator at a given binding level or tighter from
+_BINARY_LEVEL, the table render also uses to decide where parentheses
+go.  Both do a small, fixed amount of Python work per token.  A
+character-at-a-time lexer and a recursive-descent parser with one method
+per level, which they must match token for token, tree for tree and
+error for error, are kept in tests/formula_reference.py.
+
 Parentheses, call arguments and unary minus signs nest at most
 MAX_NESTING levels and the expression tree is at most MAX_DEPTH levels
 deep; a deeper formula is a ParseError, which keeps the parser and every
@@ -35,6 +45,9 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
+
+from .values import format_number
 
 
 class LexError(ValueError):
@@ -66,61 +79,87 @@ class TokenKind(Enum):
     INTERSECT = auto()    # whitespace between two reference-producing tokens
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     lexeme: str
     start: int
     end: int
 
 
+(_NUMBER, _TEXT, _BOOL, _IDENT, _SHEET_QUAL, _CELLREF, _OP, _LPAREN, _RPAREN,
+ _COMMA, _INTERSECT) = TokenKind
+
 ARROW = "←"
 MAX_NESTING = 64
 MAX_DEPTH = 256
 
-CELLREF_RE = re.compile(
+_CELLREF_PATTERN = (
     r"\$?[A-Za-z]{1,3}\$?[0-9]{1,7}(?::\$?[A-Za-z]{1,3}\$?[0-9]{1,7})?"
-    r"|\$?[A-Za-z]{1,3}:\$?[A-Za-z]{1,3}"
-)
+    r"|\$?[A-Za-z]{1,3}:\$?[A-Za-z]{1,3}")
 NUMBER_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-
+# \w is str.isalnum() or "_", which also takes numeric characters that
+# are neither letters nor digits ("½"), and [^\W\d_] takes digits that
+# are not decimal ("²"); _ident_cut trims those from non-ASCII names.
+_IDENT_PATTERN = r"(?:[^\W\d_]|" + ARROW + r")[\w.]*\??"
+_IDENT_RE = re.compile(_IDENT_PATTERN)
 # Whole-lexeme form, used to reject candidate defined names that read as refs.
-_CELLREF_FULL = re.compile(r"^(?:%s)$" % CELLREF_RE.pattern)
+_CELLREF_FULL = re.compile(r"^(?:%s)$" % _CELLREF_PATTERN)
+
+# One alternative per token class.  A letter starts a cell reference when
+# the reference holds a "$" or ":" (an identifier stops there) or when no
+# identifier character follows it, so the longer reading wins.  A text
+# literal must not close on the first quote of a doubled pair.  No
+# alternative starts with a blank, so the leading blanks never backtrack
+# into a token.
+_TOKEN = re.compile(r"""[ \t]*(?:
+    (?P<OP><=|>=|<>|[-+*/^&=<>%%])
+  | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
+  | (?P<CELLREF>(?=\$|[A-Za-z]{1,3}[$:]|[A-Za-z]{1,3}[0-9]{1,7}:)(?:%s)
+               |[A-Za-z]{1,3}[0-9]{1,7}(?![\w.?]))
+  | (?P<BOOL>(?i:TRUE|FALSE)(?![\w.?]))
+  | (?P<IDENT>%s!?)
+  | (?P<NUMBER>%s)
+  | (?P<TEXT>"(?:[^"]|"")*"(?!"))
+  | (?P<bad>[^ \t]))""" % (_CELLREF_PATTERN, _IDENT_PATTERN, NUMBER_RE.pattern),
+                    re.VERBOSE | re.DOTALL)
+
+# TokenKind by group number; None for the "bad" group.
+_GROUP_KIND = {number: TokenKind.__members__.get(name)
+               for name, number in _TOKEN.groupindex.items()}
+# Token(kind, lexeme, start, end) without NamedTuple's Python-level __new__.
+_token = tuple.__new__
+_BOOLS = ("TRUE", "FALSE")
+_REF_LEFT = (_IDENT, _CELLREF, _RPAREN)
+_REF_RIGHT = (_IDENT, _CELLREF)
 
 
-def _ident_end(text: str, pos: int) -> int:
-    """End offset of the identifier starting at pos, or pos if none starts."""
-    n = len(text)
-    ch = text[pos]
-    if not (ch.isalpha() or ch == ARROW):
-        return pos
-    i = pos + 1
-    while i < n and (text[i].isalpha() or text[i].isdigit() or text[i] in "._"):
-        i += 1
-    if i < n and text[i] == "?":
-        i += 1
-    return i
+def _ident_cut(name: str) -> int:
+    """Length of the identifier that starts name, reading letters and
+    digits as str.isalpha and str.isdigit do."""
+    if not (name[0].isalpha() or name[0] == ARROW):
+        return 0
+    return next((i for i, ch in enumerate(name) if i and not (
+        ch.isalpha() or ch.isdigit() or ch in "._?")), len(name))
 
 
 def is_identifier(text: str) -> bool:
     """True when text is a legal defined name."""
-    if not text:
-        return False
-    if _ident_end(text, 0) != len(text):
-        return False
-    if _CELLREF_FULL.match(text):
-        return False
-    if text.upper() in ("TRUE", "FALSE"):
-        return False
-    return True
+    return (_IDENT_RE.fullmatch(text) is not None
+            and (text.isascii() or _ident_cut(text) == len(text))
+            and not _CELLREF_FULL.match(text)
+            and text.upper() not in _BOOLS)
 
 
 def matches_cellref(text: str) -> bool:
     return bool(_CELLREF_FULL.match(text))
 
 
-_REF_LEFT = (TokenKind.IDENT, TokenKind.CELLREF, TokenKind.RPAREN)
-_REF_RIGHT = (TokenKind.IDENT, TokenKind.CELLREF)
+def col_to_index(letters: str) -> int:
+    """1-based column number of column letters: A is 1, AA is 27."""
+    n = 0
+    for ch in letters.upper():
+        n = n * 26 + (ord(ch) - 64)
+    return n
 
 
 def tokenize(text: str) -> list[Token]:
@@ -141,84 +180,28 @@ def tokenize(text: str) -> list[Token]:
         pos += 1
     if pos < end_limit and text[pos] == "=":
         pos += 1
-
-    tokens: list[Token] = []
-
-    def prev_kind():
-        return tokens[-1].kind if tokens else None
-
-    while pos < end_limit:
-        ws_start = pos
-        while pos < end_limit and text[pos] in " \t":
-            pos += 1
-        if pos >= end_limit:
-            break
-        ws_end = pos
-        start = pos
-        ch = text[pos]
-
-        tok = None
-        if ch == '"':
-            i = pos + 1
-            buf = []
-            while True:
-                if i >= end_limit:
-                    raise LexError(pos, "unterminated text literal")
-                if text[i] == '"':
-                    if i + 1 < end_limit and text[i + 1] == '"':
-                        buf.append('"')
-                        i += 2
-                        continue
-                    i += 1
-                    break
-                buf.append(text[i])
-                i += 1
-            tok = Token(TokenKind.TEXT, text[start:i], start, i)
-            pos = i
-        elif ch == "(":
-            tok = Token(TokenKind.LPAREN, "(", start, start + 1)
-            pos += 1
-        elif ch == ")":
-            tok = Token(TokenKind.RPAREN, ")", start, start + 1)
-            pos += 1
-        elif ch == ",":
-            tok = Token(TokenKind.COMMA, ",", start, start + 1)
-            pos += 1
-        elif text.startswith(("<=", ">=", "<>"), pos):
-            tok = Token(TokenKind.OP, text[pos:pos + 2], start, start + 2)
-            pos += 2
-        elif ch in "+-*/^&=<>%":
-            tok = Token(TokenKind.OP, ch, start, start + 1)
-            pos += 1
-        elif ch.isdigit() or (ch == "." and pos + 1 < end_limit and text[pos + 1].isdigit()):
-            m = NUMBER_RE.match(text, pos)
-            tok = Token(TokenKind.NUMBER, m.group(0), start, m.end())
-            pos = m.end()
-        else:
-            ident_end = _ident_end(text, pos) if (ch.isalpha() or ch == ARROW) else pos
-            cm = CELLREF_RE.match(text, pos) if (ch.isalpha() or ch == "$") else None
-            cell_end = cm.end() if cm else pos
-            if cell_end <= pos and ident_end <= pos:
-                raise LexError(pos, "unexpected character %r" % ch)
-            if cell_end >= ident_end and cell_end > pos:
-                tok = Token(TokenKind.CELLREF, text[start:cell_end], start, cell_end)
-                pos = cell_end
-            else:
-                lexeme = text[start:ident_end]
-                pos = ident_end
-                if lexeme.upper() in ("TRUE", "FALSE"):
-                    tok = Token(TokenKind.BOOL, lexeme, start, pos)
-                elif pos < end_limit and text[pos] == "!":
-                    pos += 1
-                    tok = Token(TokenKind.SHEET_QUAL, text[start:pos], start, pos)
-                else:
-                    tok = Token(TokenKind.IDENT, lexeme, start, pos)
-
-        if (ws_end > ws_start and prev_kind() in _REF_LEFT
-                and tok.kind in _REF_RIGHT):
-            tokens.append(Token(TokenKind.INTERSECT, text[ws_start:ws_end],
-                                ws_start, ws_end))
-        tokens.append(tok)
+    tokens = []
+    prev_end, prev_kind = pos, None
+    for m in _TOKEN.finditer(text, pos, end_limit):
+        group = m.lastindex
+        start, end = m.span(group)
+        lexeme = text[start:end]
+        kind = _GROUP_KIND[group]
+        if kind is _IDENT:
+            name = lexeme[:-1] if lexeme[-1] == "!" else lexeme
+            if not name.isascii() and (cut := _ident_cut(name)) < len(name):
+                raise LexError(start + cut, "unexpected character %r"
+                               % name[cut])
+            if name is not lexeme:
+                kind = _SHEET_QUAL
+        elif kind is None:
+            raise LexError(start, "unterminated text literal" if lexeme == '"'
+                           else "unexpected character %r" % lexeme)
+        if start > prev_end and prev_kind in _REF_LEFT and kind in _REF_RIGHT:
+            tokens.append(_token(Token, (_INTERSECT,
+                                         text[prev_end:start], prev_end, start)))
+        tokens.append(_token(Token, (kind, lexeme, start, end)))
+        prev_end, prev_kind = end, kind
     return tokens
 
 
@@ -298,6 +281,9 @@ class Call(Expr):
     args: tuple = ()
 
 
+_CORNER = re.compile(r"\$?([A-Z]{1,3})\$?([0-9]{1,7})?")
+
+
 def _normalize_cellref(lexeme: str) -> str:
     """Uppercase and order a reference's corners canonically."""
     text = lexeme.upper()
@@ -306,182 +292,142 @@ def _normalize_cellref(lexeme: str) -> str:
     a, b = text.split(":")
 
     def key(part):
-        m = re.match(r"^\$?([A-Z]{1,3})\$?([0-9]{1,7})?$", part)
-        col = 0
-        for ch in m.group(1):
-            col = col * 26 + (ord(ch) - 64)
-        row = int(m.group(2)) if m.group(2) else 0
-        return (col, row)
+        col, row = _CORNER.fullmatch(part).groups()
+        return (col_to_index(col), int(row) if row else 0)
 
     if key(a) > key(b):
         a, b = b, a
     return a + ":" + b
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-        self.nesting = 0  # nested() calls in progress
+# Binding levels, loosest first; the parser and render share them.
+_BINARY_LEVEL = {"=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
+                 "&": 2, "+": 3, "-": 3, "*": 4, "/": 4, "^": 5}
+_LEVEL_UNARY, _LEVEL_PERCENT, _LEVEL_INTERSECT, _LEVEL_PRIMARY = 6, 7, 8, 9
+_NODE_LEVEL = {Unary: _LEVEL_UNARY, Percent: _LEVEL_PERCENT,
+               Intersect: _LEVEL_INTERSECT}
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def advance(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+def _fail(tok, expected):
+    raise ParseError(tok.start, expected, "end of formula"
+                     if tok.kind is None else repr(tok.lexeme))
 
-    def expect(self, kind, what):
-        tok = self.peek()
-        if tok is None or tok.kind is not kind:
-            self.fail(what)
-        return self.advance()
 
-    def fail(self, expected):
-        tok = self.peek()
-        if tok is None:
-            offset = self.tokens[-1].end if self.tokens else 0
-            raise ParseError(offset, expected, "end of formula")
-        raise ParseError(tok.start, expected, repr(tok.lexeme))
-
-    def at_op(self, *ops):
-        tok = self.peek()
-        return tok is not None and tok.kind is TokenKind.OP and tok.lexeme in ops
-
-    def parse(self):
-        if not self.tokens:
-            raise ParseError(0, "a formula", "end of formula")
-        e = self.compare()
-        if self.peek() is not None:
-            self.fail("end of formula")
-        # A tree has no more levels than the formula has tokens.
-        if (len(self.tokens) > MAX_DEPTH
-                and max(level for _, level in walk(e)) > MAX_DEPTH):
-            raise ParseError(0, "an expression at most %d levels deep"
-                             % MAX_DEPTH, "a deeper one")
-        return e
-
-    def compare(self):
-        e = self.concat()
-        while self.at_op("=", "<>", "<", "<=", ">", ">="):
-            op = self.advance().lexeme
-            e = Binary(op, e, self.concat())
-        return e
-
-    def concat(self):
-        e = self.additive()
-        while self.at_op("&"):
-            self.advance()
-            e = Binary("&", e, self.additive())
-        return e
-
-    def additive(self):
-        e = self.multiplicative()
-        while self.at_op("+", "-"):
-            op = self.advance().lexeme
-            e = Binary(op, e, self.multiplicative())
-        return e
-
-    def multiplicative(self):
-        e = self.power()
-        while self.at_op("*", "/"):
-            op = self.advance().lexeme
-            e = Binary(op, e, self.power())
-        return e
-
-    def power(self):
-        e = self.unary()
-        while self.at_op("^"):
-            self.advance()
-            e = Binary("^", e, self.unary())
-        return e
-
-    def nested(self, parse):
-        """parse() one level deeper, refusing to pass MAX_NESTING."""
-        self.nesting += 1
-        if self.nesting > MAX_NESTING:
-            self.fail("at most %d levels of nesting" % MAX_NESTING)
-        e = parse()
-        self.nesting -= 1
-        return e
-
-    def unary(self):
-        if self.at_op("-"):
-            self.advance()
-            return Unary("-", self.nested(self.unary))
-        return self.postfix()
-
-    def postfix(self):
-        e = self.intersect()
-        while self.at_op("%"):
-            self.advance()
-            e = Percent(e)
-        return e
-
-    def intersect(self):
-        e = self.primary()
-        while self.peek() is not None and self.peek().kind is TokenKind.INTERSECT:
-            self.advance()
-            e = Intersect(e, self.primary())
-        return e
-
-    def primary(self):
-        tok = self.peek()
-        if tok is None:
-            self.fail("a value or reference")
-        if tok.kind is TokenKind.NUMBER:
-            value = float(tok.lexeme)
-            if not math.isfinite(value):
-                self.fail("a finite number")
-            self.advance()
-            return NumberLit(value)
-        if tok.kind is TokenKind.TEXT:
-            self.advance()
-            return TextLit(tok.lexeme[1:-1].replace('""', '"'))
-        if tok.kind is TokenKind.BOOL:
-            self.advance()
-            return BoolLit(tok.lexeme.upper() == "TRUE")
-        if tok.kind is TokenKind.SHEET_QUAL:
-            self.advance()
-            sheet = tok.lexeme[:-1]
-            nxt = self.peek()
-            if nxt is not None and nxt.kind is TokenKind.IDENT:
-                self.advance()
-                return NameRef(nxt.lexeme, sheet)
-            if nxt is not None and nxt.kind is TokenKind.CELLREF:
-                self.advance()
-                return CellRef(_normalize_cellref(nxt.lexeme), sheet)
-            self.fail("a name after %r" % tok.lexeme)
-        if tok.kind is TokenKind.IDENT:
-            self.advance()
-            nxt = self.peek()
-            if nxt is not None and nxt.kind is TokenKind.LPAREN:
-                self.advance()
-                args = []
-                if self.peek() is not None and self.peek().kind is TokenKind.RPAREN:
-                    self.advance()
-                else:
-                    args.append(self.nested(self.compare))
-                    while self.peek() is not None and self.peek().kind is TokenKind.COMMA:
-                        self.advance()
-                        args.append(self.nested(self.compare))
-                    self.expect(TokenKind.RPAREN, "')'")
-                return Call(tok.lexeme.upper(), tuple(args))
-            return NameRef(tok.lexeme)
-        if tok.kind is TokenKind.CELLREF:
-            self.advance()
-            return CellRef(_normalize_cellref(tok.lexeme))
-        if tok.kind is TokenKind.LPAREN:
-            self.advance()
-            e = self.nested(self.compare)
-            self.expect(TokenKind.RPAREN, "')'")
-            return e
-        self.fail("a value or reference")
+_TOO_DEEP = "at most %d levels of nesting" % MAX_NESTING
 
 
 def parse(tokens: list[Token]) -> Expr:
-    return _Parser(tokens).parse()
+    """The expression tree of a token list, by precedence climbing.
+
+    The list gets a sentinel of kind None and empty lexeme where the
+    formula ends.  Only OP tokens have a lexeme that is a key of
+    _BINARY_LEVEL or equals "-" or "%", so lexemes alone pick operators,
+    and the sentinel reads as binding level 0, which ends every loop."""
+    if not tokens:
+        raise ParseError(0, "a formula", "end of formula")
+    end = tokens[-1].end
+    toks = tokens + [_token(Token, (None, "", end, end))]
+    pos = 0
+    nesting = 0  # parentheses, arguments and minus signs open
+
+    def nested():
+        """A whole expression one nesting level deeper."""
+        nonlocal nesting
+        nesting += 1
+        if nesting > MAX_NESTING:
+            _fail(toks[pos], _TOO_DEEP)
+        e = binary(1)
+        nesting -= 1
+        return e
+
+    def closing():
+        nonlocal pos
+        if toks[pos].kind is not _RPAREN:
+            _fail(toks[pos], "')'")
+        pos += 1
+
+    def binary(floor):
+        """An expression whose binary operators bind at floor or tighter."""
+        nonlocal pos, nesting
+        signs = 0
+        while toks[pos].lexeme == "-":
+            pos += 1
+            signs += 1
+            nesting += 1
+            if nesting > MAX_NESTING:
+                _fail(toks[pos], _TOO_DEEP)
+        e = None
+        while True:  # primaries joined by INTERSECT
+            tok = toks[pos]
+            kind = tok.kind
+            pos += 1
+            if kind is _IDENT:
+                if toks[pos].kind is not _LPAREN:
+                    p = NameRef(tok.lexeme)
+                else:
+                    pos += 1
+                    args = []
+                    if toks[pos].kind is _RPAREN:
+                        pos += 1
+                    else:
+                        args.append(nested())
+                        while toks[pos].kind is _COMMA:
+                            pos += 1
+                            args.append(nested())
+                        closing()
+                    p = Call(tok.lexeme.upper(), tuple(args))
+            elif kind is _NUMBER:
+                value = float(tok.lexeme)
+                if not math.isfinite(value):
+                    _fail(tok, "a finite number")
+                p = NumberLit(value)
+            elif kind is _LPAREN:
+                p = nested()
+                closing()
+            elif kind is _SHEET_QUAL:
+                nxt = toks[pos]
+                pos += 1
+                if nxt.kind is _IDENT:
+                    p = NameRef(nxt.lexeme, tok.lexeme[:-1])
+                elif nxt.kind is _CELLREF:
+                    p = CellRef(_normalize_cellref(nxt.lexeme), tok.lexeme[:-1])
+                else:
+                    _fail(nxt, "a name after %r" % tok.lexeme)
+            elif kind is _CELLREF:
+                p = CellRef(_normalize_cellref(tok.lexeme))
+            elif kind is _TEXT:
+                p = TextLit(tok.lexeme[1:-1].replace('""', '"'))
+            elif kind is _BOOL:
+                p = BoolLit(tok.lexeme.upper() == "TRUE")
+            else:
+                _fail(tok, "a value or reference")
+            e = p if e is None else Intersect(e, p)
+            if toks[pos].kind is not _INTERSECT:
+                break
+            pos += 1
+        while toks[pos].lexeme == "%":
+            pos += 1
+            e = Percent(e)
+        nesting -= signs
+        for _ in range(signs):
+            e = Unary("-", e)
+        while True:
+            op = toks[pos].lexeme
+            level = _BINARY_LEVEL.get(op, 0)
+            if level < floor:
+                return e
+            pos += 1
+            e = Binary(op, e, binary(level + 1))
+
+    e = binary(1)
+    if toks[pos].kind is not None:
+        _fail(toks[pos], "end of formula")
+    # A tree has no more levels than the formula has tokens.
+    if (len(tokens) > MAX_DEPTH
+            and max(level for _, level in walk(e)) > MAX_DEPTH):
+        raise ParseError(0, "an expression at most %d levels deep"
+                         % MAX_DEPTH, "a deeper one")
+    return e
 
 
 def parse_formula(text: str) -> Expr:
@@ -490,76 +436,44 @@ def parse_formula(text: str) -> Expr:
 
 # --- canonical rendering -----------------------------------------------------
 
-_LEVEL_COMPARE = 1
-_LEVEL_CONCAT = 2
-_LEVEL_ADD = 3
-_LEVEL_MUL = 4
-_LEVEL_POW = 5
-_LEVEL_UNARY = 6
-_LEVEL_PERCENT = 7
-_LEVEL_INTERSECT = 8
-_LEVEL_PRIMARY = 9
-
-_BINARY_LEVEL = {
-    "=": _LEVEL_COMPARE, "<>": _LEVEL_COMPARE, "<": _LEVEL_COMPARE,
-    "<=": _LEVEL_COMPARE, ">": _LEVEL_COMPARE, ">=": _LEVEL_COMPARE,
-    "&": _LEVEL_CONCAT,
-    "+": _LEVEL_ADD, "-": _LEVEL_ADD,
-    "*": _LEVEL_MUL, "/": _LEVEL_MUL,
-    "^": _LEVEL_POW,
-}
-
-
 def _level(e: Expr) -> int:
-    if isinstance(e, Binary):
+    if type(e) is Binary:
         return _BINARY_LEVEL[e.op]
-    if isinstance(e, Unary):
-        return _LEVEL_UNARY
-    if isinstance(e, Percent):
-        return _LEVEL_PERCENT
-    if isinstance(e, Intersect):
-        return _LEVEL_INTERSECT
-    return _LEVEL_PRIMARY
+    return _NODE_LEVEL.get(type(e), _LEVEL_PRIMARY)
 
 
-def _wrap(text: str, child: Expr, parent_level: int, right_side: bool) -> str:
-    lvl = _level(child)
-    if lvl < parent_level or (lvl == parent_level and right_side):
-        return "(" + text + ")"
-    return text
+def _operand(child: Expr, floor: int) -> str:
+    """child's text, in parentheses unless it binds at floor or tighter."""
+    text = render(child)
+    return text if _level(child) >= floor else "(" + text + ")"
 
 
 def render(e: Expr) -> str:
     """Canonical text for an expression; render . parse is the identity."""
-    from .values import format_number
-
-    if isinstance(e, NumberLit):
-        return format_number(e.value)
-    if isinstance(e, TextLit):
-        return '"' + e.value.replace('"', '""') + '"'
-    if isinstance(e, BoolLit):
-        return "TRUE" if e.value else "FALSE"
-    if isinstance(e, NameRef):
+    kind = type(e)
+    if kind is Binary:
+        level = _BINARY_LEVEL[e.op]
+        return (_operand(e.lhs, level) + " " + e.op + " "
+                + _operand(e.rhs, level + 1))
+    if kind is NameRef:
         return (e.sheet + "!" + e.name) if e.sheet else e.name
-    if isinstance(e, CellRef):
+    if kind is NumberLit:
+        return format_number(e.value)
+    if kind is Call:
+        return e.func + "(" + ", ".join(map(render, e.args)) + ")"
+    if kind is Unary:
+        return e.op + _operand(e.operand, _LEVEL_UNARY)
+    if kind is Percent:
+        return _operand(e.operand, _LEVEL_PERCENT) + "%"
+    if kind is Intersect:
+        return (_operand(e.lhs, _LEVEL_INTERSECT) + " "
+                + _operand(e.rhs, _LEVEL_INTERSECT + 1))
+    if kind is TextLit:
+        return '"' + e.value.replace('"', '""') + '"'
+    if kind is BoolLit:
+        return "TRUE" if e.value else "FALSE"
+    if kind is CellRef:
         return (e.sheet + "!" + e.ref) if e.sheet else e.ref
-    if isinstance(e, Call):
-        return e.func + "(" + ", ".join(render(a) for a in e.args) + ")"
-    if isinstance(e, Unary):
-        inner = _wrap(render(e.operand), e.operand, _LEVEL_UNARY, False)
-        return e.op + inner
-    if isinstance(e, Percent):
-        inner = _wrap(render(e.operand), e.operand, _LEVEL_PERCENT, False)
-        return inner + "%"
-    if isinstance(e, Intersect):
-        lhs = _wrap(render(e.lhs), e.lhs, _LEVEL_INTERSECT, False)
-        rhs = _wrap(render(e.rhs), e.rhs, _LEVEL_INTERSECT, True)
-        return lhs + " " + rhs
-    if isinstance(e, Binary):
-        lvl = _BINARY_LEVEL[e.op]
-        lhs = _wrap(render(e.lhs), e.lhs, lvl, False)
-        rhs = _wrap(render(e.rhs), e.rhs, lvl, True)
-        return lhs + " " + e.op + " " + rhs
     raise TypeError("not an expression: %r" % (e,))
 
 

@@ -15,7 +15,7 @@ import re
 from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 
-from .formula import Expr, is_identifier, render
+from .formula import Expr, col_to_index, is_identifier, render
 from .values import CellError
 
 
@@ -50,13 +50,6 @@ class RefError(WorkbookError):
 WORKBOOK_SCOPE = None  # scope value for workbook-scoped names
 
 _SHEET_NAME_RE = re.compile(r"^[^\W\d][\w.]*$")
-
-
-def col_to_index(letters: str) -> int:
-    n = 0
-    for ch in letters.upper():
-        n = n * 26 + (ord(ch) - 64)
-    return n
 
 
 def index_to_col(n: int) -> str:

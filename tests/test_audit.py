@@ -2,13 +2,19 @@
 graphs slice by distance in both directions, DOT arrows follow data flow,
 and each lint rule fires exactly where it should."""
 
+import cProfile
+import pstats
+import random
+import time
+
 import pytest
 
-from namebook.audit import (ERROR, WARNING, export_dot, focus_graph,
-                            has_errors, linear_listing, lint)
+from namebook.audit import (ERROR, WARNING, GraphSlice, _find_name,
+                            export_dot, focus_graph, has_errors,
+                            linear_listing, lint)
 from namebook.docio import ExportError, export_doc
-from namebook.engine import CycleError
-from namebook.formula import names_referenced, parse_formula
+from namebook.engine import CycleError, _sort_key, build_dep_graph
+from namebook.formula import names_referenced, parse_formula, render
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef,
                                UnknownNameError, Workbook, shift_name)
 
@@ -287,3 +293,162 @@ def test_random_workbooks_lint_without_errors():
     for seed in range(60):
         findings = lint(random_workbook(seed + 400))
         assert not has_errors(findings), seed
+
+
+# --- linear-time N3 and focus graphs -----------------------------------------
+
+def _pairwise_n3(wb):
+    """The direct form of N3: every two input ranges compared."""
+    inputs = sorted((nd for nd in wb.names.values()
+                     if nd.kind == RANGE and nd.formula is None
+                     and nd.target is not None),
+                    key=lambda d: (d.identifier, d.scope or ""))
+    out = []
+    for i, a in enumerate(inputs):
+        for b in inputs[i + 1:]:
+            if a.target.sheet != b.target.sheet:
+                continue
+            rows = wb.sheet(a.target.sheet).rows
+            if a.target.clamp(rows).intersect(b.target.clamp(rows)):
+                out.append(("N3", a.display(), "input ranges %s and %s overlap"
+                            % (a.display(), b.display())))
+    return sorted(out)
+
+
+def _overlapping_inputs_book(seed):
+    """Inputs of random size, whole columns among them, crowded onto two
+    small sheets so that many pairs overlap."""
+    rng = random.Random(seed)
+    wb = Workbook().add_sheet("s", 12, 9).add_sheet("t", 6, 4)
+    for k in range(40):
+        sheet, rows, cols = rng.choice((("s", 12, 9), ("t", 6, 4)))
+        c1, c2 = sorted(rng.randrange(1, cols + 1) for _ in range(2))
+        if rng.random() < 0.2:
+            target = GridRange(sheet, c1, c2)
+        else:
+            r1, r2 = sorted(rng.randrange(1, rows + 1) for _ in range(2))
+            target = GridRange(sheet, c1, c2, r1, r2)
+        wb.define_name(NameDef("inp.%02d" % k, rng.choice((None, sheet)),
+                               target=target))
+    return wb
+
+
+def test_n3_matches_the_pairwise_check():
+    books = [_overlapping_inputs_book(seed) for seed in range(20)]
+    books += [random_workbook(seed) for seed in range(200)]
+    overlapping = 0
+    for wb in books:
+        got = sorted((f.rule, f.locus, f.message) for f in lint(wb)
+                     if f.rule == "N3")
+        assert got == _pairwise_n3(wb)
+        overlapping += len(got)
+    assert overlapping > 1000
+
+
+def _one_cell_inputs(n):
+    wb = Workbook().add_sheet("s", n, 2)
+    for r in range(1, n + 1):
+        wb.define_name(NameDef("in.%04d" % r, target=GridRange("s", 1, 2, r, r)))
+    wb.define_name(NameDef("in.dup", target=GridRange("s", 2, 2, n, n)))
+    return wb
+
+
+def test_n3_grows_linearly_with_the_inputs():
+    # A call count keeps the gate deterministic; comparing every pair of
+    # 2000 inputs made 2 million calls to intersect alone.
+    small, large = _one_cell_inputs(1000), _one_cell_inputs(2000)
+    assert [f.message for f in lint(large) if f.rule == "N3"] == [
+        "input ranges in.2000 and in.dup overlap"]
+    ratio = _python_calls(lint, large) / _python_calls(lint, small)
+    assert ratio < 2.3
+
+
+def _python_calls(fn, *args):
+    prof = cProfile.Profile()
+    prof.enable()
+    fn(*args)
+    prof.disable()
+    return pstats.Stats(prof).total_calls
+
+
+def _scanning_focus_graph(wb, name, radius):
+    """focus_graph as it was, with the dependents of each name found by
+    scanning every edge of the graph."""
+    g = build_dep_graph(wb)
+    focus = _find_name(wb, name).key()
+    kept, seen, back = set(), {focus}, {focus}
+    frontier = [focus]
+    for _ in range(max(radius, 0)):
+        nxt = []
+        for u in frontier:
+            for v in g.predecessors(u):
+                kept.add((u, v))
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    frontier = [focus]
+    for _ in range(max(radius, 0)):
+        nxt = []
+        for u in frontier:
+            for w in sorted((w for w, vs in g.edges.items() if u in vs),
+                            key=_sort_key):
+                kept.add((w, u))
+                if w not in back:
+                    back.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    seen |= back
+    labels = {}
+    for key in seen:
+        nd = wb.names[key]
+        labels[nd.display()] = (render(nd.formula) if nd.formula is not None
+                                else nd.target.address(with_sheet=True))
+    disp = g.display
+    return GraphSlice(disp[focus], tuple(sorted(disp[k] for k in seen)),
+                      tuple(sorted((disp[u], disp[v]) for u, v in kept)),
+                      frozenset((disp[u], disp[v]) for u, v in kept
+                                if (u, v) in g.recurrence), labels)
+
+
+def test_focus_graph_matches_the_edge_scan():
+    for seed in range(40):
+        wb = random_workbook(seed)
+        for nd in sorted(wb.names.values(), key=lambda d: d.display())[:6]:
+            for radius in (0, 1, 2, 5):
+                want = _scanning_focus_graph(wb, nd.display(), radius)
+                got = focus_graph(wb, nd.display(), radius)
+                assert got == want
+                assert export_dot(got) == export_dot(want)
+
+
+def _name_chain(n):
+    wb = Workbook().add_sheet("s", 1, 1)
+    wb.set_cell("s", 1, 1, 1.0)
+    wb.define_name(NameDef("n.0000", target=GridRange("s", 1, 1, 1, 1)))
+    for i in range(1, n + 1):
+        wb.define_name(NameDef("n.%04d" % i, None, FORMULA,
+                               formula=parse_formula("n.%04d + 1" % (i - 1))))
+    return wb
+
+
+def _best_time(fn, *args):
+    best = None
+    for _ in range(3):
+        start = time.perf_counter()
+        fn(*args)
+        took = time.perf_counter() - start
+        best = took if best is None else min(best, took)
+    return best
+
+
+def test_focus_graph_grows_linearly_with_the_names():
+    # Times, because a scan of every edge per dependents lookup runs
+    # inside one comprehension, which a call count does not see.  Walking
+    # a whole chain from its base takes three times as long when the chain
+    # is three times as long; the scan made it about eight times slower.
+    small, large = _name_chain(1000), _name_chain(3000)
+    assert len(focus_graph(large, "n.0000", 3000).nodes) == 3001
+    ratio = (_best_time(focus_graph, large, "n.0000", 3000)
+             / _best_time(focus_graph, small, "n.0000", 1000))
+    assert ratio < 5

@@ -228,6 +228,16 @@ def test_too_deep_formulas_exit_one(tmp_path, capsys, formula):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("formula", ["xs * 2 + \u00b2", "xs * \u0663"],
+                         ids=["superscript two", "arabic-indic three"])
+def test_non_ascii_digits_exit_one(tmp_path, capsys, formula):
+    doc = _write(tmp_path, _deep_doc(formula))
+    assert main(["eval", doc]) == 1
+    err = capsys.readouterr().err
+    assert "line 5" in err and "unexpected character" in err
+    assert "Traceback" not in err
+
+
 def test_formulas_at_the_depth_limits_evaluate_and_format(tmp_path, capsys):
     # 64 nested calls around a 190-term sum: 64 levels of nesting and a
     # tree 254 levels deep, both within the limits.

@@ -157,6 +157,16 @@ def test_malformed_documents_are_refused(old, new):
         rebuild(_swap(old, new))
 
 
+def test_bad_identifiers_are_refused_at_their_header_line():
+    text = _swap("[NAME] scope=workbook id=xs kind=range array=0",
+                 "[NAME] scope=workbook id=B2 kind=range array=0")
+    header = text.split("\n").index(
+        "[NAME] scope=workbook id=B2 kind=range array=0") + 1
+    with pytest.raises(DocSyntaxError) as err:
+        rebuild(text)
+    assert (err.value.line, err.value.reason) == (header, "bad identifier 'B2'")
+
+
 def test_undeclared_names_are_refused_with_both_parties_named():
     bad = _swap("formula=SUM(dbl)", "formula=SUM(dbl) + mystery")
     with pytest.raises(UndeclaredName) as info:

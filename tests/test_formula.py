@@ -212,7 +212,7 @@ def test_identifier_rules():
 
 @pytest.mark.parametrize("text", [
     "a +", "(a", "a)", "SUM(a,", '"unterminated', "a ? b", "1..2",
-    "!x", "a!!b", "",
+    "!x", "a!!b", "", "1 + \u00b2", "\u0663", "x + .\u00b2", "x\u00bd",
 ])
 def test_malformed_formulas_raise(text):
     with pytest.raises((LexError, ParseError)):

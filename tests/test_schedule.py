@@ -8,8 +8,9 @@ reference below is the direct form of the same rules: the reads found by
 walking each formula's syntax tree through formula names, every read
 checked against every formula range, and the next group picked by sorting
 all that are ready after each pick.  Both must agree exactly, and the
-indexed form must grow linearly with the number of names, and a sweep's
-per-cell work must not look names up again."""
+indexed form must grow linearly with the number of names, a sweep's
+per-cell work must not look names up again, and reading a document must
+cost few calls per formula token."""
 
 import cProfile
 import pstats
@@ -19,7 +20,7 @@ from namebook.docio import rebuild
 from namebook.engine import (_Scheduler, _overlapping, _shift_between,
                              _sort_key, _tarjan, _through_formulas,
                              _unit_axis_shift, build_dep_graph, evaluate)
-from namebook.formula import names_referenced, parse_formula
+from namebook.formula import names_referenced, parse_formula, tokenize
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                                shift_name)
 
@@ -190,6 +191,27 @@ def test_rebuild_and_evaluate_grow_linearly_with_the_names():
     small = _python_calls(_chain_doc(50))
     large = _python_calls(_chain_doc(100))
     assert large / small <= 2.3
+
+
+def test_rebuild_spends_few_calls_per_formula_token():
+    # Reading a document is mostly lexing and parsing its formulas, so its
+    # cost is counted per formula token.  The regex lexer and the
+    # precedence-climbing parser make about 15 calls per token here; the
+    # character-loop lexer and one-method-per-level parser made about 40.
+    lines = _chain_doc(100).split("\n")
+    for i, line in enumerate(lines):
+        if line.startswith("  formula="):
+            prev = line[len("  formula="):-len(" + 1")]
+            lines[i] = "  formula=(%s + base) * 0.5 - SUM(base) / 8" % prev
+    text = "\n".join(lines)
+    tokens = sum(len(tokenize(line[len("  formula="):])) for line in lines
+                 if line.startswith("  formula="))
+    prof = cProfile.Profile()
+    prof.enable()
+    rebuild(text)
+    prof.disable()
+    assert tokens == 1400
+    assert pstats.Stats(prof).total_calls / tokens < 20
 
 
 def _one_row_recurrence(width):
