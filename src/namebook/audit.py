@@ -103,7 +103,7 @@ def focus_graph(wb: Workbook, name: str, radius: int = 1) -> GraphSlice:
     for _ in range(max(radius, 0)):
         nxt = []
         for u in frontier:
-            for v in g.predecessors(u):
+            for v in g.edges[u]:
                 kept_edges.add((u, v))
                 if v not in seen:
                     seen.add(v)
@@ -203,11 +203,20 @@ def lint(wb: Workbook, outputs=()) -> list:
     for nd in sorted_names:
         if nd.formula is None:
             continue
-        for ref in cell_refs(nd.formula):
+        refs = cell_refs(nd.formula)
+        for ref in refs:
             shown = ref.ref if ref.sheet is None else "%s!%s" % (ref.sheet,
                                                                  ref.ref)
             findings.append(Finding("N2", ERROR, nd.display(),
                                     "grid address %s in formula" % shown))
+        if (nd.kind == RANGE and not nd.array
+                and any(ref.is_relative for ref in refs)
+                and nd.target.clamp(wb.sheet(nd.target.sheet).rows).shape()
+                != (1, 1)):
+            findings.append(Finding(
+                "N5", ERROR, nd.display(),
+                "multi-cell range repeats a formula whose relative "
+                "addresses drift cell to cell; mark it as an array formula"))
 
     inputs = [nd for nd in sorted_names
               if nd.kind == RANGE and nd.formula is None
@@ -234,18 +243,6 @@ def lint(wb: Workbook, outputs=()) -> list:
             continue
         findings.append(Finding("N4", WARNING, nd.display(),
                                 "name is never referenced"))
-
-    for nd in sorted_names:
-        if nd.kind != RANGE or nd.formula is None or nd.array:
-            continue
-        rows = wb.sheet(nd.target.sheet).rows
-        if nd.target.clamp(rows).shape() == (1, 1):
-            continue
-        if any(ref.is_relative for ref in cell_refs(nd.formula)):
-            findings.append(Finding(
-                "N5", ERROR, nd.display(),
-                "multi-cell range repeats a formula whose relative "
-                "addresses drift cell to cell; mark it as an array formula"))
 
     order = {"N1": 1, "N2": 2, "N3": 3, "N4": 4, "N5": 5}
     findings.sort(key=lambda f: (order[f.rule], f.locus, f.message))

@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 import re
 
-from .formula import names_referenced, parse_formula, render
+from . import engine
+from .formula import parse_formula, render
 from .values import format_number
 from .workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                        WorkbookError, parse_a1)
@@ -341,6 +342,7 @@ def rebuild(text: str) -> Workbook:
 
 
 def _check_closed_world(wb: Workbook, pending):
+    unresolved = engine.build_dep_graph(wb).unresolved
     for line, nd in pending:
         if nd.derive is not None:
             base_id, dr, dc = nd.derive
@@ -358,13 +360,5 @@ def _check_closed_world(wb: Workbook, pending):
                 raise DocSyntaxError(
                     line, "target of %s does not equal shift(%s,%d,%d)" %
                     (nd.display(), base_id, dr, dc))
-        if nd.formula is None:
-            continue
-        ctx = wb.context_sheet(nd)
-        for qual, ident in sorted(names_referenced(nd.formula),
-                                  key=lambda p: (p[1], p[0] or "")):
-            if qual is not None and qual not in wb.sheets:
-                raise UndeclaredName("%s!%s" % (qual, ident), nd.display())
-            if wb.resolve(ident, context=ctx, qualifier=qual) is None:
-                shown = ("%s!%s" % (qual, ident)) if qual else ident
-                raise UndeclaredName(shown, nd.display())
+        if nd.key() in unresolved:
+            raise UndeclaredName(unresolved[nd.key()][0], nd.display())

@@ -19,13 +19,15 @@ kernels (values.BINARY).
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
 the subset whose target is a displaced overlapping copy of the referencing
-name's own range classified as recurrence edges.  evaluate() builds it once
-to refuse cycles, and its scheduler walks the same edges through formula
-names to find the range names each formula reads.  It resolves every read
-down to the formula ranges that own the cells read, which is what makes
-cross-name recurrences (interest on a prior balance feeding the balance
-itself) come out in the right order.  Owners come from
-Workbook.formula_owners, the index that also serves every range read.
+name's own range classified as recurrence edges.  The workbook keeps it
+until its name table changes, so rebuild's closed-world check, evaluate()
+and the audit views share one walk of each formula.  evaluate() refuses
+cycles on it, and its scheduler walks its edges through formula names to
+find the range names each formula reads, then resolves every read down to
+the formula ranges that own the cells read (Workbook.formula_owners, the
+index that also serves every range read).  That is what makes cross-name
+recurrences (interest on a prior balance feeding the balance itself) come
+out in the right order.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .formula import (BoolLit, Call, CellRef, Expr, Intersect, NameRef,
                       NumberLit, Percent, TextLit, Unary, Binary,
                       names_referenced)
 from .values import Array, CellError
-from .workbook import FORMULA, RANGE, GridRange, NameDef, RefError, Workbook
+from .workbook import FORMULA, GridRange, NameDef, RefError, Workbook
 
 NameKey = tuple  # (scope | None, identifier)
 
@@ -56,12 +58,8 @@ class DepGraph:
     nodes: tuple
     edges: dict            # NameKey -> tuple of NameKey, sorted
     recurrence: frozenset  # subset of (u, v) edges that are displaced self-reads
-    displacements: dict    # (u, v) -> (dr, dc) for recurrence edges
     unresolved: dict       # NameKey -> tuple of reference texts with no definition
     display: dict          # NameKey -> display text
-
-    def predecessors(self, key: NameKey):
-        return self.edges.get(key, ())
 
 
 def _sort_key(key: NameKey):
@@ -69,40 +67,43 @@ def _sort_key(key: NameKey):
 
 
 def _shift_between(u: NameDef, v: NameDef):
-    """(dr, dc) such that v's range is u's range displaced, else None.
+    """(dr, dc) such that v's range is u's range displaced and overlapping
+    it, else None.
 
     Only same-sheet, same-shape ranges qualify; whole-column bands pair
-    with whole-column bands.
+    with whole-column bands.  Two ranges of one shape overlap exactly when
+    the shift is shorter than the shape along both axes.
     """
     a, b = u.target, v.target
     if a is None or b is None or a.sheet != b.sheet:
         return None
     if a.is_whole_rows != b.is_whole_rows:
         return None
-    if (a.col_end - a.col_start) != (b.col_end - b.col_start):
+    width = a.col_end - a.col_start
+    if width != b.col_end - b.col_start:
         return None
-    if a.is_whole_rows:
-        dr = 0
-    else:
-        if (a.row_end - a.row_start) != (b.row_end - b.row_start):
+    dr = 0
+    if not a.is_whole_rows:
+        height = a.row_end - a.row_start
+        if height != b.row_end - b.row_start:
             return None
         dr = b.row_start - a.row_start
+        if abs(dr) > height:
+            return None
     dc = b.col_start - a.col_start
-    if (dr, dc) == (0, 0):
+    if abs(dc) > width or (dr, dc) == (0, 0):
         return None
     return (dr, dc)
 
 
-def _overlapping(wb: Workbook, a: GridRange, b: GridRange) -> bool:
-    rows_a = wb.sheet(a.sheet).rows if a.sheet in wb.sheets else 1
-    rows_b = wb.sheet(b.sheet).rows if b.sheet in wb.sheets else 1
-    return a.clamp(rows_a).intersect(b.clamp(rows_b)) is not None
-
-
 def build_dep_graph(wb: Workbook) -> DepGraph:
+    """The names each formula references.  The workbook keeps the graph
+    until its name table changes, so its readers share it and must not
+    change it."""
+    if wb._graph is not None:
+        return wb._graph
     edges = {}
     recurrence = set()
-    displacements = {}
     unresolved = {}
     display = {key: nd.display() for key, nd in wb.names.items()}
     for key, nd in wb.names.items():
@@ -110,7 +111,7 @@ def build_dep_graph(wb: Workbook) -> DepGraph:
             edges[key] = ()
             continue
         ctx = wb.context_sheet(nd)
-        targets = []
+        targets = set()
         missing = []
         for qual, ident in sorted(names_referenced(nd.formula),
                                   key=lambda p: (p[1], p[0] or "")):
@@ -118,23 +119,17 @@ def build_dep_graph(wb: Workbook) -> DepGraph:
             if hit is None:
                 missing.append(("%s!%s" % (qual, ident)) if qual else ident)
             else:
-                targets.append(hit.key())
-        targets = sorted(set(targets), key=_sort_key)
-        edges[key] = tuple(targets)
+                targets.add(hit.key())
+        edges[key] = tuple(sorted(targets, key=_sort_key))
         if missing:
             unresolved[key] = tuple(missing)
-        if nd.kind == RANGE and nd.target is not None:
-            for tkey in targets:
-                other = wb.names[tkey]
-                if other.kind != RANGE or other.target is None:
-                    continue
-                d = _shift_between(nd, other)
-                if d is not None and _overlapping(wb, nd.target, other.target):
-                    recurrence.add((key, tkey))
-                    displacements[(key, tkey)] = d
+        if nd.target is not None:
+            recurrence.update((key, t) for t in edges[key]
+                              if _shift_between(nd, wb.names[t]))
     nodes = tuple(sorted(wb.names.keys(), key=_sort_key))
-    return DepGraph(nodes, edges, frozenset(recurrence), displacements,
-                    unresolved, display)
+    wb._graph = DepGraph(nodes, edges, frozenset(recurrence), unresolved,
+                         display)
+    return wb._graph
 
 
 def topo_order(g: DepGraph) -> list:
@@ -870,7 +865,9 @@ class _SweepContext:
     position.  Everything in it that is constant across the sweep is
     computed whole once, at compile time, and indexed per cell: plain
     range names, aggregates, gathers, intersections, and the formula
-    names whose reads reach no refmap name (inlined lists the others).
+    names whose reads reach no refmap name.  inlined lists, per member,
+    the ones it reaches that do, each after those it reads; each is
+    compiled once per member into compiled, where its readers look it up.
     """
 
     def __init__(self, state: _EvalState, group: _Group):
@@ -886,10 +883,10 @@ class _SweepContext:
             self.partial[m] = [[None] * shape[1] for _ in range(shape[0])]
         self.refmap = {}
         by_target = {state.wb.names[m].target: m for m in group.members}
-        entered = []
+        through = {}
         for m in group.members:
-            reads, through = _through_formulas(state.wb, state.graph, m)
-            entered += through[:-1]  # the member itself comes last
+            reads, entered = _through_formulas(state.wb, state.graph, m)
+            through[m] = entered[:-1]  # the member itself comes last
             for v in reads:
                 vkey = v.key()
                 if vkey in self.refmap:
@@ -900,17 +897,19 @@ class _SweepContext:
                     self.refmap[vkey] = (aligned, 0, 0, vrng)
                     continue
                 for w in group.members:
-                    d = _shift_between(state.wb.names[w], v)
-                    if d == direction and _overlapping(state.wb, v.target,
-                                                       state.wb.names[w].target):
-                        self.refmap[vkey] = (w, d[0], d[1], vrng)
+                    if _shift_between(state.wb.names[w], v) == direction:
+                        self.refmap[vkey] = (w, *direction, vrng)
                         break
         # Post-order: each formula name comes after every one it reads.
-        self.inlined = set()
-        for k in entered:
-            if any(t in self.refmap or t in self.inlined
-                   for t in state.graph.edges[k]):
-                self.inlined.add(k)
+        inlined = set()
+        for m in group.members:
+            for k in through[m]:
+                if any(t in self.refmap or t in inlined
+                       for t in state.graph.edges[k]):
+                    inlined.add(k)
+        self.inlined = {m: [k for k in through[m] if k in inlined]
+                        for m in group.members}
+        self.compiled = {}  # (member, inlined formula name) -> closure
 
     def reader(self, hit, shape):
         """Closure reading a refmap name at a cell of a member of shape."""
@@ -967,9 +966,9 @@ def _compile_cell(swp: _SweepContext, e: Expr, member, ctx_sheet):
         if nd is None:
             return _const(V.NAME_ERROR)
         if nd.kind == FORMULA:
-            if nd.key() in swp.inlined:
-                return _compile_cell(swp, nd.formula, member,
-                                     state.wb.context_sheet(nd))
+            inlined = swp.compiled.get((member, nd.key()))
+            if inlined is not None:
+                return inlined
             return _indexer(_deref(state, state.formula_value(nd.key())),
                             shape)
         if nd.target is None:
@@ -1011,9 +1010,12 @@ def _run_sweep(state: _EvalState, group: _Group):
     dr, dc = group.direction()
     plan = []
     for m in group.order:
-        nd = wb.names[m]
-        plan.append((_compile_cell(swp, nd.formula, m, wb.context_sheet(nd)),
-                     swp.partial[m], swp.shapes[m]))
+        # m last: a chain of inlined names compiles without recursion.
+        for k in swp.inlined[m] + [m]:
+            nd = wb.names[k]
+            swp.compiled[m, k] = _compile_cell(swp, nd.formula, m,
+                                               wb.context_sheet(nd))
+        plan.append((swp.compiled[m, m], swp.partial[m], swp.shapes[m]))
     first = swp.shapes[group.order[0]]
     if dc != 0:
         for j in (range(first[1]) if dc < 0 else range(first[1] - 1, -1, -1)):

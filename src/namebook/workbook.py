@@ -301,6 +301,7 @@ class Workbook:
         # sheet -> column -> sorted [(row_start, row_end, key)], one entry per
         # formula range shared by its columns (no two tie); None when stale.
         self._owners: dict | None = None
+        self._graph = None  # engine.build_dep_graph's result; None when stale
 
     # -- sheets ---------------------------------------------------------
 
@@ -312,6 +313,7 @@ class Workbook:
         if rows < 1 or cols < 1:
             raise ValueError("sheet extent must be positive")
         self.sheets[name] = Sheet(name, rows, cols)
+        self._graph = None  # a qualifier naming it now resolves
         return self
 
     def sheet(self, name: str) -> Sheet:
@@ -347,7 +349,7 @@ class Workbook:
         """
         self.sheet(name)
         del self.sheets[name]
-        self._owners = None
+        self._owners = self._graph = None
         for key in [k for k, d in self.names.items() if d.scope == name]:
             del self.names[key]
         for d in self.names.values():
@@ -437,6 +439,7 @@ class Workbook:
             raise ValueError("unknown name kind %r" % nd.kind)
         self._check_formula_overlap(nd)
         self.names[nd.key()] = nd
+        self._graph = None
         if (self._owners is not None and nd.formula is not None
                 and nd.target is not None):
             self._index_owner(nd)
@@ -454,7 +457,7 @@ class Workbook:
         nd = self.names.get(key)
         if nd is None:
             raise UnknownNameError("no name %r in scope %r" % (identifier, scope))
-        self._owners = None
+        self._owners = self._graph = None
         if isinstance(refers_to, GridRange):
             self._check_target(refers_to)
             nd.kind = RANGE
@@ -476,9 +479,11 @@ class Workbook:
         """Find the definition an occurrence of `identifier` binds to.
 
         Sheet-scoped names shadow workbook-scoped ones inside their sheet's
-        context; an explicit qualifier re-targets the context instead.
-        Returns None when nothing matches (the #NAME? case).
+        context; an explicit qualifier, which must name a sheet, re-targets
+        the context instead.  Returns None when nothing matches (#NAME?).
         """
+        if qualifier is not None and qualifier not in self.sheets:
+            return None
         where = qualifier if qualifier is not None else context
         if where is not None:
             nd = self.names.get((where, identifier))

@@ -381,7 +381,7 @@ def _scanning_focus_graph(wb, name, radius):
     for _ in range(max(radius, 0)):
         nxt = []
         for u in frontier:
-            for v in g.predecessors(u):
+            for v in g.edges[u]:
                 kept.add((u, v))
                 if v not in seen:
                     seen.add(v)

@@ -189,6 +189,40 @@ def test_eval_follows_a_600_name_chain_into_a_sweep(tmp_path, capsys):
     assert [float(x) for x in row.split("\t")] == want
 
 
+def test_eval_inlines_a_600_name_chain_that_reads_the_sweep(tmp_path,
+                                                            capsys):
+    # The chain ends at the swept twin, so it is inlined into the sweep:
+    # each link is compiled once, after the link it reads, not by
+    # recursing down the chain.
+    n = 600
+    lines = ["#%NAMESDOC v1", "[SHEET] s rows=1 cols=6",
+             "[NAME] scope=workbook id=bal kind=range array=1",
+             "  target=s!B1:F1", "  formula=prev + f.0001"]
+    for i in range(1, n + 1):
+        link = "f.%04d * 1" % (i + 1) if i < n else "prev * 0.01 + 0.1"
+        lines += ["[NAME] scope=workbook id=f.%04d kind=formula array=0" % i,
+                  "  formula=" + link]
+    lines += ["[NAME] scope=workbook id=opening kind=range array=0",
+              "  target=s!A1",
+              "[NAME] scope=workbook id=prev kind=range array=0",
+              "  target=s!A1:E1", "  derive=shift(bal,0,-1)",
+              "[DATA] s!A1", "1.5"]
+    doc = _write(tmp_path, "\n".join(lines) + "\n")
+    assert main(["eval", doc, "--name", "bal"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    head, row = out.out.splitlines()
+    assert head == "# bal 1x5"
+    want, b = [], 1.5
+    for _ in range(5):
+        f = b * 0.01 + 0.1
+        for _ in range(n - 1):
+            f = f * 1
+        b = b + f
+        want.append(b)
+    assert [float(x) for x in row.split("\t")] == want
+
+
 def test_unreadable_documents_exit_one(tmp_path, capsys):
     assert main(["eval", str(tmp_path / "missing.nsdoc")]) == 1
     doc = _write(tmp_path, "not a document\n")

@@ -9,7 +9,8 @@ evidence about the semantics rather than about one implementation."""
 
 import pytest
 
-from namebook.engine import CycleError, evaluate
+from namebook.docio import UndeclaredName, export_doc, rebuild
+from namebook.engine import CycleError, build_dep_graph, evaluate
 from namebook.formula import parse_formula
 from namebook.values import (CYCLE_ERROR, DIV0_ERROR, NAME_ERROR, NULL_ERROR,
                              REF_ERROR, VALUE_ERROR, Array, CellError)
@@ -399,6 +400,28 @@ def test_dangling_name_evaluates_to_ref_error():
     store = evaluate(wb)
     assert store.value("lost") == REF_ERROR
     assert store.value("user") == REF_ERROR
+
+
+def test_a_qualifier_naming_no_sheet_is_a_name_error():
+    # nosuch!x used to fall back to the workbook's x, which export_doc
+    # then wrote into a document that rebuild refused.
+    wb = Workbook().add_sheet("s", 2, 2)
+    wb.set_cell("s", 1, 1, 5.0)
+    wb.define_name(NameDef("x", target=GridRange("s", 1, 1, 1, 1)))
+    wb.define_name(NameDef("y", None, FORMULA,
+                           formula=parse_formula("nosuch!x * 2")))
+    assert wb.resolve("x", context="s", qualifier="nosuch") is None
+    assert evaluate(wb).value("y") == NAME_ERROR
+    assert oracle_evaluate(wb)[(None, "y")] == NAME_ERROR
+    graph = build_dep_graph(wb)
+    assert graph.edges[(None, "y")] == ()
+    assert graph.unresolved == {(None, "y"): ("nosuch!x",)}
+    with pytest.raises(UndeclaredName, match="nosuch!x"):
+        rebuild(export_doc(wb))
+    # Once the sheet exists the qualifier reaches the workbook's x.
+    wb.add_sheet("nosuch", 1, 1)
+    assert build_dep_graph(wb).edges[(None, "y")] == ((None, "x"),)
+    assert evaluate(wb).value("y") == 10.0
 
 
 # --- the store --------------------------------------------------------------

@@ -10,17 +10,23 @@ checked against every formula range, and the next group picked by sorting
 all that are ready after each pick.  Both must agree exactly, and the
 indexed form must grow linearly with the number of names, a sweep's
 per-cell work must not look names up again, and reading a document must
-cost few calls per formula token."""
+cost few calls per formula token.  The graph itself is kept on the
+workbook: it must follow every change to the name table, and one command
+must walk each formula once (lint twice)."""
 
 import cProfile
 import pstats
+import random
 
+from namebook import formula
+from namebook.cli import main
 from namebook.corpus import fixture_a, fixture_b, fixture_c
 from namebook.docio import rebuild
-from namebook.engine import (_Scheduler, _overlapping, _shift_between,
-                             _sort_key, _tarjan, _through_formulas,
-                             _unit_axis_shift, build_dep_graph, evaluate)
-from namebook.formula import names_referenced, parse_formula, tokenize
+from namebook.engine import (_Scheduler, _shift_between, _sort_key, _tarjan,
+                             _through_formulas, _unit_axis_shift,
+                             build_dep_graph, evaluate)
+from namebook.formula import (Binary, NameRef, names_referenced,
+                              parse_formula, tokenize)
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                                shift_name)
 
@@ -48,6 +54,12 @@ def _expanded_range_targets(wb, nd):
 
     visit(nd.formula, wb.context_sheet(nd))
     return out
+
+
+def _overlapping(wb, a, b):
+    rows_a = wb.sheet(a.sheet).rows if a.sheet in wb.sheets else 1
+    rows_b = wb.sheet(b.sheet).rows if b.sheet in wb.sheets else 1
+    return a.clamp(rows_a).intersect(b.clamp(rows_b)) is not None
 
 
 def _ready_first(nodes, deps, key):
@@ -265,3 +277,104 @@ def test_a_sweep_resolves_names_once_not_per_cell(monkeypatch):
         acc = acc + acc * rate
         want.append(acc)
     assert store.value("acc").cells == [want]
+
+
+def _shift_by_scan(u, v):
+    """The displacement found by comparing shapes, then clamping both
+    ranges and intersecting them."""
+    a, b = u.target, v.target
+    if a is None or b is None or a.sheet != b.sheet:
+        return None
+    if a.is_whole_rows != b.is_whole_rows:
+        return None
+    if (a.col_end - a.col_start) != (b.col_end - b.col_start):
+        return None
+    dr = 0
+    if not a.is_whole_rows:
+        if (a.row_end - a.row_start) != (b.row_end - b.row_start):
+            return None
+        dr = b.row_start - a.row_start
+    dc = b.col_start - a.col_start
+    if (dr, dc) == (0, 0):
+        return None
+    return (dr, dc)
+
+
+def test_shift_between_is_the_displacement_of_overlapping_twins():
+    found = {"overlapping": 0, "apart": 0}
+    for label, wb in _books():
+        ranges = [nd for nd in wb.names.values() if nd.target is not None]
+        for u in ranges:
+            for v in ranges:
+                want = _shift_by_scan(u, v)
+                if want is not None:
+                    if _overlapping(wb, u.target, v.target):
+                        found["overlapping"] += 1
+                    else:
+                        found["apart"] += 1
+                        want = None
+                assert _shift_between(u, v) == want, (label, u.display(),
+                                                      v.display())
+    assert min(found.values()) > 50, found
+
+
+def test_the_kept_graph_follows_every_change_to_the_name_table():
+    changed = 0
+    for seed in range(40):
+        wb = random_workbook(seed)
+        rng = random.Random(seed)
+        kept = build_dep_graph(wb)
+        sheet = next(iter(wb.sheets))
+        wb.set_cell(sheet, 1, 1, 1.5)
+        assert build_dep_graph(wb) is kept  # cells are not in the graph
+        names = sorted(wb.names.values(),
+                       key=lambda d: (d.identifier, d.scope or ""))
+        read = rng.choice(names)
+        fresh = Binary("+", NameRef(read.identifier, read.scope),
+                       NameRef(read.identifier, "later"))
+        formulas = [nd for nd in names if nd.formula is not None]
+        inputs = [nd for nd in names if nd.formula is None
+                  and nd.target is not None]
+        steps = [
+            lambda: wb.define_name(NameDef("fresh", None, FORMULA,
+                                           formula=fresh)),
+            lambda: wb.add_sheet("later", 2, 2),
+            lambda: wb.rebind_name(formulas[0].identifier, formulas[0].scope,
+                                   GridRange("later", 1, 1, 1, 1)),
+            lambda: wb.rebind_name(inputs[0].identifier, inputs[0].scope,
+                                   NameRef(read.identifier, read.scope)),
+            lambda: wb.delete_sheet(rng.choice(sorted(wb.sheets))),
+        ]
+        for step in steps:
+            before = build_dep_graph(wb)
+            step()
+            after = build_dep_graph(wb)
+            assert after == build_dep_graph(wb.copy()), seed
+            changed += after != before
+    assert changed > 150
+
+
+def _walks_per_formula(tmp_path, capsys, argv):
+    doc = tmp_path / "chain.nsdoc"
+    doc.write_text(_chain_doc(300), encoding="utf-8")
+    prof = cProfile.Profile()
+    prof.enable()
+    code = main([str(doc) if a == "DOC" else a for a in argv])
+    prof.disable()
+    capsys.readouterr()
+    assert code == 0
+    walks = sum(nc for (path, _, func), (_, nc, *_) in
+                pstats.Stats(prof).stats.items()
+                if func == "walk" and path == formula.__file__)
+    return walks / 300
+
+
+def test_one_command_walks_each_formula_once(tmp_path, capsys):
+    # rebuild builds the name graph and keeps it on the workbook, so the
+    # closed-world check, evaluate and the audit views all read that one
+    # walk; lint walks each formula once more for its grid addresses.
+    for argv in (["eval", "DOC"], ["fmt", "DOC"], ["audit", "list", "DOC"],
+                 ["audit", "graph", "DOC", "--focus", "link.0150",
+                  "--radius", "2"]):
+        assert _walks_per_formula(tmp_path, capsys, argv) == 1, argv
+    assert _walks_per_formula(tmp_path, capsys, ["lint", "DOC"]) == 2
