@@ -30,7 +30,7 @@ class ListingEntry:
 def _address_and_shape(wb: Workbook, nd):
     if nd.target is None:
         return None, None
-    rng = nd.target.clamp(wb.sheet(nd.target.sheet).rows)
+    rng = wb.bounded(nd.target)
     return nd.target.address(with_sheet=True), rng.shape()
 
 
@@ -97,30 +97,10 @@ def focus_graph(wb: Workbook, name: str, radius: int = 1) -> GraphSlice:
     for u in g.nodes:
         for v in g.edges[u]:
             readers.setdefault(v, []).append(u)
-    kept_edges = set()
-    seen = {focus}
-    frontier = [focus]
-    for _ in range(max(radius, 0)):
-        nxt = []
-        for u in frontier:
-            for v in g.edges[u]:
-                kept_edges.add((u, v))
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    frontier = [focus]
-    back = {focus}
-    for _ in range(max(radius, 0)):
-        nxt = []
-        for u in frontier:
-            for w in readers.get(u, ()):
-                kept_edges.add((w, u))
-                if w not in back:
-                    back.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    seen |= back
+    ahead, ahead_edges = _within(focus, g.edges, radius)
+    behind, behind_edges = _within(focus, readers, radius)
+    seen = ahead | behind
+    kept_edges = ahead_edges | {(w, u) for (u, w) in behind_edges}
     labels = {}
     for key in seen:
         nd = wb.names[key]
@@ -136,6 +116,24 @@ def focus_graph(wb: Workbook, name: str, radius: int = 1) -> GraphSlice:
     rec = frozenset((disp[u], disp[v]) for (u, v) in kept_edges
                     if (u, v) in g.recurrence)
     return GraphSlice(disp[focus], nodes, edges, rec, labels)
+
+
+def _within(start, step, radius):
+    """The keys at most radius hops from start along step (key -> keys),
+    and the hops taken, as (from, to) pairs."""
+    seen = {start}
+    hops = set()
+    frontier = [start]
+    for _ in range(max(radius, 0)):
+        nxt = []
+        for u in frontier:
+            for v in step.get(u, ()):
+                hops.add((u, v))
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen, hops
 
 
 def _dot_quote(text: str) -> str:
@@ -198,8 +196,10 @@ def lint(wb: Workbook, outputs=()) -> list:
         findings.append(Finding("N1", ERROR, addr,
                                 "formula cell outside any named formula"))
 
-    sorted_names = sorted(wb.names.values(),
-                          key=lambda d: (d.identifier, d.scope or ""))
+    def by_name(d):
+        return (d.identifier, d.scope or "")
+
+    sorted_names = sorted(wb.names.values(), key=by_name)
     for nd in sorted_names:
         if nd.formula is None:
             continue
@@ -211,16 +211,13 @@ def lint(wb: Workbook, outputs=()) -> list:
                                     "grid address %s in formula" % shown))
         if (nd.kind == RANGE and not nd.array
                 and any(ref.is_relative for ref in refs)
-                and nd.target.clamp(wb.sheet(nd.target.sheet).rows).shape()
-                != (1, 1)):
+                and wb.bounded(nd.target).shape() != (1, 1)):
             findings.append(Finding(
                 "N5", ERROR, nd.display(),
                 "multi-cell range repeats a formula whose relative "
                 "addresses drift cell to cell; mark it as an array formula"))
 
-    inputs = [nd for nd in sorted_names
-              if nd.kind == RANGE and nd.formula is None
-              and nd.target is not None]
+    inputs = sorted(wb.input_ranges(), key=by_name)
     for i, j in _overlapping_pairs(wb, inputs):
         a, b = inputs[i].display(), inputs[j].display()
         findings.append(Finding("N3", WARNING, a,
@@ -258,7 +255,7 @@ def _overlapping_pairs(wb: Workbook, inputs) -> set:
     inputs plus the pairs found, not the square of their number."""
     columns = {}
     for i, nd in enumerate(inputs):
-        rng = nd.target.clamp(wb.sheet(nd.target.sheet).rows)
+        rng = wb.bounded(nd.target)
         for col in range(rng.col_start, rng.col_end + 1):
             columns.setdefault((rng.sheet, col), []).append(
                 (rng.row_start, rng.row_end, i))

@@ -37,14 +37,11 @@ def _formula_name(identifier, text, scope=None):
 
 
 def _fill_column(wb, sheet, a1, values):
-    rng = parse_a1(sheet, a1)
-    rows = [[v] for v in values]
-    wb.fill_block(rng.clamp(wb.sheet(sheet).rows), rows)
+    wb.fill_block(parse_a1(sheet, a1), [[v] for v in values])
 
 
 def _fill_row(wb, sheet, a1, values):
-    rng = parse_a1(sheet, a1)
-    wb.fill_block(rng.clamp(wb.sheet(sheet).rows), [list(values)])
+    wb.fill_block(parse_a1(sheet, a1), [list(values)])
 
 
 PRODUCT_COUNT = 12

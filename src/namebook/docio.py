@@ -180,12 +180,8 @@ def export_doc(wb: Workbook) -> str:
                                   nd.display())
             lines.append("  formula=%s" % text)
 
-    blocks = {}
-    for nd in wb.names.values():
-        if nd.kind != RANGE or nd.formula is not None or nd.target is None:
-            continue
-        addr = nd.target.address(with_sheet=True)
-        blocks[addr] = nd.target
+    blocks = {nd.target.address(with_sheet=True): nd.target
+              for nd in wb.input_ranges()}
     for addr in sorted(blocks):
         rng = blocks[addr]
         sheet = wb.sheet(rng.sheet)
@@ -297,10 +293,8 @@ def rebuild(text: str) -> Workbook:
         pending.append((header_line, nd))
 
     # then the data blocks
-    input_addresses = {}
-    for nd in wb.names.values():
-        if nd.kind == RANGE and nd.formula is None and nd.target is not None:
-            input_addresses[nd.target.address(with_sheet=True)] = nd.target
+    input_addresses = {nd.target.address(with_sheet=True): nd.target
+                       for nd in wb.input_ranges()}
     seen_blocks = set()
     while i < n and lines[i].startswith("[DATA]"):
         m = _DATA_LINE.match(lines[i])
@@ -316,8 +310,7 @@ def rebuild(text: str) -> Workbook:
         seen_blocks.add(addr)
         block_line = i + 1
         i += 1
-        sheet = wb.sheet(rng.sheet)
-        bounded = rng.clamp(sheet.rows)
+        bounded = wb.bounded(rng)
         height, width = bounded.shape()
         rows = []
         for k in range(height):

@@ -11,10 +11,12 @@ displaced reads are swept together in the same pass.
 A sweep compiles each member's formula once into a closure over the cell
 position (_compile_cell): names are resolved, reads of the members
 become index closures, and every part constant across the sweep is
-evaluated whole once and indexed.  The whole-array path stays an
-interpreter, since it runs each formula only once per evaluate and
-compiling it would save nothing.  Both paths apply the same operator
-kernels (values.BINARY).
+evaluated whole once and indexed.  A formula name that reads a member is
+filled into rows of its own just before its reader at each step, so
+chains and diamonds of such names cost one closure call per name per
+cell.  The whole-array path stays an interpreter, since it runs each
+formula only once per evaluate and compiling it would save nothing.
+Both paths apply the same operator kernels (values.BINARY).
 
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
@@ -22,18 +24,22 @@ the subset whose target is a displaced overlapping copy of the referencing
 name's own range classified as recurrence edges.  The workbook keeps it
 until its name table changes, so rebuild's closed-world check, evaluate()
 and the audit views share one walk of each formula.  evaluate() refuses
-cycles on it, and its scheduler walks its edges through formula names to
-find the range names each formula reads, then resolves every read down to
-the formula ranges that own the cells read (Workbook.formula_owners, the
-index that also serves every range read).  That is what makes cross-name
-recurrences (interest on a prior balance feeding the balance itself) come
-out in the right order.
+cycles on it, and there is one read analysis over it, the scheduler's: it
+walks each formula's edges through formula names to find the range names
+it reads, then resolves every read down to the formula ranges that own
+the cells read (Workbook.formula_owners, the index that also serves every
+range read) and sorts each owner as aligned, displaced or unorderable.
+That is what makes cross-name recurrences (interest on a prior balance
+feeding the balance itself) come out in the right order, and each sweep
+reads its own members through that same result.  The plan, the ordered
+groups, is kept with the graph, so only a change to the name table makes
+evaluate() plan again; a cell edit does not.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import values as V
 from .formula import (BoolLit, Call, CellRef, Expr, Intersect, NameRef,
@@ -60,6 +66,8 @@ class DepGraph:
     recurrence: frozenset  # subset of (u, v) edges that are displaced self-reads
     unresolved: dict       # NameKey -> tuple of reference texts with no definition
     display: dict          # NameKey -> display text
+    # evaluate's ordered _Groups, planned from this graph on first use
+    plan: list | None = field(default=None, compare=False, repr=False)
 
 
 def _sort_key(key: NameKey):
@@ -317,6 +325,12 @@ class _Group:
     plain_inside: list  # (u, w) plain edges inside the group, u reads w aligned
     order: list | None = None  # within-step member order of a valid sweep
     failed: str | None = None
+    # Of a valid sweep: each range name its members read that denotes a
+    # member's cells -> (member, dr, dc, the read clamped to its sheet),
+    # aligned or displaced by the sweep direction; and per member, the
+    # formula names it reads that reach one, each after those it reads.
+    refmap: dict | None = None
+    inlined: dict | None = None
 
     def direction(self):
         return next(iter(set(self.displaced.values())))
@@ -325,7 +339,8 @@ class _Group:
 class _Scheduler:
     """Orders formula ranges by who owns the cells each formula reads, as
     Workbook.formula_owners reports them.  The reads come from the
-    dependency graph, seen through formula names."""
+    dependency graph, seen through formula names.  This is the one read
+    analysis: each valid sweep takes its reads of its members from it."""
 
     def __init__(self, wb: Workbook, graph: DepGraph):
         self.wb = wb
@@ -335,23 +350,30 @@ class _Scheduler:
         self.plain = {k: set() for k in self.fkeys}
         self.disp = {}
         self.bad_self = set()
+        self.entered = {}  # formula range -> formula names it reads, post-order
+        self.owned = {}    # formula range -> [(read, owner, (dr, dc))]
         for key in self.fkeys:
             self._edges_for(key)
 
     def _edges_for(self, ukey):
-        for v in _through_formulas(self.wb, self.graph, ukey)[0]:
+        reads, entered = _through_formulas(self.wb, self.graph, ukey)
+        self.entered[ukey] = entered[:-1]  # ukey itself comes last
+        owned = self.owned[ukey] = []      # aligned and unit-displaced reads
+        for v in reads:
             vr = v.target
             for wkey in sorted(self.wb.formula_owners(vr), key=_sort_key):
                 w = self.wb.names[wkey]
                 if vr == w.target:
                     if wkey != ukey:
                         self.plain[ukey].add(wkey)
+                        owned.append((v, wkey, (0, 0)))
                     else:
                         self.bad_self.add(ukey)
                     continue
                 d = _shift_between(w, v)
                 if _unit_axis_shift(d):
                     self.disp[(ukey, wkey)] = d
+                    owned.append((v, wkey, d))
                 elif wkey == ukey:
                     # An overlapping non-unit displacement of itself can
                     # never be swept into order.
@@ -403,8 +425,7 @@ class _Scheduler:
         wb = self.wb
         extents = set()
         for m in members:
-            nd = wb.names[m]
-            shape = nd.target.clamp(wb.sheet(nd.target.sheet).rows).shape()
+            shape = wb.bounded(wb.names[m].target).shape()
             extents.add(shape[1] if dc != 0 else shape[0])
         if len(extents) > 1:
             g.failed = "recurrence ranges disagree on sweep extent"
@@ -415,6 +436,21 @@ class _Scheduler:
         g.order = _kahn(members, deps, _sort_key)
         if len(g.order) != len(members):
             g.failed = "mutual reference"
+            return
+        # A valid sweep: what its members read of one another's cells.
+        g.refmap = {}
+        for m in members:
+            for v, w, d in self.owned[m]:
+                if w in deps and d in ((0, 0), (dr, dc)):  # w a member
+                    g.refmap[v.key()] = (w, *d, wb.bounded(v.target))
+        inlined = set()
+        for m in members:
+            for k in self.entered[m]:
+                if any(t in g.refmap or t in inlined
+                       for t in self.graph.edges[k]):
+                    inlined.add(k)
+        g.inlined = {m: [k for k in self.entered[m] if k in inlined]
+                     for m in members}
 
 
 # --- builtin functions -------------------------------------------------------
@@ -588,6 +624,18 @@ def _index_int(s):
     return int(n)
 
 
+def _index_pair(nums, shape):
+    """INDEX's (row, col) into a value of shape: a lone index selects along
+    a single column or row; None when the value is wider."""
+    if len(nums) == 2:
+        return nums
+    if shape[1] == 1:
+        return nums[0], 0
+    if shape[0] == 1:
+        return 0, nums[0]
+    return None
+
+
 def _builtin_index(state, args):
     if len(args) not in (2, 3):
         return V.VALUE_ERROR
@@ -605,33 +653,21 @@ def _builtin_index(state, args):
                 return n
         if isinstance(source, RangeValue):
             rng = source.rng
-            if len(nums) == 1:
-                rows_decl = (state.wb.sheet(rng.sheet).rows
-                             if rng.sheet in state.wb.sheets else 1)
-                shp = rng.clamp(rows_decl).shape()
-                if shp[1] == 1:
-                    row, col = nums[0], 0
-                elif shp[0] == 1:
-                    row, col = 0, nums[0]
-                else:
-                    return V.VALUE_ERROR
-            else:
-                row, col = nums
+            rows_decl = (state.wb.sheet(rng.sheet).rows
+                         if rng.sheet in state.wb.sheets else 1)
+            pair = _index_pair(nums, rng.clamp(rows_decl).shape())
+            if pair is None:
+                return V.VALUE_ERROR
             try:
-                return RangeValue(rng.index_slice(row, col))
+                return RangeValue(rng.index_slice(*pair))
             except RefError:
                 return V.REF_ERROR
         src = source if isinstance(source, Array) else Array([[source]])
         r, c = src.shape
-        if len(nums) == 1:
-            if c == 1:
-                row, col = nums[0], 0
-            elif r == 1:
-                row, col = 0, nums[0]
-            else:
-                return V.VALUE_ERROR
-        else:
-            row, col = nums
+        pair = _index_pair(nums, (r, c))
+        if pair is None:
+            return V.VALUE_ERROR
+        row, col = pair
         if row > r or col > c:
             return V.REF_ERROR
         rows = range(r) if row == 0 else [row - 1]
@@ -847,8 +883,7 @@ def _expand_to_shape(value, shape):
 
 
 def _eval_whole_name(state: _EvalState, nd: NameDef):
-    rows = state.wb.sheet(nd.target.sheet).rows
-    shape = nd.target.clamp(rows).shape()
+    shape = state.wb.bounded(nd.target).shape()
     raw = _deref(state, _eval_expr(state, nd.formula, state.wb.context_sheet(nd)))
     return _expand_to_shape(raw, shape)
 
@@ -858,58 +893,28 @@ def _eval_whole_name(state: _EvalState, nd: NameDef):
 class _SweepContext:
     """Shared state for the members of one co-swept recurrence group.
 
-    refmap sends each readable range name to the group member whose cells
-    it denotes, either aligned or displaced by the sweep direction; reads
-    through it index the partially built arrays.  Each member formula is
-    compiled once per sweep (_compile_cell) into a closure over the cell
-    position.  Everything in it that is constant across the sweep is
-    computed whole once, at compile time, and indexed per cell: plain
-    range names, aggregates, gathers, intersections, and the formula
-    names whose reads reach no refmap name.  inlined lists, per member,
-    the ones it reaches that do, each after those it reads; each is
-    compiled once per member into compiled, where its readers look it up.
+    Reads through the plan's refmap (see _Group) index the rows being
+    built.  Each member formula is compiled once per sweep (_compile_cell)
+    into a closure over the cell position.  Everything in it that is
+    constant across the sweep is computed whole once, at compile time, and
+    indexed per cell: plain range names, aggregates, gathers,
+    intersections, and the formula names whose reads reach no refmap name.
+    Each of the plan's inlined formula names has rows of its own per
+    member, filled at every step just before its reader's, so a read of it
+    is an aligned read of those rows and no closure calls another's.
     """
 
     def __init__(self, state: _EvalState, group: _Group):
         self.state = state
-        self.partial = {}
+        self.refmap = group.refmap
+        self.partial = {}  # (member, member or inlined name) -> its rows
         self.shapes = {}
-        direction = group.direction()
         for m in group.members:
-            nd = state.wb.names[m]
-            rows = state.wb.sheet(nd.target.sheet).rows
-            shape = nd.target.clamp(rows).shape()
+            shape = state.wb.bounded(state.wb.names[m].target).shape()
             self.shapes[m] = shape
-            self.partial[m] = [[None] * shape[1] for _ in range(shape[0])]
-        self.refmap = {}
-        by_target = {state.wb.names[m].target: m for m in group.members}
-        through = {}
-        for m in group.members:
-            reads, entered = _through_formulas(state.wb, state.graph, m)
-            through[m] = entered[:-1]  # the member itself comes last
-            for v in reads:
-                vkey = v.key()
-                if vkey in self.refmap:
-                    continue
-                vrng = v.target.clamp(state.wb.sheet(v.target.sheet).rows)
-                aligned = by_target.get(v.target)
-                if aligned is not None:
-                    self.refmap[vkey] = (aligned, 0, 0, vrng)
-                    continue
-                for w in group.members:
-                    if _shift_between(state.wb.names[w], v) == direction:
-                        self.refmap[vkey] = (w, *direction, vrng)
-                        break
-        # Post-order: each formula name comes after every one it reads.
-        inlined = set()
-        for m in group.members:
-            for k in through[m]:
-                if any(t in self.refmap or t in inlined
-                       for t in state.graph.edges[k]):
-                    inlined.add(k)
-        self.inlined = {m: [k for k in through[m] if k in inlined]
-                        for m in group.members}
-        self.compiled = {}  # (member, inlined formula name) -> closure
+            for k in group.inlined[m] + [m]:
+                self.partial[m, k] = [[None] * shape[1]
+                                      for _ in range(shape[0])]
 
     def reader(self, hit, shape):
         """Closure reading a refmap name at a cell of a member of shape."""
@@ -920,7 +925,7 @@ class _SweepContext:
         # A cell (i, j) reads (i * si, j * sj): the read runs along an axis
         # it shares with the member and repeats its one row or column.
         si, sj = vshape[0] == shape[0], vshape[1] == shape[1]
-        part = self.partial[w]
+        part = self.partial[w, w]
         rows, cols = self.shapes[w]
         materialize = self.state.materialize
 
@@ -966,9 +971,9 @@ def _compile_cell(swp: _SweepContext, e: Expr, member, ctx_sheet):
         if nd is None:
             return _const(V.NAME_ERROR)
         if nd.kind == FORMULA:
-            inlined = swp.compiled.get((member, nd.key()))
-            if inlined is not None:
-                return inlined
+            part = swp.partial.get((member, nd.key()))
+            if part is not None:
+                return lambda i, j: part[i][j]
             return _indexer(_deref(state, state.formula_value(nd.key())),
                             shape)
         if nd.target is None:
@@ -1010,12 +1015,11 @@ def _run_sweep(state: _EvalState, group: _Group):
     dr, dc = group.direction()
     plan = []
     for m in group.order:
-        # m last: a chain of inlined names compiles without recursion.
-        for k in swp.inlined[m] + [m]:
+        for k in group.inlined[m] + [m]:
             nd = wb.names[k]
-            swp.compiled[m, k] = _compile_cell(swp, nd.formula, m,
-                                               wb.context_sheet(nd))
-        plan.append((swp.compiled[m, m], swp.partial[m], swp.shapes[m]))
+            plan.append((_compile_cell(swp, nd.formula, m,
+                                       wb.context_sheet(nd)),
+                         swp.partial[m, k], swp.shapes[m]))
     first = swp.shapes[group.order[0]]
     if dc != 0:
         for j in (range(first[1]) if dc < 0 else range(first[1] - 1, -1, -1)):
@@ -1029,7 +1033,7 @@ def _run_sweep(state: _EvalState, group: _Group):
                 for j in range(cols):
                     row[j] = cell(i, j)
     for m in group.members:
-        cells = swp.partial[m]
+        cells = swp.partial[m, m]
         if len(cells) == 1 and len(cells[0]) == 1:
             state.computed[m] = cells[0][0]
         else:
@@ -1040,15 +1044,16 @@ def evaluate(wb: Workbook) -> ValueStore:
     """Evaluate every name.  A static dependency cycle raises CycleError;
     every other failure surfaces as an error value in the affected cells."""
     graph = build_dep_graph(wb)
-    topo_order(graph)  # a name-level cycle fails here, before any work
+    if graph.plan is None:
+        # A name-level cycle fails here, on every call, before any work.
+        topo_order(graph)
+        graph.plan = _Scheduler(wb, graph).groups()
 
     state = _EvalState(wb, graph)
-    for group in _Scheduler(wb, graph).groups():
+    for group in graph.plan:
         if group.failed is not None:
             for m in group.members:
-                nd = wb.names[m]
-                rows = wb.sheet(nd.target.sheet).rows
-                shape = nd.target.clamp(rows).shape()
+                shape = wb.bounded(wb.names[m].target).shape()
                 state.computed[m] = _expand_to_shape(V.CYCLE_ERROR, shape)
         elif group.displaced:
             _run_sweep(state, group)

@@ -51,11 +51,6 @@ class Array:
     def __init__(self, cells):
         self.cells = cells
 
-    @classmethod
-    def filled(cls, shape, scalar):
-        r, c = shape
-        return cls([[scalar] * c for _ in range(r)])
-
     @property
     def shape(self):
         return (len(self.cells), len(self.cells[0]))

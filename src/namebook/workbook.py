@@ -322,6 +322,10 @@ class Workbook:
         except KeyError:
             raise UnknownSheetError("no sheet named %r" % name) from None
 
+    def bounded(self, rng: GridRange) -> GridRange:
+        """rng clamped to the rows its sheet declares."""
+        return rng.clamp(self.sheet(rng.sheet).rows)
+
     def set_cell(self, sheet: str, row: int, col: int, value) -> "Workbook":
         self.sheet(sheet).set(row, col, value)
         return self
@@ -370,7 +374,7 @@ class Workbook:
             raise RefError("%s exceeds sheet rows" % target.address(True))
 
     def _index_owner(self, nd: NameDef):
-        rng = nd.target.clamp(self.sheets[nd.target.sheet].rows)
+        rng = self.bounded(nd.target)
         entry = (rng.row_start, rng.row_end, nd.key())
         columns = self._owners.setdefault(rng.sheet, {})
         for col in range(rng.col_start, rng.col_end + 1):
@@ -409,11 +413,11 @@ class Workbook:
         if not self.formula_owners(candidate.target):
             return
         # Name the earliest-defined conflicting range.
-        mine = candidate.target.clamp(self.sheet(candidate.target.sheet).rows)
+        mine = self.bounded(candidate.target)
         for other in self.names.values():
             if other.formula is None or other.target is None:
                 continue
-            theirs = other.target.clamp(self.sheet(other.target.sheet).rows)
+            theirs = self.bounded(other.target)
             if mine.intersect(theirs) is not None:
                 raise OverlappingFormulaRangeError(
                     "%s overlaps formula range %s"

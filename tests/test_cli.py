@@ -189,12 +189,10 @@ def test_eval_follows_a_600_name_chain_into_a_sweep(tmp_path, capsys):
     assert [float(x) for x in row.split("\t")] == want
 
 
-def test_eval_inlines_a_600_name_chain_that_reads_the_sweep(tmp_path,
-                                                            capsys):
-    # The chain ends at the swept twin, so it is inlined into the sweep:
-    # each link is compiled once, after the link it reads, not by
-    # recursing down the chain.
-    n = 600
+def _eval_chain_into_the_sweep(tmp_path, capsys, n):
+    """bal = prev + f.0001 over a 1x5 band, where f.0001 .. f.n is a chain
+    of formula names ending at the swept twin; bal's values must equal a
+    loop doing the same float operations."""
     lines = ["#%NAMESDOC v1", "[SHEET] s rows=1 cols=6",
              "[NAME] scope=workbook id=bal kind=range array=1",
              "  target=s!B1:F1", "  formula=prev + f.0001"]
@@ -221,6 +219,21 @@ def test_eval_inlines_a_600_name_chain_that_reads_the_sweep(tmp_path,
         b = b + f
         want.append(b)
     assert [float(x) for x in row.split("\t")] == want
+
+
+def test_eval_inlines_a_600_name_chain_that_reads_the_sweep(tmp_path,
+                                                            capsys):
+    # The chain ends at the swept twin, so it is inlined into the sweep:
+    # each link is compiled once, after the link it reads, not by
+    # recursing down the chain.
+    _eval_chain_into_the_sweep(tmp_path, capsys, 600)
+
+
+def test_eval_inlines_a_1000_name_chain_that_reads_the_sweep(tmp_path,
+                                                             capsys):
+    # Each inlined link fills rows of its own just before the link that
+    # reads it, so running the sweep nests no call per link either.
+    _eval_chain_into_the_sweep(tmp_path, capsys, 1000)
 
 
 def test_unreadable_documents_exit_one(tmp_path, capsys):

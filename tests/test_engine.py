@@ -361,9 +361,10 @@ def test_pure_formula_cycle_raises_before_any_work():
     wb = Workbook().add_sheet("s", 2, 2)
     wb.define_name(NameDef("pf", None, FORMULA, formula=parse_formula("qf + 1")))
     wb.define_name(NameDef("qf", None, FORMULA, formula=parse_formula("pf + 1")))
-    with pytest.raises(CycleError) as info:
-        evaluate(wb)
-    assert "pf" in str(info.value) and "qf" in str(info.value)
+    for _ in range(2):  # a cycle is never planned, so it raises every time
+        with pytest.raises(CycleError) as info:
+            evaluate(wb)
+        assert "pf" in str(info.value) and "qf" in str(info.value)
 
 
 def test_mutually_referencing_formula_ranges_raise():
@@ -374,8 +375,9 @@ def test_mutually_referencing_formula_ranges_raise():
     wb.define_name(NameDef("bbb", None, RANGE,
                            target=GridRange("s", 2, 2, 1, 2),
                            formula=parse_formula("aaa * 2"), array=True))
-    with pytest.raises(CycleError):
-        evaluate(wb)
+    for _ in range(2):
+        with pytest.raises(CycleError):
+            evaluate(wb)
 
 
 def test_hidden_self_read_through_an_alias_fills_cycle_errors():

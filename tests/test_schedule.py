@@ -12,9 +12,13 @@ indexed form must grow linearly with the number of names, a sweep's
 per-cell work must not look names up again, and reading a document must
 cost few calls per formula token.  The graph itself is kept on the
 workbook: it must follow every change to the name table, and one command
-must walk each formula once (lint twice)."""
+must walk each formula once (lint twice).  evaluate keeps its plan, the
+ordered groups, with that graph: a second evaluate of an unchanged name
+table plans nothing, and each sweep's reads of its own members are the
+scheduler's, equal to the reference below that derives them per sweep."""
 
 import cProfile
+import itertools
 import pstats
 import random
 
@@ -22,9 +26,10 @@ from namebook import formula
 from namebook.cli import main
 from namebook.corpus import fixture_a, fixture_b, fixture_c
 from namebook.docio import rebuild
-from namebook.engine import (_Scheduler, _shift_between, _sort_key, _tarjan,
-                             _through_formulas, _unit_axis_shift,
-                             build_dep_graph, evaluate)
+from namebook.engine import (CycleError, _Scheduler, _shift_between,
+                             _sort_key, _tarjan, _through_formulas,
+                             _unit_axis_shift, build_dep_graph, evaluate,
+                             topo_order)
 from namebook.formula import (Binary, NameRef, names_referenced,
                               parse_formula, tokenize)
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
@@ -324,9 +329,11 @@ def test_the_kept_graph_follows_every_change_to_the_name_table():
         wb = random_workbook(seed)
         rng = random.Random(seed)
         kept = build_dep_graph(wb)
+        _outcome(wb)
         sheet = next(iter(wb.sheets))
         wb.set_cell(sheet, 1, 1, 1.5)
         assert build_dep_graph(wb) is kept  # cells are not in the graph
+        assert _outcome(wb) == _outcome(wb.copy()), seed
         names = sorted(wb.names.values(),
                        key=lambda d: (d.identifier, d.scope or ""))
         read = rng.choice(names)
@@ -347,11 +354,20 @@ def test_the_kept_graph_follows_every_change_to_the_name_table():
         ]
         for step in steps:
             before = build_dep_graph(wb)
+            _outcome(wb)  # keeps a plan, unless the book has a cycle
             step()
             after = build_dep_graph(wb)
             assert after == build_dep_graph(wb.copy()), seed
+            assert _outcome(wb) == _outcome(wb.copy()), seed
             changed += after != before
     assert changed > 150
+
+
+def _outcome(wb):
+    try:
+        return evaluate(wb)
+    except CycleError as exc:
+        return exc.members
 
 
 def _walks_per_formula(tmp_path, capsys, argv):
@@ -378,3 +394,114 @@ def test_one_command_walks_each_formula_once(tmp_path, capsys):
                   "--radius", "2"]):
         assert _walks_per_formula(tmp_path, capsys, argv) == 1, argv
     assert _walks_per_formula(tmp_path, capsys, ["lint", "DOC"]) == 2
+
+
+def _reference_sweep_maps(wb, graph, group):
+    """A valid sweep's refmap and inlined, derived the way each sweep did
+    before the scheduler kept them: every member's reads walked through
+    formula names again and matched against the members' ranges."""
+    direction = group.direction()
+    by_target = {wb.names[m].target: m for m in group.members}
+    refmap = {}
+    through = {}
+    for m in group.members:
+        reads, entered = _through_formulas(wb, graph, m)
+        through[m] = entered[:-1]
+        for v in reads:
+            vkey = v.key()
+            if vkey in refmap:
+                continue
+            vrng = v.target.clamp(wb.sheet(v.target.sheet).rows)
+            aligned = by_target.get(v.target)
+            if aligned is not None:
+                refmap[vkey] = (aligned, 0, 0, vrng)
+                continue
+            for w in group.members:
+                if _shift_between(wb.names[w], v) == direction:
+                    refmap[vkey] = (w, *direction, vrng)
+                    break
+    inlined = set()
+    for m in group.members:
+        for k in through[m]:
+            if any(t in refmap or t in inlined for t in graph.edges[k]):
+                inlined.add(k)
+    return refmap, {m: [k for k in through[m] if k in inlined]
+                    for m in group.members}
+
+
+def test_each_sweep_reads_its_members_as_the_scheduler_found_them():
+    sweeps = inlining = 0
+    books = itertools.chain(
+        _books(), [("one row", _one_row_recurrence(8))],
+        (("gen %d" % seed, random_workbook(seed))
+         for seed in range(50, 300)))
+    for label, wb in books:
+        graph = build_dep_graph(wb)
+        for g in _Scheduler(wb, graph).groups():
+            if g.displaced and g.failed is None:
+                want = _reference_sweep_maps(wb, graph, g)
+                assert (g.refmap, g.inlined) == want, label
+                sweeps += 1
+                inlining += any(g.inlined.values())
+    assert sweeps > 150 and inlining > 0
+
+
+_PLANNING = [topo_order, _through_formulas, _Scheduler.__init__,
+             _Scheduler._edges_for, _Scheduler.groups, _Scheduler._validate]
+
+
+def _profiled_evaluate(wb):
+    prof = cProfile.Profile()
+    prof.enable()
+    store = evaluate(wb)
+    prof.disable()
+    assert not store.has_errors()
+    return store, pstats.Stats(prof).stats
+
+
+def test_a_second_evaluate_plans_nothing():
+    # The plan is kept with the name graph, which set_cell keeps, so the
+    # evaluate after a cell edit runs no cycle check, no read walk and no
+    # grouping; a sweep reads its members through the kept plan and walks
+    # formula names only to evaluate the ones constant across it.
+    planning = {cProfile.label(f.__code__) for f in _PLANNING}
+    for wb, cell in ((rebuild(_chain_doc(100)), ("s", 1, 1)),
+                     (_one_row_recurrence(8), ("s", 3, 1))):
+        _, first = _profiled_evaluate(wb)
+        assert planning <= first.keys()
+        wb.set_cell(*cell, 6.0)
+        store, again = _profiled_evaluate(wb)
+        assert store == evaluate(wb.copy())
+        assert planning & again.keys() <= {cProfile.label(
+            _through_formulas.__code__)}
+        walks = again.get(cProfile.label(_through_formulas.__code__))
+        if walks is not None:
+            assert {func for _, _, func in walks[4]} == {"formula_value"}
+
+
+def _diamond_into_the_sweep(levels):
+    """bal = prev + f.0001 over a 1x5 band, where each f.k reads f.(k+1)
+    twice and the last reads the swept twin."""
+    lines = ["#%NAMESDOC v1", "[SHEET] s rows=1 cols=6",
+             "[NAME] scope=workbook id=bal kind=range array=1",
+             "  target=s!B1:F1", "  formula=prev + f.0001"]
+    for i in range(1, levels + 1):
+        link = ("f.%04d + f.%04d" % (i + 1, i + 1) if i < levels
+                else "prev * 0.01 + 0.1")
+        lines += ["[NAME] scope=workbook id=f.%04d kind=formula array=0" % i,
+                  "  formula=" + link]
+    lines += ["[NAME] scope=workbook id=opening kind=range array=0",
+              "  target=s!A1",
+              "[NAME] scope=workbook id=prev kind=range array=0",
+              "  target=s!A1:E1", "  derive=shift(bal,0,-1)",
+              "[DATA] s!A1", "1.5"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_diamond_of_names_inlined_into_a_sweep_costs_linear_calls():
+    # Each inlined name is computed once per cell into rows of its own, so
+    # doubling the levels doubles the calls; calling each name's closure
+    # from its reader's made it 2^levels per cell.
+    small = _python_calls(_diamond_into_the_sweep(8))
+    large = _python_calls(_diamond_into_the_sweep(16))
+    assert large / small <= 2.3
