@@ -10,21 +10,22 @@ Graphviz, and lint enforces the discipline that makes the rest work.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .docio import stray_formula_cells
 from .engine import build_dep_graph, topo_order
 from .formula import cell_refs, render
+from .values import Record
 from .workbook import FORMULA, RANGE, UnknownNameError, Workbook
 
 
-@dataclass(frozen=True)
-class ListingEntry:
-    name: str                  # display text, sheet-qualified when sheet-scoped
-    kind: str                  # "input" or "formula"
-    formula: str | None        # canonical text, None for plain inputs
-    address: str | None        # target rectangle, None for formula names
-    shape: tuple | None        # (rows, cols), None for formula names
+class ListingEntry(Record):
+    __slots__ = ("name", "kind", "formula", "address", "shape")
+    def __init__(self, name, kind, formula, address, shape):
+        self.name = name        # display text, sheet-qualified when sheet-scoped
+        self.kind = kind        # "input" or "formula"
+        self.formula = formula  # canonical text, None for plain inputs
+        self.address = address  # target rectangle, None for formula names
+        self.shape = shape      # (rows, cols), None for formula names
 
 
 def _address_and_shape(wb: Workbook, nd):
@@ -60,13 +61,14 @@ def linear_listing(wb: Workbook):
     return entries
 
 
-@dataclass(frozen=True)
-class GraphSlice:
-    focus: str            # display text of the focus name
-    nodes: tuple          # display texts, sorted
-    edges: tuple          # (from_display, to_display) reference edges, sorted
-    recurrence: frozenset  # the subset of edges that are displaced self-reads
-    labels: dict          # display -> annotation (formula text or address)
+class GraphSlice(Record):
+    __slots__ = ("focus", "nodes", "edges", "recurrence", "labels")
+    def __init__(self, focus, nodes, edges, recurrence, labels):
+        self.focus = focus            # display text of the focus name
+        self.nodes = nodes            # display texts, sorted
+        self.edges = edges            # (from_display, to_display) reference edges, sorted
+        self.recurrence = recurrence  # the subset of edges that are displaced self-reads
+        self.labels = labels          # display -> annotation (formula text or address)
 
 
 def _find_name(wb: Workbook, name: str):
@@ -166,12 +168,11 @@ ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Finding:
-    rule: str
-    severity: str
-    locus: str
-    message: str
+class Finding(Record):
+    __slots__ = ("rule", "severity", "locus", "message")
+    def __init__(self, rule: str, severity: str, locus: str, message: str):
+        self.rule, self.severity = rule, severity
+        self.locus, self.message = locus, message
 
     def line(self) -> str:
         return "\t".join((self.rule, self.severity, self.locus, self.message))

@@ -39,13 +39,12 @@ evaluate() plan again; a cell edit does not.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 
 from . import values as V
 from .formula import (BoolLit, Call, CellRef, Expr, Intersect, NameRef,
                       NumberLit, Percent, TextLit, Unary, Binary,
                       names_referenced)
-from .values import Array, CellError
+from .values import Array, CellError, Record
 from .workbook import FORMULA, GridRange, NameDef, RefError, Workbook
 
 NameKey = tuple  # (scope | None, identifier)
@@ -59,15 +58,16 @@ class CycleError(Exception):
         super().__init__("cycle through {%s}" % ", ".join(self.members))
 
 
-@dataclass
-class DepGraph:
-    nodes: tuple
-    edges: dict            # NameKey -> tuple of NameKey, sorted
-    recurrence: frozenset  # subset of (u, v) edges that are displaced self-reads
-    unresolved: dict       # NameKey -> tuple of reference texts with no definition
-    display: dict          # NameKey -> display text
-    # evaluate's ordered _Groups, planned from this graph on first use
-    plan: list | None = field(default=None, compare=False, repr=False)
+class DepGraph(Record):
+    _fields = ("nodes", "edges", "recurrence", "unresolved", "display")
+    __slots__ = _fields + ("plan",)  # plan is left out of == and repr
+    def __init__(self, nodes, edges, recurrence, unresolved, display):
+        self.nodes = nodes
+        self.edges = edges            # NameKey -> tuple of NameKey, sorted
+        self.recurrence = recurrence  # subset of (u, v) edges that are displaced self-reads
+        self.unresolved = unresolved  # NameKey -> tuple of reference texts with no definition
+        self.display = display        # NameKey -> display text
+        self.plan = []  # evaluate's ordered _Groups, filled in on first use
 
 
 def _sort_key(key: NameKey):
@@ -247,12 +247,12 @@ def _tarjan(nodes, adj):
 
 # --- value store -------------------------------------------------------------
 
-@dataclass(eq=False)
-class ValueStore:
+class ValueStore(Record):
     """Computed value for every name, keyed by (scope, identifier)."""
 
-    values: dict
-    display: dict
+    __slots__ = ("values", "display")
+    def __init__(self, values: dict, display: dict):
+        self.values, self.display = values, display
 
     def value(self, identifier: str, scope: str | None = None):
         key = (scope, identifier)
@@ -279,10 +279,12 @@ class ValueStore:
         return isinstance(other, ValueStore) and self.values == other.values
 
 
-@dataclass(frozen=True)
-class RangeValue:
+class RangeValue(Record):
     """A reference flowing through evaluation before any cells are read."""
-    rng: GridRange
+
+    __slots__ = ("rng",)
+    def __init__(self, rng: GridRange):
+        self.rng = rng
 
 
 # --- scheduling --------------------------------------------------------------
@@ -318,19 +320,20 @@ def _unit_axis_shift(d) -> bool:
     return d is not None and abs(d[0]) + abs(d[1]) == 1
 
 
-@dataclass
-class _Group:
-    members: list       # NameKeys of formula ranges scheduled together
-    displaced: dict     # (u, w) -> (dr, dc) edges inside the group
-    plain_inside: list  # (u, w) plain edges inside the group, u reads w aligned
-    order: list | None = None  # within-step member order of a valid sweep
-    failed: str | None = None
-    # Of a valid sweep: each range name its members read that denotes a
-    # member's cells -> (member, dr, dc, the read clamped to its sheet),
-    # aligned or displaced by the sweep direction; and per member, the
-    # formula names it reads that reach one, each after those it reads.
-    refmap: dict | None = None
-    inlined: dict | None = None
+class _Group(Record):
+    __slots__ = ("members", "displaced", "order", "failed", "refmap",
+                 "inlined")
+    def __init__(self, members, displaced, order=None, failed=None,
+                 refmap=None, inlined=None):
+        self.members = members      # NameKeys of formula ranges scheduled together
+        self.displaced = displaced  # (u, w) -> (dr, dc) edges inside the group
+        self.order = order          # within-step member order of a valid sweep
+        self.failed = failed        # why the group cannot be swept, or None
+        # Of a valid sweep: each range name its members read that denotes a
+        # member's cells -> (member, dr, dc, the read clamped to its sheet),
+        # aligned or displaced by the sweep direction; and per member, the
+        # formula names it reads that reach one, each after those it reads.
+        self.refmap, self.inlined = refmap, inlined
 
     def direction(self):
         return next(iter(set(self.displaced.values())))
@@ -386,12 +389,14 @@ class _Scheduler:
         adj = {k: set(self.plain[k]) for k in self.fkeys}
         for (u, w) in self.disp:
             adj[u].add(w)
-        made = [_Group(list(c), {}, []) for c in _tarjan(self.fkeys, adj)]
-        index = {m: i for i, g in enumerate(made) for m in g.members}
-        gdeps = [set() for _ in made]
+        comps = [list(c) for c in _tarjan(self.fkeys, adj)]
+        index = {m: i for i, c in enumerate(comps) for m in c}
+        displaced = [{} for _ in comps]
+        inside = [[] for _ in comps]  # (u, w): u reads w aligned
+        gdeps = [set() for _ in comps]
         for (u, w), d in self.disp.items():
             if index[u] == index[w]:
-                made[index[u]].displaced[(u, w)] = d
+                displaced[index[u]][(u, w)] = d
             else:
                 gdeps[index[u]].add(index[w])
         for u in self.fkeys:
@@ -399,28 +404,24 @@ class _Scheduler:
                 if index[u] != index[w]:
                     gdeps[index[u]].add(index[w])
                 else:
-                    made[index[u]].plain_inside.append((u, w))
-        for g in made:
-            g.plain_inside.sort(key=lambda e: (_sort_key(e[0]),
-                                               _sort_key(e[1])))
-            self._validate(g)
-        order = _kahn(range(len(made)), gdeps,
-                      lambda i: _sort_key(made[i].members[0]))
-        return [made[i] for i in order]
+                    inside[index[u]].append((u, w))
+        order = _kahn(range(len(comps)), gdeps,
+                      lambda i: _sort_key(comps[i][0]))
+        return [self._validate(comps[i], displaced[i], inside[i])
+                for i in order]
 
-    def _validate(self, g: _Group):
-        members = g.members
+    def _validate(self, members, displaced, inside):
+        """The _Group of one component: a single range evaluated whole, a
+        valid sweep, or a group refused with its reason."""
         if any(m in self.bad_self for m in members):
-            g.failed = "self-overlapping read"
-            return
-        if not g.displaced:
-            if len(members) > 1:
-                g.failed = "mutual reference"
-            return
-        dirs = set(g.displaced.values())
+            return _Group(members, displaced, failed="self-overlapping read")
+        if not displaced:
+            return _Group(members, displaced, failed="mutual reference"
+                          if len(members) > 1 else None)
+        dirs = set(displaced.values())
         if len(dirs) > 1:
-            g.failed = "conflicting recurrence directions"
-            return
+            return _Group(members, displaced,
+                          failed="conflicting recurrence directions")
         dr, dc = next(iter(dirs))
         wb = self.wb
         extents = set()
@@ -428,29 +429,29 @@ class _Scheduler:
             shape = wb.bounded(wb.names[m].target).shape()
             extents.add(shape[1] if dc != 0 else shape[0])
         if len(extents) > 1:
-            g.failed = "recurrence ranges disagree on sweep extent"
-            return
+            return _Group(members, displaced, failed="recurrence ranges "
+                          "disagree on sweep extent")
         deps = {m: set() for m in members}
-        for u, w in g.plain_inside:
+        for u, w in inside:
             deps[u].add(w)
-        g.order = _kahn(members, deps, _sort_key)
-        if len(g.order) != len(members):
-            g.failed = "mutual reference"
-            return
+        order = _kahn(members, deps, _sort_key)
+        if len(order) != len(members):
+            return _Group(members, displaced, failed="mutual reference")
         # A valid sweep: what its members read of one another's cells.
-        g.refmap = {}
+        refmap = {}
         for m in members:
             for v, w, d in self.owned[m]:
                 if w in deps and d in ((0, 0), (dr, dc)):  # w a member
-                    g.refmap[v.key()] = (w, *d, wb.bounded(v.target))
+                    refmap[v.key()] = (w, *d, wb.bounded(v.target))
         inlined = set()
         for m in members:
             for k in self.entered[m]:
-                if any(t in g.refmap or t in inlined
+                if any(t in refmap or t in inlined
                        for t in self.graph.edges[k]):
                     inlined.add(k)
-        g.inlined = {m: [k for k in self.entered[m] if k in inlined]
-                     for m in members}
+        return _Group(members, displaced, order, None, refmap,
+                      {m: [k for k in self.entered[m] if k in inlined]
+                       for m in members})
 
 
 # --- builtin functions -------------------------------------------------------
@@ -828,11 +829,7 @@ def _eval_call(state, func, raw_args, ctx_sheet):
 
 def _eval_expr(state: _EvalState, e: Expr, ctx_sheet):
     """Whole-array evaluation; may yield a RangeValue for reference results."""
-    if isinstance(e, NumberLit):
-        return e.value
-    if isinstance(e, TextLit):
-        return e.value
-    if isinstance(e, BoolLit):
+    if isinstance(e, (NumberLit, TextLit, BoolLit)):
         return e.value
     if isinstance(e, CellRef):
         return V.REF_ERROR
@@ -845,12 +842,9 @@ def _eval_expr(state: _EvalState, e: Expr, ctx_sheet):
         if nd.target is None:
             return V.REF_ERROR
         return RangeValue(nd.target)
-    if isinstance(e, Unary):
+    if isinstance(e, (Unary, Percent)):
         v = _deref(state, _eval_expr(state, e.operand, ctx_sheet))
-        return _elementwise1(V.negate, v)
-    if isinstance(e, Percent):
-        v = _deref(state, _eval_expr(state, e.operand, ctx_sheet))
-        return _elementwise1(V.percent, v)
+        return _elementwise1(V.negate if type(e) is Unary else V.percent, v)
     if isinstance(e, Binary):
         a = _deref(state, _eval_expr(state, e.lhs, ctx_sheet))
         b = _deref(state, _eval_expr(state, e.rhs, ctx_sheet))
@@ -1044,10 +1038,10 @@ def evaluate(wb: Workbook) -> ValueStore:
     """Evaluate every name.  A static dependency cycle raises CycleError;
     every other failure surfaces as an error value in the affected cells."""
     graph = build_dep_graph(wb)
-    if graph.plan is None:
+    if not graph.plan:  # also after planning a book with no formula ranges
         # A name-level cycle fails here, on every call, before any work.
         topo_order(graph)
-        graph.plan = _Scheduler(wb, graph).groups()
+        graph.plan.extend(_Scheduler(wb, graph).groups())
 
     state = _EvalState(wb, graph)
     for group in graph.plan:

@@ -22,7 +22,8 @@ class, run over the formula once by finditer.  The parser climbs
 precedence (Pratt, "Top Down Operator Precedence", POPL 1973): one loop
 reads every binary operator at a given binding level or tighter from
 _BINARY_LEVEL, the table render also uses to decide where parentheses
-go.  Both do a small, fixed amount of Python work per token.  A
+go.  Both do a small, fixed amount of Python work per token, and each
+tree node is a slot record (values.Record) built by one plain __init__.  A
 character-at-a-time lexer and a recursive-descent parser with one method
 per level, which they must match token for token, tree for tree and
 error for error, are kept in tests/formula_reference.py.
@@ -43,11 +44,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum, auto
-from typing import NamedTuple
 
-from .values import format_number
+from .values import Record, format_number
 
 
 class LexError(ValueError):
@@ -79,11 +79,7 @@ class TokenKind(Enum):
     INTERSECT = auto()    # whitespace between two reference-producing tokens
 
 
-class Token(NamedTuple):
-    kind: TokenKind
-    lexeme: str
-    start: int
-    end: int
+Token = namedtuple("Token", "kind lexeme start end")
 
 
 (_NUMBER, _TEXT, _BOOL, _IDENT, _SHEET_QUAL, _CELLREF, _OP, _LPAREN, _RPAREN,
@@ -126,7 +122,7 @@ _TOKEN = re.compile(r"""[ \t]*(?:
 # TokenKind by group number; None for the "bad" group.
 _GROUP_KIND = {number: TokenKind.__members__.get(name)
                for name, number in _TOKEN.groupindex.items()}
-# Token(kind, lexeme, start, end) without NamedTuple's Python-level __new__.
+# Token(kind, lexeme, start, end) without namedtuple's Python-level __new__.
 _token = tuple.__new__
 _BOOLS = ("TRUE", "FALSE")
 _REF_LEFT = (_IDENT, _CELLREF, _RPAREN)
@@ -207,36 +203,40 @@ def tokenize(text: str) -> list[Token]:
 
 # --- AST ---------------------------------------------------------------------
 
-class Expr:
+class Expr(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class NumberLit(Expr):
-    value: float
+    __slots__ = ("value",)
+    def __init__(self, value: float):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class TextLit(Expr):
-    value: str
+    __slots__ = ("value",)
+    def __init__(self, value: str):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class BoolLit(Expr):
-    value: bool
+    __slots__ = ("value",)
+    def __init__(self, value: bool):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class NameRef(Expr):
-    name: str
-    sheet: str | None = None
+    __slots__ = ("name", "sheet")
+    def __init__(self, name: str, sheet: str | None = None):
+        self.name, self.sheet = name, sheet
 
 
-@dataclass(frozen=True)
 class CellRef(Expr):
     """A1-style reference kept only so legacy formulas parse and lint."""
-    ref: str
-    sheet: str | None = None
+
+    __slots__ = ("ref", "sheet")
+    def __init__(self, ref: str, sheet: str | None = None):
+        self.ref, self.sheet = ref, sheet
 
     @property
     def is_relative(self) -> bool:
@@ -251,34 +251,34 @@ class CellRef(Expr):
         return False
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
-    op: str
-    operand: Expr
+    __slots__ = ("op", "operand")
+    def __init__(self, op: str, operand: Expr):
+        self.op, self.operand = op, operand
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
-    op: str
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("op", "lhs", "rhs")
+    def __init__(self, op: str, lhs: Expr, rhs: Expr):
+        self.op, self.lhs, self.rhs = op, lhs, rhs
 
 
-@dataclass(frozen=True)
 class Intersect(Expr):
-    lhs: Expr
-    rhs: Expr
+    __slots__ = ("lhs", "rhs")
+    def __init__(self, lhs: Expr, rhs: Expr):
+        self.lhs, self.rhs = lhs, rhs
 
 
-@dataclass(frozen=True)
 class Percent(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
+    def __init__(self, operand: Expr):
+        self.operand = operand
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    func: str
-    args: tuple = ()
+    __slots__ = ("func", "args")
+    def __init__(self, func: str, args: tuple = ()):
+        self.func, self.args = func, args
 
 
 _CORNER = re.compile(r"\$?([A-Z]{1,3})\$?([0-9]{1,7})?")

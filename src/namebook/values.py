@@ -11,18 +11,40 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 ERROR_KINDS = ("#NAME?", "#VALUE!", "#NULL!", "#REF!", "#DIV/0!", "#CYCLE!")
 
 
-@dataclass(frozen=True)
-class CellError:
-    kind: str
+class Record:
+    """Base of the records: slot classes whose fields only __init__ sets.
+    Records of one class with equal _fields (by default __slots__) are
+    equal and hash alike.  GridRange, compared per scheduled read, has
+    its own __eq__."""
 
-    def __post_init__(self):
-        if self.kind not in ERROR_KINDS:
-            raise ValueError("unknown error kind: %r" % (self.kind,))
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        if cls._fields:
+            cls._key = staticmethod(operator.attrgetter(*cls._fields))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+
+class CellError(Record):
+    __slots__ = ("kind",)
+    def __init__(self, kind: str):
+        if kind not in ERROR_KINDS:
+            raise ValueError("unknown error kind: %r" % (kind,))
+        self.kind = kind
 
     def __str__(self):
         return self.kind
@@ -47,7 +69,6 @@ class Array:
     """
 
     __slots__ = ("cells",)
-
     def __init__(self, cells):
         self.cells = cells
 

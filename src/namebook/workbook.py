@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
 
 from .formula import Expr, col_to_index, is_identifier, render
-from .values import CellError
+from .values import CellError, Record
 
 
 class WorkbookError(Exception):
@@ -60,37 +59,38 @@ def index_to_col(n: int) -> str:
     return "".join(reversed(out))
 
 
-@dataclass(frozen=True)
-class GridRange:
+class GridRange(Record):
     """1-based inclusive rectangle on one sheet.
 
     row_start/row_end of None (always both) mean the whole-column form: every
     row the sheet declares.  Whole-column ranges clamp to the declared row
-    count at evaluation time.
+    count at evaluation time.  Swapped bounds are put in order.
     """
 
-    sheet: str
-    col_start: int
-    col_end: int
-    row_start: int | None = None
-    row_end: int | None = None
-
-    def __post_init__(self):
-        if (self.row_start is None) != (self.row_end is None):
+    __slots__ = ("sheet", "col_start", "col_end", "row_start", "row_end")
+    __hash__ = Record.__hash__  # kept, though __eq__ is redefined below
+    def __init__(self, sheet: str, col_start: int, col_end: int,
+                 row_start: int | None = None, row_end: int | None = None):
+        if (row_start is None) != (row_end is None):
             raise ValueError("row bounds are whole as a pair")
-        if self.col_start < 1 or self.col_end < self.col_start:
-            c1, c2 = sorted((self.col_start, self.col_end))
-            if c1 < 1:
-                raise ValueError("columns are 1-based")
-            object.__setattr__(self, "col_start", c1)
-            object.__setattr__(self, "col_end", c2)
-        if self.row_start is not None:
-            if self.row_start < 1 or self.row_end < self.row_start:
-                r1, r2 = sorted((self.row_start, self.row_end))
-                if r1 < 1:
-                    raise ValueError("rows are 1-based")
-                object.__setattr__(self, "row_start", r1)
-                object.__setattr__(self, "row_end", r2)
+        if col_end < col_start:
+            col_start, col_end = col_end, col_start
+        if col_start < 1:
+            raise ValueError("columns are 1-based")
+        if row_start is not None:
+            if row_end < row_start:
+                row_start, row_end = row_end, row_start
+            if row_start < 1:
+                raise ValueError("rows are 1-based")
+        self.sheet, self.col_start, self.col_end = sheet, col_start, col_end
+        self.row_start, self.row_end = row_start, row_end
+
+    def __eq__(self, other):
+        return (type(other) is GridRange and self.sheet == other.sheet
+                and self.col_start == other.col_start
+                and self.col_end == other.col_end
+                and self.row_start == other.row_start
+                and self.row_end == other.row_end)
 
     @property
     def is_whole_rows(self) -> bool:
@@ -104,8 +104,6 @@ class GridRange:
 
     def shape(self, sheet_rows: int | None = None):
         r = self.clamp(sheet_rows) if self.is_whole_rows else self
-        if r.is_whole_rows:
-            raise ValueError("whole-column range needs a row count for its shape")
         return (r.row_end - r.row_start + 1, r.col_end - r.col_start + 1)
 
     def contains(self, row: int, col: int) -> bool:
@@ -223,8 +221,7 @@ RANGE = "range"
 FORMULA = "formula"
 
 
-@dataclass
-class NameDef:
+class NameDef(Record):
     """One defined name.
 
     kind "range" names target a GridRange and may carry an array formula
@@ -232,16 +229,16 @@ class NameDef:
     cells.  `derive` records that the target was produced by shifting
     another name's range, as (base identifier, dr, dc).  A range name whose
     target is None is dangling (its sheet was deleted) and evaluates to
-    #REF!.
+    #REF!.  The workbook replaces a definition it changes.
     """
 
-    identifier: str
-    scope: str | None = WORKBOOK_SCOPE
-    kind: str = RANGE
-    target: GridRange | None = None
-    formula: Expr | None = None
-    array: bool = False
-    derive: tuple[str, int, int] | None = None
+    __slots__ = ("identifier", "scope", "kind", "target", "formula", "array",
+                 "derive")
+    def __init__(self, identifier, scope=WORKBOOK_SCOPE, kind=RANGE,
+                 target=None, formula=None, array=False, derive=None):
+        self.identifier, self.scope, self.kind = identifier, scope, kind
+        self.target, self.formula, self.array = target, formula, array
+        self.derive = derive
 
     def key(self):
         return (self.scope, self.identifier)
@@ -255,12 +252,11 @@ class NameDef:
         return render(self.formula) if self.formula is not None else None
 
 
-@dataclass
-class Sheet:
-    name: str
-    rows: int
-    cols: int
-    cells: dict = field(default_factory=dict)  # (row, col) -> scalar literal
+class Sheet(Record):
+    __slots__ = ("name", "rows", "cols", "cells")
+    def __init__(self, name: str, rows: int, cols: int, cells=None):
+        self.name, self.rows, self.cols = name, rows, cols
+        self.cells = {} if cells is None else cells  # (row, col) -> literal
 
     def get(self, row: int, col: int):
         return self.cells.get((row, col))
@@ -348,20 +344,15 @@ class Workbook:
         """Remove a sheet, its sheet-scoped names, and dangle the rest.
 
         Sheet-scoped names die with their sheet.  Workbook-scoped range
-        names that target the sheet keep their identity but lose the
+        names that target the sheet keep their key but lose the
         target, evaluating to #REF! from then on.
         """
         self.sheet(name)
         del self.sheets[name]
         self._owners = self._graph = None
-        for key in [k for k, d in self.names.items() if d.scope == name]:
-            del self.names[key]
-        for d in self.names.values():
-            if d.target is not None and d.target.sheet == name:
-                d.target = None
-                d.formula = None
-                d.derive = None
-                d.array = False
+        self.names = {k: NameDef(d.identifier, d.scope, d.kind)
+                      if d.target is not None and d.target.sheet == name else d
+                      for k, d in self.names.items() if d.scope != name}
         return self
 
     # -- names ----------------------------------------------------------
@@ -464,18 +455,12 @@ class Workbook:
         self._owners = self._graph = None
         if isinstance(refers_to, GridRange):
             self._check_target(refers_to)
-            nd.kind = RANGE
-            nd.target = refers_to
-            nd.formula = None
-            nd.derive = None
+            nd = NameDef(identifier, scope, RANGE, refers_to, array=nd.array)
         elif isinstance(refers_to, Expr):
-            nd.kind = FORMULA
-            nd.target = None
-            nd.formula = refers_to
-            nd.derive = None
-            nd.array = False
+            nd = NameDef(identifier, scope, FORMULA, formula=refers_to)
         else:
             raise TypeError("rebind target must be a GridRange or an Expr")
+        self.names[key] = nd
         return self
 
     def resolve(self, identifier: str, context: str | None = None,
@@ -517,9 +502,7 @@ class Workbook:
         out = Workbook()
         for sh in self.sheets.values():
             out.sheets[sh.name] = Sheet(sh.name, sh.rows, sh.cols, dict(sh.cells))
-        for key, nd in self.names.items():
-            out.names[key] = NameDef(nd.identifier, nd.scope, nd.kind, nd.target,
-                                     nd.formula, nd.array, nd.derive)
+        out.names = dict(self.names)  # definitions are never changed in place
         return out
 
 

@@ -5,7 +5,6 @@ and each lint rule fires exactly where it should."""
 import cProfile
 import pstats
 import random
-import time
 
 import pytest
 
@@ -13,7 +12,8 @@ from namebook.audit import (ERROR, WARNING, GraphSlice, _find_name,
                             export_dot, focus_graph, has_errors,
                             linear_listing, lint)
 from namebook.docio import ExportError, export_doc
-from namebook.engine import CycleError, _sort_key, build_dep_graph
+from namebook.engine import (CycleError, DepGraph, _sort_key,
+                             build_dep_graph)
 from namebook.formula import names_referenced, parse_formula, render
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef,
                                UnknownNameError, Workbook, shift_name)
@@ -432,23 +432,52 @@ def _name_chain(n):
     return wb
 
 
-def _best_time(fn, *args):
-    best = None
-    for _ in range(3):
-        start = time.perf_counter()
-        fn(*args)
-        took = time.perf_counter() - start
-        best = took if best is None else min(best, took)
-    return best
+class _CountingEdges(dict):
+    """An edge map that counts the entries read from it, by key or by
+    iteration."""
+
+    visits = 0
+
+    def __getitem__(self, key):
+        self.visits += 1
+        return dict.__getitem__(self, key)
+
+    def get(self, key, default=None):
+        self.visits += 1
+        return dict.get(self, key, default)
+
+    def __iter__(self):
+        for key in dict.__iter__(self):
+            self.visits += 1
+            yield key
+
+    def keys(self):
+        return iter(self)
+
+    def items(self):
+        for item in dict.items(self):
+            self.visits += 1
+            yield item
+
+
+def _edge_visits(wb, name, radius):
+    """Edge-map entries focus_graph reads, on the workbook's kept graph."""
+    g = build_dep_graph(wb)
+    edges = _CountingEdges(g.edges)
+    wb._graph = DepGraph(g.nodes, edges, g.recurrence, g.unresolved,
+                         g.display)
+    focus_graph(wb, name, radius)
+    return edges.visits
 
 
 def test_focus_graph_grows_linearly_with_the_names():
-    # Times, because a scan of every edge per dependents lookup runs
-    # inside one comprehension, which a call count does not see.  Walking
-    # a whole chain from its base takes three times as long when the chain
-    # is three times as long; the scan made it about eight times slower.
+    # Counts the edge-map entries read, which is deterministic where a
+    # time ratio is not.  Walking a whole chain from its base reads each
+    # entry a bounded number of times, so three times the names read
+    # three times the entries; a scan of every edge per dependents lookup
+    # reads nine times as many.
     small, large = _name_chain(1000), _name_chain(3000)
     assert len(focus_graph(large, "n.0000", 3000).nodes) == 3001
-    ratio = (_best_time(focus_graph, large, "n.0000", 3000)
-             / _best_time(focus_graph, small, "n.0000", 1000))
-    assert ratio < 5
+    ratio = (_edge_visits(large, "n.0000", 3000)
+             / _edge_visits(small, "n.0000", 1000))
+    assert ratio < 3.3
