@@ -24,16 +24,15 @@ the subset whose target is a displaced overlapping copy of the referencing
 name's own range classified as recurrence edges.  The workbook keeps it
 until its name table changes, so rebuild's closed-world check, evaluate()
 and the audit views share one walk of each formula.  evaluate() refuses
-cycles on it, and there is one read analysis over it, the scheduler's: it
-walks each formula's edges through formula names to find the range names
-it reads, then resolves every read down to the formula ranges that own
-the cells read (Workbook.formula_owners, the index that also serves every
-range read) and sorts each owner as aligned, displaced or unorderable.
-That is what makes cross-name recurrences (interest on a prior balance
-feeding the balance itself) come out in the right order, and each sweep
-reads its own members through that same result.  The plan, the ordered
-groups, is kept with the graph, so only a change to the name table makes
-evaluate() plan again; a cell edit does not.
+cycles on it, and there is one read analysis over it, the planner's
+(_plan): one table of who owns the cells each formula reads, seen
+through formula names and Workbook.formula_owners (the index that also
+serves every range read).  Groups, their order, each refusal or sweep
+direction, and what each sweep reads of its own members all come from
+that table, which is what makes cross-name recurrences (interest on a
+prior balance feeding the balance itself) come out in the right order.
+The plan, the ordered groups, is kept with the graph, so only a change
+to the name table makes evaluate() plan again; a cell edit does not.
 """
 
 from __future__ import annotations
@@ -189,8 +188,6 @@ def _cycle_component(stuck, deps):
            for k in stuck}
     comps = _tarjan(sorted(stuck, key=_sort_key), adj)
     cyclic = [c for c in comps if len(c) > 1 or c[0] in adj[c[0]]]
-    if not cyclic:
-        cyclic = [max(comps, key=len)]
     return min(cyclic, key=lambda c: min(_sort_key(k) for k in c))
 
 
@@ -316,17 +313,17 @@ def _through_formulas(wb: Workbook, graph: DepGraph, root, skip=()):
     return reads, entered
 
 
-def _unit_axis_shift(d) -> bool:
-    return d is not None and abs(d[0]) + abs(d[1]) == 1
+# Shifts a sweep can order: an aligned read, or one cell along one axis.
+_ORDERABLE = {(0, 0), (0, -1), (0, 1), (-1, 0), (1, 0)}
 
 
 class _Group(Record):
-    __slots__ = ("members", "displaced", "order", "failed", "refmap",
+    __slots__ = ("members", "direction", "order", "failed", "refmap",
                  "inlined")
-    def __init__(self, members, displaced, order=None, failed=None,
+    def __init__(self, members, direction=None, order=None, failed=None,
                  refmap=None, inlined=None):
         self.members = members      # NameKeys of formula ranges scheduled together
-        self.displaced = displaced  # (u, w) -> (dr, dc) edges inside the group
+        self.direction = direction  # the one step (dr, dc) members read one another at
         self.order = order          # within-step member order of a valid sweep
         self.failed = failed        # why the group cannot be swept, or None
         # Of a valid sweep: each range name its members read that denotes a
@@ -335,123 +332,87 @@ class _Group(Record):
         # formula names it reads that reach one, each after those it reads.
         self.refmap, self.inlined = refmap, inlined
 
-    def direction(self):
-        return next(iter(set(self.displaced.values())))
 
+def _plan(wb: Workbook, graph: DepGraph) -> list:
+    """The formula ranges as _Groups, in evaluation order.
 
-class _Scheduler:
-    """Orders formula ranges by who owns the cells each formula reads, as
-    Workbook.formula_owners reports them.  The reads come from the
-    dependency graph, seen through formula names.  This is the one read
-    analysis: each valid sweep takes its reads of its members from it."""
-
-    def __init__(self, wb: Workbook, graph: DepGraph):
-        self.wb = wb
-        self.graph = graph
-        self.fkeys = sorted((nd.key() for nd in wb.formula_bearing()),
-                            key=_sort_key)
-        self.plain = {k: set() for k in self.fkeys}
-        self.disp = {}
-        self.bad_self = set()
-        self.entered = {}  # formula range -> formula names it reads, post-order
-        self.owned = {}    # formula range -> [(read, owner, (dr, dc))]
-        for key in self.fkeys:
-            self._edges_for(key)
-
-    def _edges_for(self, ukey):
-        reads, entered = _through_formulas(self.wb, self.graph, ukey)
-        self.entered[ukey] = entered[:-1]  # ukey itself comes last
-        owned = self.owned[ukey] = []      # aligned and unit-displaced reads
+    The read table holds, per formula range u, one (read, owner, shift)
+    entry for each owner (Workbook.formula_owners) of each range name u
+    reads through formula names.  The shift is (0, 0) for an aligned
+    read, the one-cell step of a displaced read a sweep can order, or
+    None for any other read, which needs its owner whole first.  Groups
+    are the strongly connected components of reader -> owner, owners
+    first, the least first member leading among those ready."""
+    fkeys = sorted((nd.key() for nd in wb.formula_bearing()), key=_sort_key)
+    table = {}
+    entered = {}  # formula range -> the formula names it reads, post-order
+    for u in fkeys:
+        reads, walked = _through_formulas(wb, graph, u)
+        entered[u] = walked[:-1]  # u itself comes last
+        row = table[u] = []
         for v in reads:
-            vr = v.target
-            for wkey in sorted(self.wb.formula_owners(vr), key=_sort_key):
-                w = self.wb.names[wkey]
-                if vr == w.target:
-                    if wkey != ukey:
-                        self.plain[ukey].add(wkey)
-                        owned.append((v, wkey, (0, 0)))
-                    else:
-                        self.bad_self.add(ukey)
-                    continue
-                d = _shift_between(w, v)
-                if _unit_axis_shift(d):
-                    self.disp[(ukey, wkey)] = d
-                    owned.append((v, wkey, d))
-                elif wkey == ukey:
-                    # An overlapping non-unit displacement of itself can
-                    # never be swept into order.
-                    self.bad_self.add(ukey)
-                else:
-                    self.plain[ukey].add(wkey)
+            for w in sorted(wb.formula_owners(v.target), key=_sort_key):
+                owner = wb.names[w]
+                d = ((0, 0) if v.target == owner.target
+                     else _shift_between(owner, v))
+                row.append((v, w, d if d in _ORDERABLE else None))
+    comps = _tarjan(fkeys, {u: {w for _, w, _ in table[u]} for u in fkeys})
+    index = {m: i for i, c in enumerate(comps) for m in c}
+    gdeps = [{index[w] for u in c for _, w, _ in table[u]} - {i}
+             for i, c in enumerate(comps)]
+    order = _kahn(range(len(comps)), gdeps, lambda i: _sort_key(comps[i][0]))
+    return [_validate(wb, graph, comps[i], table, entered) for i in order]
 
-    def groups(self):
-        """Schedulable units in evaluation order."""
-        adj = {k: set(self.plain[k]) for k in self.fkeys}
-        for (u, w) in self.disp:
-            adj[u].add(w)
-        comps = [list(c) for c in _tarjan(self.fkeys, adj)]
-        index = {m: i for i, c in enumerate(comps) for m in c}
-        displaced = [{} for _ in comps]
-        inside = [[] for _ in comps]  # (u, w): u reads w aligned
-        gdeps = [set() for _ in comps]
-        for (u, w), d in self.disp.items():
-            if index[u] == index[w]:
-                displaced[index[u]][(u, w)] = d
+
+def _validate(wb: Workbook, graph: DepGraph, members, table, entered):
+    """The _Group of one component: a single range evaluated whole, a
+    valid sweep, or a group refused with its reason.
+
+    One pass over the members' reads of one another sorts each: a step
+    gives a sweep direction, a member's read of itself that is no step
+    cannot be ordered, and any other read orders its reader after its
+    owner within a step."""
+    deps = {m: set() for m in members}
+    dirs = set()
+    swept = []  # (read, member, shift) a valid sweep reads at each cell
+    self_overlap = False
+    for u in members:
+        for v, w, d in table[u]:
+            if w not in deps:
+                continue
+            if d is not None and d != (0, 0):
+                dirs.add(d)
+            elif w == u:
+                self_overlap = True
             else:
-                gdeps[index[u]].add(index[w])
-        for u in self.fkeys:
-            for w in self.plain[u]:
-                if index[u] != index[w]:
-                    gdeps[index[u]].add(index[w])
-                else:
-                    inside[index[u]].append((u, w))
-        order = _kahn(range(len(comps)), gdeps,
-                      lambda i: _sort_key(comps[i][0]))
-        return [self._validate(comps[i], displaced[i], inside[i])
-                for i in order]
-
-    def _validate(self, members, displaced, inside):
-        """The _Group of one component: a single range evaluated whole, a
-        valid sweep, or a group refused with its reason."""
-        if any(m in self.bad_self for m in members):
-            return _Group(members, displaced, failed="self-overlapping read")
-        if not displaced:
-            return _Group(members, displaced, failed="mutual reference"
-                          if len(members) > 1 else None)
-        dirs = set(displaced.values())
-        if len(dirs) > 1:
-            return _Group(members, displaced,
-                          failed="conflicting recurrence directions")
-        dr, dc = next(iter(dirs))
-        wb = self.wb
-        extents = set()
-        for m in members:
-            shape = wb.bounded(wb.names[m].target).shape()
-            extents.add(shape[1] if dc != 0 else shape[0])
-        if len(extents) > 1:
-            return _Group(members, displaced, failed="recurrence ranges "
-                          "disagree on sweep extent")
-        deps = {m: set() for m in members}
-        for u, w in inside:
-            deps[u].add(w)
-        order = _kahn(members, deps, _sort_key)
-        if len(order) != len(members):
-            return _Group(members, displaced, failed="mutual reference")
-        # A valid sweep: what its members read of one another's cells.
-        refmap = {}
-        for m in members:
-            for v, w, d in self.owned[m]:
-                if w in deps and d in ((0, 0), (dr, dc)):  # w a member
-                    refmap[v.key()] = (w, *d, wb.bounded(v.target))
-        inlined = set()
-        for m in members:
-            for k in self.entered[m]:
-                if any(t in refmap or t in inlined
-                       for t in self.graph.edges[k]):
-                    inlined.add(k)
-        return _Group(members, displaced, order, None, refmap,
-                      {m: [k for k in self.entered[m] if k in inlined]
-                       for m in members})
+                deps[u].add(w)
+            if d is not None:
+                swept.append((v, w, d))
+    direction = next(iter(dirs)) if len(dirs) == 1 else None
+    if self_overlap:
+        return _Group(members, direction, failed="self-overlapping read")
+    if not dirs:
+        return _Group(members, failed="mutual reference"
+                      if len(members) > 1 else None)
+    if direction is None:
+        return _Group(members, failed="conflicting recurrence directions")
+    axis = 1 if direction[1] != 0 else 0
+    extents = {wb.bounded(wb.names[m].target).shape()[axis] for m in members}
+    if len(extents) > 1:
+        return _Group(members, direction, failed="recurrence ranges "
+                      "disagree on sweep extent")
+    order = _kahn(members, deps, _sort_key)
+    if len(order) != len(members):
+        return _Group(members, direction, failed="mutual reference")
+    refmap = {v.key(): (w, *d, wb.bounded(v.target)) for v, w, d in swept}
+    inlined = set()
+    for m in members:
+        for k in entered[m]:
+            if any(t in refmap or t in inlined for t in graph.edges[k]):
+                inlined.add(k)
+    return _Group(members, direction, order, None, refmap,
+                  {m: [k for k in entered[m] if k in inlined]
+                   for m in members})
 
 
 # --- builtin functions -------------------------------------------------------
@@ -466,12 +427,6 @@ def _iter_scalars(v):
             yield from row
     else:
         yield v
-
-
-def _elementwise1(fn, a):
-    if not isinstance(a, Array):
-        return fn(a)
-    return Array([[fn(s) for s in row] for row in a.cells])
 
 
 def _rows_of(v, shape):
@@ -593,7 +548,7 @@ def _builtin_match(args):
         if isinstance(mode, CellError):
             return mode
         exact = (mode == 0)
-    return _elementwise1(lambda k: _match_scalar(k, vector, exact), args[0])
+    return _broadcast(lambda k: _match_scalar(k, vector, exact), args[0])
 
 
 def _builtin_lookup(args):
@@ -613,7 +568,7 @@ def _builtin_lookup(args):
             return V.REF_ERROR
         return by_pos[int(pos)]
 
-    return _elementwise1(one, args[0])
+    return _broadcast(one, args[0])
 
 
 def _index_int(s):
@@ -824,7 +779,7 @@ def _eval_call(state, func, raw_args, ctx_sheet):
         return _bool_reduce(args, lambda a, b: a or b, False)
     if len(args) != 1:  # NOT
         return V.VALUE_ERROR
-    return _elementwise1(V.logical_not, args[0])
+    return _broadcast(V.logical_not, args[0])
 
 
 def _eval_expr(state: _EvalState, e: Expr, ctx_sheet):
@@ -844,7 +799,7 @@ def _eval_expr(state: _EvalState, e: Expr, ctx_sheet):
         return RangeValue(nd.target)
     if isinstance(e, (Unary, Percent)):
         v = _deref(state, _eval_expr(state, e.operand, ctx_sheet))
-        return _elementwise1(V.negate if type(e) is Unary else V.percent, v)
+        return _broadcast(V.negate if type(e) is Unary else V.percent, v)
     if isinstance(e, Binary):
         a = _deref(state, _eval_expr(state, e.lhs, ctx_sheet))
         b = _deref(state, _eval_expr(state, e.rhs, ctx_sheet))
@@ -1006,7 +961,7 @@ def _compile_cell(swp: _SweepContext, e: Expr, member, ctx_sheet):
 def _run_sweep(state: _EvalState, group: _Group):
     wb = state.wb
     swp = _SweepContext(state, group)
-    dr, dc = group.direction()
+    dr, dc = group.direction
     plan = []
     for m in group.order:
         for k in group.inlined[m] + [m]:
@@ -1041,7 +996,7 @@ def evaluate(wb: Workbook) -> ValueStore:
     if not graph.plan:  # also after planning a book with no formula ranges
         # A name-level cycle fails here, on every call, before any work.
         topo_order(graph)
-        graph.plan.extend(_Scheduler(wb, graph).groups())
+        graph.plan.extend(_plan(wb, graph))
 
     state = _EvalState(wb, graph)
     for group in graph.plan:
@@ -1049,7 +1004,7 @@ def evaluate(wb: Workbook) -> ValueStore:
             for m in group.members:
                 shape = wb.bounded(wb.names[m].target).shape()
                 state.computed[m] = _expand_to_shape(V.CYCLE_ERROR, shape)
-        elif group.displaced:
+        elif group.direction is not None:
             _run_sweep(state, group)
         else:
             key = group.members[0]

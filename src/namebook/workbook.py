@@ -100,10 +100,12 @@ class GridRange(Record):
         """Bounded version of this range for a sheet with sheet_rows rows."""
         if not self.is_whole_rows:
             return self
+        if sheet_rows is None:
+            raise ValueError("a whole-column range needs a row count")
         return GridRange(self.sheet, self.col_start, self.col_end, 1, sheet_rows)
 
     def shape(self, sheet_rows: int | None = None):
-        r = self.clamp(sheet_rows) if self.is_whole_rows else self
+        r = self.clamp(sheet_rows)
         return (r.row_end - r.row_start + 1, r.col_end - r.col_start + 1)
 
     def contains(self, row: int, col: int) -> bool:
@@ -176,7 +178,7 @@ class GridRange(Record):
         return out
 
     def cells(self, sheet_rows: int | None = None):
-        r = self.clamp(sheet_rows) if self.is_whole_rows else self
+        r = self.clamp(sheet_rows)
         for row in range(r.row_start, r.row_end + 1):
             for col in range(r.col_start, r.col_end + 1):
                 yield (row, col)

@@ -71,8 +71,7 @@ _RECORDS = {
                  lambda: ValueStore({"a": 2.0}, {})),
     RangeValue: (lambda: RangeValue(GridRange("s", 1, 1)),
                  lambda: RangeValue(GridRange("s", 2, 2))),
-    _Group: (lambda: _Group(["a"], {}), lambda: _Group(["a"], {},
-                                                      failed="x")),
+    _Group: (lambda: _Group(["a"]), lambda: _Group(["a"], failed="x")),
     ListingEntry: (lambda: ListingEntry("a", "input", None, "s!A1", (1, 1)),
                    lambda: ListingEntry("a", "input", None, "s!A2", (1, 1))),
     GraphSlice: (lambda: GraphSlice("a", ("a",), (), frozenset(), {}),

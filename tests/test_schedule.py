@@ -26,12 +26,12 @@ from namebook import formula
 from namebook.cli import main
 from namebook.corpus import fixture_a, fixture_b, fixture_c
 from namebook.docio import rebuild
-from namebook.engine import (CycleError, _Scheduler, _shift_between,
-                             _sort_key, _tarjan, _through_formulas,
-                             _unit_axis_shift, build_dep_graph, evaluate,
-                             topo_order)
+from namebook.engine import (CycleError, _plan, _shift_between, _sort_key,
+                             _tarjan, _through_formulas, _validate,
+                             build_dep_graph, evaluate, topo_order)
 from namebook.formula import (Binary, NameRef, names_referenced,
                               parse_formula, tokenize)
+from namebook.values import CYCLE_ERROR
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                                shift_name)
 
@@ -83,9 +83,12 @@ def _ready_first(nodes, deps, key):
 
 
 def _reference_schedule(wb):
+    """(members, order, failed, direction) per group, in evaluation
+    order: every read checked against every formula range, every shift of
+    each (reader, owner) pair kept, and the refusal rules applied in turn."""
     fkeys = sorted((nd.key() for nd in wb.formula_bearing()), key=_sort_key)
     plain = {k: set() for k in fkeys}
-    disp = {}
+    disp = []  # (u, w, (dr, dc)), one per displaced read
     bad_self = set()
     for u in fkeys:
         for v in _expanded_range_targets(wb, wb.names[u]):
@@ -99,13 +102,13 @@ def _reference_schedule(wb):
                     (plain[u].add(w) if w != u else bad_self.add(u))
                     continue
                 d = _shift_between(wb.names[w], v)
-                if _unit_axis_shift(d):
-                    disp[(u, w)] = d
+                if d is not None and abs(d[0]) + abs(d[1]) == 1:
+                    disp.append((u, w, d))
                 elif w == u:
                     bad_self.add(u)
                 else:
                     plain[u].add(w)
-    adj = {u: plain[u] | {w for (x, w) in disp if x == u} for u in fkeys}
+    adj = {u: plain[u] | {w for (x, w, _) in disp if x == u} for u in fkeys}
     comps = _tarjan(fkeys, adj)
     index = {m: i for i, comp in enumerate(comps) for m in comp}
     gdeps = {i: {index[w] for u in comp for w in adj[u]} - {i}
@@ -115,9 +118,28 @@ def _reference_schedule(wb):
     groups = []
     for i in order:
         comp = comps[i]
+        dirs = {d for u, w, d in disp if u in comp and w in comp}
         inside = {u: {w for w in plain[u] if w in comp} for u in comp}
-        groups.append((comp, _ready_first(comp, inside, _sort_key)))
-    return groups, plain, disp, bad_self
+        within = _ready_first(comp, inside, _sort_key)
+        direction = next(iter(dirs)) if len(dirs) == 1 else None
+        axis = 1 if direction and direction[1] else 0
+        extents = {wb.names[m].target.shape(wb.sheet(
+            wb.names[m].target.sheet).rows)[axis] for m in comp}
+        if bad_self & set(comp):
+            failed = "self-overlapping read"
+        elif not dirs:
+            failed = "mutual reference" if len(comp) > 1 else None
+        elif len(dirs) > 1:
+            failed = "conflicting recurrence directions"
+        elif len(extents) > 1:
+            failed = "recurrence ranges disagree on sweep extent"
+        elif within is None:
+            failed = "mutual reference"
+        else:
+            failed = None
+        groups.append((comp, within if dirs and failed is None else None,
+                       failed, direction))
+    return groups
 
 
 def _crossed_book():
@@ -146,8 +168,78 @@ def _crossed_book():
     return wb
 
 
+def _formula_range(wb, ident, target, text):
+    nd = NameDef(ident, None, RANGE, target=target,
+                 formula=parse_formula(text), array=True)
+    wb.define_name(nd)
+    return nd
+
+
+def _row_recurrence(text, *twins, cols=8):
+    """acc over s!C1:G1, with first? over the row below it and each
+    (identifier, dc) in twins a shift of acc."""
+    wb = Workbook().add_sheet("s", 2, cols)
+    wb.set_cell("s", 2, 3, True)
+    wb.define_name(NameDef("first?", target=GridRange("s", 3, 7, 2, 2)))
+    acc = _formula_range(wb, "acc", GridRange("s", 3, 7, 1, 1), text)
+    for ident, dc in twins:
+        wb.define_name(shift_name(acc, ident, 0, dc))
+    return wb
+
+
+def _refused_books():
+    """One small book per reason a group is refused: label, book, the
+    refused members and the reason."""
+    yield ("self overlap", _row_recurrence(
+        "IF(first?, 1, back2 + 1)", ("back2", -2)),
+        ["acc"], "self-overlapping read")
+
+    wb = Workbook().add_sheet("s", 2, 3)
+    wb.define_name(NameDef("ain", target=GridRange("s", 1, 3, 1, 1)))
+    wb.define_name(NameDef("bin", target=GridRange("s", 1, 3, 2, 2)))
+    _formula_range(wb, "a", GridRange("s", 1, 3, 1, 1), "bin + 1")
+    _formula_range(wb, "b", GridRange("s", 1, 3, 2, 2), "ain + 1")
+    yield "mutual", wb, ["a", "b"], "mutual reference"
+
+    wb = Workbook().add_sheet("s", 2, 7)
+    wide = _formula_range(wb, "wide", GridRange("s", 2, 7, 1, 1), "←narrow")
+    narrow = _formula_range(wb, "narrow", GridRange("s", 2, 6, 2, 2),
+                            "←wide + 1")
+    wb.define_name(shift_name(wide, "←wide", 0, -1))
+    wb.define_name(shift_name(narrow, "←narrow", 0, -1))
+    yield ("extents", wb, ["narrow", "wide"],
+           "recurrence ranges disagree on sweep extent")
+
+    # acc reads its twins on both sides, in one formula or through a
+    # second member; a sweep in either direction reads a cell not yet made.
+    yield ("both ways", _row_recurrence(
+        "IF(first?, 1, ←acc + nxt)", ("←acc", -1), ("nxt", 1)),
+        ["acc"], "conflicting recurrence directions")
+    wb = _row_recurrence("IF(first?, 1, ←acc + ahead)", ("←acc", -1),
+                         ("nxt", 1))
+    wb.add_sheet("t", 1, 8)
+    _formula_range(wb, "ahead", GridRange("t", 3, 7, 1, 1), "nxt * 2")
+    yield ("both ways, two members", wb, ["acc", "ahead"],
+           "conflicting recurrence directions")
+
+
+def test_each_refused_group_names_its_reason_and_paints_cycle():
+    for label, wb, members, reason in _refused_books():
+        store = evaluate(wb)
+        plan = build_dep_graph(wb).plan
+        group = next(g for g in plan if members[0] in
+                     [m[1] for m in g.members])
+        assert [m[1] for m in group.members] == members, label
+        assert group.failed == reason, label
+        for m in members:
+            cells = store.value(m).cells
+            assert all(c == CYCLE_ERROR for row in cells for c in row), label
+
+
 def _books():
     yield "crossed", _crossed_book()
+    for label, wb, _, _ in _refused_books():
+        yield label, wb
     yield "fixtureA", fixture_a()
     yield "fixtureB", fixture_b()
     yield "fixtureC", fixture_c()
@@ -157,6 +249,7 @@ def _books():
 
 def test_schedule_matches_the_direct_scan_and_selection_order():
     swept = 0
+    refused = set()
     for label, wb in _books():
         graph = build_dep_graph(wb)
         for nd in wb.formula_bearing():
@@ -164,18 +257,14 @@ def test_schedule_matches_the_direct_scan_and_selection_order():
             reads = _through_formulas(wb, graph, nd.key())[0]
             assert [v.key() for v in reads] == list(dict.fromkeys(walked)), \
                 (label, nd.display())
-        sched = _Scheduler(wb, graph)
-        groups, plain, disp, bad_self = _reference_schedule(wb)
-        assert sched.plain == plain, label
-        assert sched.disp == disp, label
-        assert sched.bad_self == bad_self, label
-        got = sched.groups()
-        assert [g.members for g in got] == [m for m, _ in groups], label
-        for g, (_, within) in zip(got, groups):
-            if g.displaced and g.failed is None:
-                assert g.order == within, label
-                swept += 1
+        got = [(g.members, g.order, g.failed, g.direction)
+               for g in _plan(wb, graph)]
+        want = _reference_schedule(wb)
+        assert got == want, label
+        swept += sum(order is not None for _, order, _, _ in got)
+        refused.update(failed for _, _, failed, _ in got if failed)
     assert swept > 10   # the books exercise recurrence sweeps
+    assert len(refused) == 4, refused  # and every refusal reason
 
 
 def _chain_doc(n):
@@ -402,7 +491,7 @@ def _reference_sweep_maps(wb, graph, group):
     """A valid sweep's refmap and inlined, derived the way each sweep did
     before the scheduler kept them: every member's reads walked through
     formula names again and matched against the members' ranges."""
-    direction = group.direction()
+    direction = group.direction
     by_target = {wb.names[m].target: m for m in group.members}
     refmap = {}
     through = {}
@@ -439,8 +528,8 @@ def test_each_sweep_reads_its_members_as_the_scheduler_found_them():
          for seed in range(50, 300)))
     for label, wb in books:
         graph = build_dep_graph(wb)
-        for g in _Scheduler(wb, graph).groups():
-            if g.displaced and g.failed is None:
+        for g in _plan(wb, graph):
+            if g.direction is not None and g.failed is None:
                 want = _reference_sweep_maps(wb, graph, g)
                 assert (g.refmap, g.inlined) == want, label
                 sweeps += 1
@@ -448,8 +537,7 @@ def test_each_sweep_reads_its_members_as_the_scheduler_found_them():
     assert sweeps > 150 and inlining > 0
 
 
-_PLANNING = [topo_order, _through_formulas, _Scheduler.__init__,
-             _Scheduler._edges_for, _Scheduler.groups, _Scheduler._validate]
+_PLANNING = [topo_order, _through_formulas, _plan, _validate]
 
 
 def _profiled_evaluate(wb):

@@ -98,6 +98,14 @@ def test_shape_clamp_and_cells():
     assert whole.contains(999, 1) and not whole.contains(1, 3)
 
 
+def test_a_whole_column_range_asks_for_a_row_count():
+    whole = GridRange("s", 1, 2)
+    for call in (lambda: whole.clamp(None), whole.shape,
+                 lambda: list(whole.cells())):
+        with pytest.raises(ValueError, match="needs a row count"):
+            call()
+
+
 def test_shift_is_inverted_by_the_opposite_shift():
     rng = random.Random(9)
     for _ in range(300):
