@@ -33,6 +33,17 @@ that table, which is what makes cross-name recurrences (interest on a
 prior balance feeding the balance itself) come out in the right order.
 The plan, the ordered groups, is kept with the graph, so only a change
 to the name table makes evaluate() plan again; a cell edit does not.
+
+So are the last values.  While they are kept, Workbook.set_cell and
+fill_block record the rectangles they write, and the next evaluate()
+recomputes only the names those reach: each name whose rectangle holds
+a written cell, and downstream of it every name that references it or,
+for a formula range, lays an input name over its cells (_stale).  The
+stale groups run in plan order; every other value is the kept one.  A
+full evaluation is the same pass with every name stale.  This is the
+dirty-bit rebuild of Mokhov, Mitchell and Peyton Jones, "Build Systems
+a la Carte" (ICFP 2018), over the support graph of Sestoft,
+"Spreadsheet Implementation Technology" (2014).
 """
 
 from __future__ import annotations
@@ -59,14 +70,17 @@ class CycleError(Exception):
 
 class DepGraph(Record):
     _fields = ("nodes", "edges", "recurrence", "unresolved", "display")
-    __slots__ = _fields + ("plan",)  # plan is left out of == and repr
+    # evaluate's state, filled in on first use, is left out of == and repr
+    __slots__ = _fields + ("plan", "readers", "kept")
     def __init__(self, nodes, edges, recurrence, unresolved, display):
         self.nodes = nodes
         self.edges = edges            # NameKey -> tuple of NameKey, sorted
         self.recurrence = recurrence  # subset of (u, v) edges that are displaced self-reads
         self.unresolved = unresolved  # NameKey -> tuple of reference texts with no definition
         self.display = display        # NameKey -> display text
-        self.plan = []  # evaluate's ordered _Groups, filled in on first use
+        self.plan = None     # the ordered _Groups, once planned
+        self.readers = None  # NameKey -> the names whose values read its value
+        self.kept = None     # the last evaluate's (values, formula names' values)
 
 
 def _sort_key(key: NameKey):
@@ -684,11 +698,12 @@ def _bool_reduce(args, fold, seed):
 # --- whole-array evaluation --------------------------------------------------
 
 class _EvalState:
-    def __init__(self, wb: Workbook, graph: DepGraph):
+    def __init__(self, wb: Workbook, graph: DepGraph, computed,
+                 formula_cache):
         self.wb = wb
         self.graph = graph
-        self.computed = {}        # NameKey -> Value for formula ranges
-        self.formula_cache = {}   # NameKey -> Value | RangeValue
+        self.computed = computed            # NameKey -> Value, read for formula ranges
+        self.formula_cache = formula_cache  # NameKey -> Value | RangeValue
         self.in_progress = set()
 
     def ensure_computed(self, key):
@@ -989,17 +1004,69 @@ def _run_sweep(state: _EvalState, group: _Group):
             state.computed[m] = Array(cells)
 
 
+def _readers(wb: Workbook, graph: DepGraph) -> dict:
+    """NameKey -> the names whose values read its value: the names that
+    reference it (graph.edges reversed) and, for a formula range, the
+    input names laid over its cells.  Every read of a formula range's
+    cells, the planner's read table included, names it or such an input,
+    so these edges reach every reader."""
+    readers = {}
+    for u, targets in graph.edges.items():
+        for v in targets:
+            readers.setdefault(v, []).append(u)
+    for nd in wb.input_ranges():
+        for w in wb.formula_owners(nd.target):
+            readers.setdefault(w, []).append(nd.key())
+    return readers
+
+
+def _stale(wb: Workbook, graph: DepGraph) -> set:
+    """The names evaluate must compute: all of them when no values are
+    kept; else those whose rectangle holds a cell written since the
+    values were kept, and every name downstream of them (graph.readers)."""
+    if graph.kept is None:
+        return set(graph.nodes)
+    stale = set()
+    for sheet, r1, r2, c1, c2 in set(wb._written):
+        for key, nd in wb.names.items():
+            t = nd.target
+            if (t is not None and t.sheet == sheet and t.col_start <= c2
+                    and c1 <= t.col_end and (t.row_start is None or (
+                        t.row_start <= r2 and r1 <= t.row_end))):
+                stale.add(key)
+    if graph.readers is None:
+        graph.readers = _readers(wb, graph)
+    todo = list(stale)
+    while todo:
+        for k in graph.readers.get(todo.pop(), ()):
+            if k not in stale:
+                stale.add(k)
+                todo.append(k)
+    return stale
+
+
 def evaluate(wb: Workbook) -> ValueStore:
     """Evaluate every name.  A static dependency cycle raises CycleError;
-    every other failure surfaces as an error value in the affected cells."""
+    every other failure surfaces as an error value in the affected cells.
+
+    The values are kept with the plan, and the next evaluate computes
+    only the names that the cells written since can reach (_stale),
+    taking every other value from the kept ones."""
     graph = build_dep_graph(wb)
-    if not graph.plan:  # also after planning a book with no formula ranges
+    if graph.plan is None:
         # A name-level cycle fails here, on every call, before any work.
         topo_order(graph)
-        graph.plan.extend(_plan(wb, graph))
+        graph.plan = _plan(wb, graph)
+    stale = _stale(wb, graph)
+    kept, kept_formulas = graph.kept or ({}, {})
 
-    state = _EvalState(wb, graph)
+    state = _EvalState(wb, graph,
+                       {k: v for k, v in kept.items() if k not in stale},
+                       {k: v for k, v in kept_formulas.items()
+                        if k not in stale})
     for group in graph.plan:
+        if stale.isdisjoint(group.members):
+            continue
         if group.failed is not None:
             for m in group.members:
                 shape = wb.bounded(wb.names[m].target).shape()
@@ -1012,10 +1079,12 @@ def evaluate(wb: Workbook) -> ValueStore:
 
     store = {}
     display = {}
-    for key in sorted(wb.names.keys(), key=_sort_key):
+    for key in graph.nodes:
         nd = wb.names[key]
         display[key] = nd.display()
-        if nd.kind == FORMULA:
+        if key not in stale:
+            store[key] = kept[key]
+        elif nd.kind == FORMULA:
             store[key] = _deref(state, state.formula_value(key))
         elif nd.target is None:
             store[key] = V.REF_ERROR
@@ -1023,4 +1092,6 @@ def evaluate(wb: Workbook) -> ValueStore:
             store[key] = state.ensure_computed(key)
         else:
             store[key] = state.materialize(RangeValue(nd.target))
-    return ValueStore(store, display)
+    graph.kept = (store, state.formula_cache)
+    wb._written = []
+    return ValueStore(dict(store), display)

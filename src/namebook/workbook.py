@@ -299,7 +299,12 @@ class Workbook:
         # sheet -> column -> sorted [(row_start, row_end, key)], one entry per
         # formula range shared by its columns (no two tie); None when stale.
         self._owners: dict | None = None
+        self._owned = {}  # bounded rectangle -> formula_owners' answer
         self._graph = None  # engine.build_dep_graph's result; None when stale
+        # The cells written since evaluate() kept its values, as rectangles
+        # (sheet, row_start, row_end, col_start, col_end); None while no
+        # values are kept, so that nothing is recorded.
+        self._written: list | None = None
 
     # -- sheets ---------------------------------------------------------
 
@@ -311,7 +316,7 @@ class Workbook:
         if rows < 1 or cols < 1:
             raise ValueError("sheet extent must be positive")
         self.sheets[name] = Sheet(name, rows, cols)
-        self._graph = None  # a qualifier naming it now resolves
+        self._graph = self._written = None  # a qualifier naming it resolves
         return self
 
     def sheet(self, name: str) -> Sheet:
@@ -326,6 +331,8 @@ class Workbook:
 
     def set_cell(self, sheet: str, row: int, col: int, value) -> "Workbook":
         self.sheet(sheet).set(row, col, value)
+        if self._written is not None:
+            self._written.append((sheet, row, row, col, col))
         return self
 
     def fill_block(self, rng: GridRange, rows) -> "Workbook":
@@ -337,6 +344,10 @@ class Workbook:
         if len(data) != shape[0] or any(len(r) != shape[1] for r in data):
             raise ValueError("block shape %s does not cover %s"
                              % ((len(data), len(data[0]) if data else 0), rng.address()))
+        if self._written is not None:  # before a refused cell stops the loop
+            self._written.append((bounded.sheet, bounded.row_start,
+                                  bounded.row_end, bounded.col_start,
+                                  bounded.col_end))
         for i, row in enumerate(range(bounded.row_start, bounded.row_end + 1)):
             for j, col in enumerate(range(bounded.col_start, bounded.col_end + 1)):
                 sh.set(row, col, data[i][j])
@@ -351,7 +362,7 @@ class Workbook:
         """
         self.sheet(name)
         del self.sheets[name]
-        self._owners = self._graph = None
+        self._owners = self._graph = self._written = None
         self.names = {k: NameDef(d.identifier, d.scope, d.kind)
                       if d.target is not None and d.target.sheet == name else d
                       for k, d in self.names.items() if d.scope != name}
@@ -367,37 +378,46 @@ class Workbook:
             raise RefError("%s exceeds sheet rows" % target.address(True))
 
     def _index_owner(self, nd: NameDef):
+        self._owned = {}
         rng = self.bounded(nd.target)
         entry = (rng.row_start, rng.row_end, nd.key())
         columns = self._owners.setdefault(rng.sheet, {})
         for col in range(rng.col_start, rng.col_end + 1):
             insort(columns.setdefault(col, []), entry)
 
-    def formula_owners(self, rng: GridRange) -> set:
+    def formula_owners(self, rng: GridRange) -> frozenset:
         """Keys of the formula ranges that own any cell of rng.
 
         Formula ranges never overlap, so within a column they sort by first
         and by last row alike: bisect past the last one starting on or
         above rng's bottom row, then step back while they still reach its
-        top row.  Costs O(columns * log n + hits).
+        top row.  The answer is remembered per bounded rectangle until the
+        index changes, so a first read costs O(columns * log n + hits) and
+        a repeated one a dict lookup.
         """
         if self._owners is None:
-            self._owners = {}
+            self._owners, self._owned = {}, {}
             for nd in self.formula_bearing():
                 self._index_owner(nd)
         sh = self.sheets.get(rng.sheet)
         if sh is None:
-            return set()
+            return frozenset()
         rng = rng.clamp(sh.rows)
+        spot = (rng.sheet, rng.row_start, rng.row_end, rng.col_start,
+                rng.col_end)
+        out = self._owned.get(spot)
+        if out is not None:
+            return out
         columns = self._owners.get(rng.sheet, {})
         probe, top = (rng.row_end, math.inf), rng.row_start
-        out = set()
+        hits = set()
         for col in range(rng.col_start, rng.col_end + 1):
             column = columns.get(col, ())
             i = bisect_right(column, probe)
             while i > 0 and column[i - 1][1] >= top:
                 i -= 1
-                out.add(column[i][2])
+                hits.add(column[i][2])
+        out = self._owned[spot] = frozenset(hits)
         return out
 
     def _check_formula_overlap(self, candidate: NameDef):
@@ -436,7 +456,7 @@ class Workbook:
             raise ValueError("unknown name kind %r" % nd.kind)
         self._check_formula_overlap(nd)
         self.names[nd.key()] = nd
-        self._graph = None
+        self._graph = self._written = None
         if (self._owners is not None and nd.formula is not None
                 and nd.target is not None):
             self._index_owner(nd)
@@ -454,7 +474,7 @@ class Workbook:
         nd = self.names.get(key)
         if nd is None:
             raise UnknownNameError("no name %r in scope %r" % (identifier, scope))
-        self._owners = self._graph = None
+        self._owners = self._graph = self._written = None
         if isinstance(refers_to, GridRange):
             self._check_target(refers_to)
             nd = NameDef(identifier, scope, RANGE, refers_to, array=nd.array)

@@ -569,6 +569,22 @@ def test_a_second_evaluate_plans_nothing():
             assert {func for _, _, func in walks[4]} == {"formula_value"}
 
 
+def test_a_book_without_formula_ranges_is_planned_once():
+    # Its plan is empty, which must still count as planned.
+    wb = Workbook().add_sheet("s", 2, 2)
+    wb.set_cell("s", 1, 1, 2.0)
+    wb.define_name(NameDef("x", None, RANGE, GridRange("s", 1, 1, 1, 2)))
+    wb.define_name(NameDef("twice", None, FORMULA,
+                           formula=parse_formula("SUM(x) * 2")))
+    _, first = _profiled_evaluate(wb)
+    assert cProfile.label(_plan.__code__) in first
+    wb.set_cell("s", 2, 1, 3.0)
+    store, again = _profiled_evaluate(wb)
+    assert store.scalar("twice") == 10.0
+    assert not {cProfile.label(f.__code__) for f in (topo_order, _plan)} \
+        & again.keys()
+
+
 def _diamond_into_the_sweep(levels):
     """bal = prev + f.0001 over a 1x5 band, where each f.k reads f.(k+1)
     twice and the last reads the swept twin."""

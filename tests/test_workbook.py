@@ -286,6 +286,26 @@ def test_formula_owners_matches_a_scan_of_every_formula_range():
             assert wb.formula_owners(query) == expected
 
 
+def test_a_remembered_owner_answer_follows_the_index():
+    # Answers are kept per rectangle; each change to the index drops them,
+    # and a caller cannot change a kept answer.
+    wb = _book()
+    spot = GridRange("main", 1, 2, 1, 3)
+    assert wb.formula_owners(spot) == set()
+    wb.define_name(_formula_range("first", GridRange("main", 2, 2, 3, 4)))
+    assert wb.formula_owners(spot) == {(None, "first")}
+    with pytest.raises(AttributeError):
+        wb.formula_owners(spot).add((None, "other"))
+    wb.rebind_name("first", None, GridRange("main", 2, 2, 3, 4))
+    assert wb.formula_owners(spot) == set()
+    wb.define_name(_formula_range("second", GridRange("aux", 1, 1)))
+    assert wb.formula_owners(GridRange("aux", 1, 1, 2, 2)) == {(None,
+                                                               "second")}
+    wb.delete_sheet("aux")
+    wb.add_sheet("aux", 6, 6)
+    assert wb.formula_owners(GridRange("aux", 1, 1, 2, 2)) == set()
+
+
 def test_rebind_frees_formula_cells_for_a_new_formula_range():
     wb = _book()
     wb.define_name(_formula_range("old", GridRange("main", 1, 3, 1, 2)))
