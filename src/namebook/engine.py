@@ -8,15 +8,21 @@ are swept cell by cell in the direction that makes each displaced
 predecessor available, and any names entangled with them through same-shape
 displaced reads are swept together in the same pass.
 
-A sweep compiles each member's formula once into a closure over the cell
-position (_compile_cell): names are resolved, reads of the members
-become index closures, and every part constant across the sweep is
-evaluated whole once and indexed.  A formula name that reads a member is
-filled into rows of its own just before its reader at each step, so
-chains and diamonds of such names cost one closure call per name per
-cell.  The whole-array path stays an interpreter, since it runs each
-formula only once per evaluate and compiling it would save nothing.
-Both paths apply the same operator kernels (values.BINARY).
+Every formula is evaluated whole by running a program compiled from it
+once per plan (_compile), as Sestoft compiles sheet-defined functions
+instead of interpreting them: a flat tuple of (step, argument) pairs in
+postfix order, run on one stack by _run.  Names are resolved when it is
+compiled, and a read of exactly one formula range's block is bound to
+that owner's computed value, so it copies no cells.  The programs are
+compiled on first use and kept with the plan, so after a cell edit
+evaluate() resolves names only for the sweeps it reruns.  A sweep
+compiles each member's formula once into a closure over the cell
+position (_compile_cell): reads of the members become index closures,
+and every part constant across the sweep runs as a program once and is
+indexed.  A formula name that reads a member is filled into rows of its
+own just before its reader at each step, so chains and diamonds of such
+names cost one closure call per name per cell.  Programs and closures
+apply the same operator kernels (values.BINARY).
 
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
@@ -31,16 +37,18 @@ serves every range read).  Groups, their order, each refusal or sweep
 direction, and what each sweep reads of its own members all come from
 that table, which is what makes cross-name recurrences (interest on a
 prior balance feeding the balance itself) come out in the right order.
-The plan, the ordered groups, is kept with the graph, so only a change
-to the name table makes evaluate() plan again; a cell edit does not.
+The plan, the ordered groups, is kept with the graph with the compiled
+programs, so only a change to the name table makes evaluate() plan and
+compile again; a cell edit does not.
 
 So are the last values.  While they are kept, Workbook.set_cell and
 fill_block record the rectangles they write, and the next evaluate()
 recomputes only the names those reach: each name whose rectangle holds
-a written cell, and downstream of it every name that references it or,
-for a formula range, lays an input name over its cells (_stale).  The
-stale groups run in plan order; every other value is the kept one.  A
-full evaluation is the same pass with every name stale.  This is the
+a written cell that no formula range's block hides, and downstream of
+it every name that references it or, for a formula range, lays an input
+name over its cells (_stale).  The stale groups run in plan order;
+every other value is the kept one.  A full evaluation is the same pass
+with every name stale.  This is the
 dirty-bit rebuild of Mokhov, Mitchell and Peyton Jones, "Build Systems
 a la Carte" (ICFP 2018), over the support graph of Sestoft,
 "Spreadsheet Implementation Technology" (2014).
@@ -51,9 +59,8 @@ from __future__ import annotations
 import heapq
 
 from . import values as V
-from .formula import (BoolLit, Call, CellRef, Expr, Intersect, NameRef,
-                      NumberLit, Percent, TextLit, Unary, Binary,
-                      names_referenced)
+from .formula import (Binary, Call, CellRef, Expr, Intersect, NameRef,
+                      Percent, Unary, names_referenced)
 from .values import Array, CellError, Record
 from .workbook import FORMULA, GridRange, NameDef, RefError, Workbook
 
@@ -71,7 +78,7 @@ class CycleError(Exception):
 class DepGraph(Record):
     _fields = ("nodes", "edges", "recurrence", "unresolved", "display")
     # evaluate's state, filled in on first use, is left out of == and repr
-    __slots__ = _fields + ("plan", "readers", "kept")
+    __slots__ = _fields + ("plan", "programs", "readers", "kept")
     def __init__(self, nodes, edges, recurrence, unresolved, display):
         self.nodes = nodes
         self.edges = edges            # NameKey -> tuple of NameKey, sorted
@@ -79,6 +86,7 @@ class DepGraph(Record):
         self.unresolved = unresolved  # NameKey -> tuple of reference texts with no definition
         self.display = display        # NameKey -> display text
         self.plan = None     # the ordered _Groups, once planned
+        self.programs = {}   # NameKey -> its formula's compiled steps
         self.readers = None  # NameKey -> the names whose values read its value
         self.kept = None     # the last evaluate's (values, formula names' values)
 
@@ -431,10 +439,6 @@ def _validate(wb: Workbook, graph: DepGraph, members, table, entered):
 
 # --- builtin functions -------------------------------------------------------
 
-BUILTIN_FUNCTIONS = ("AND", "IF", "INDEX", "LOOKUP", "MATCH", "MAX", "MIN",
-                     "NOT", "OR", "SUM")
-
-
 def _iter_scalars(v):
     if isinstance(v, Array):
         for row in v.cells:
@@ -695,7 +699,126 @@ def _bool_reduce(args, fold, seed):
     return acc
 
 
+# name -> fn(state, args): only INDEX's arguments may be references.
+_BUILTINS = {
+    "AND": lambda st, args: _bool_reduce(args, lambda a, b: a and b, True),
+    "IF": lambda st, args: (_broadcast(_if, *args) if len(args) in (2, 3)
+                            else V.VALUE_ERROR),
+    "INDEX": _builtin_index,
+    "LOOKUP": lambda st, args: _builtin_lookup(args),
+    "MATCH": lambda st, args: _builtin_match(args),
+    "MAX": lambda st, args: _builtin_minmax(args, max),
+    "MIN": lambda st, args: _builtin_minmax(args, min),
+    "NOT": lambda st, args: (_broadcast(V.logical_not, *args)
+                             if len(args) == 1 else V.VALUE_ERROR),
+    "OR": lambda st, args: _bool_reduce(args, lambda a, b: a or b, False),
+    "SUM": lambda st, args: _builtin_sum(args),
+}
+BUILTIN_FUNCTIONS = tuple(_BUILTINS)
+
+
+def _meet(state, args):
+    """The intersection of two references."""
+    for v in args:
+        if isinstance(v, CellError):
+            return v
+    a, b = args
+    if not isinstance(a, RangeValue) or not isinstance(b, RangeValue):
+        return V.VALUE_ERROR
+    hit = a.rng.intersect(b.rng)
+    return V.NULL_ERROR if hit is None else RangeValue(hit)
+
+
 # --- whole-array evaluation --------------------------------------------------
+
+# The step kinds of a compiled formula (_compile), run by _run, and the
+# steps that are the same wherever they occur, shared by every program.
+_CONST, _OWNER, _READ, _NAME, _DEREF, _UNARY, _BINARY, _CALL = range(8)
+_BINARY_STEPS = {op: (_BINARY, kernel) for op, kernel in V.BINARY.items()}
+_UNARY_STEPS = {Unary: (_UNARY, V.negate), Percent: (_UNARY, V.percent)}
+_DEREF_STEP, _MEET_STEP = (_DEREF, None), (_CALL, (_meet, 2))
+
+
+def _compile(wb: Workbook, e: Expr, ctx_sheet, steps: list, keep_ref=False):
+    """Append to steps the program computing e whole, in postfix order,
+    with every name resolved.  A reference (RangeValue) stays unread only
+    where keep_ref is set: INDEX's and intersection's operands and a
+    formula name's result.  Elsewhere a read of exactly one formula
+    range's block is its owner's value, and any other range is read."""
+    t = type(e)
+    if t is Binary:
+        _compile(wb, e.lhs, ctx_sheet, steps)
+        _compile(wb, e.rhs, ctx_sheet, steps)
+        steps.append(_BINARY_STEPS[e.op])
+        return
+    if t is Unary or t is Percent:
+        _compile(wb, e.operand, ctx_sheet, steps)
+        steps.append(_UNARY_STEPS[t])
+        return
+    if t is Intersect or t is Call and e.func in _BUILTINS:
+        index = t is Intersect or e.func == "INDEX"
+        args = (e.lhs, e.rhs) if t is Intersect else e.args
+        for a in args:
+            _compile(wb, a, ctx_sheet, steps, index)
+        steps.append(_MEET_STEP if t is Intersect
+                     else (_CALL, (_BUILTINS[e.func], len(args))))
+        if index and not keep_ref:
+            steps.append(_DEREF_STEP)
+        return
+    if t is not NameRef:  # a literal, a cell address or an unknown call
+        steps.append((_CONST, V.REF_ERROR if t is CellRef else
+                       V.NAME_ERROR if t is Call else e.value))
+        return
+    nd = wb.resolve(e.name, context=ctx_sheet, qualifier=e.sheet)
+    if nd is None:
+        steps.append((_CONST, V.NAME_ERROR))
+    elif nd.kind == FORMULA:
+        steps.append((_NAME, nd.key()))
+        if not keep_ref:
+            steps.append(_DEREF_STEP)
+    elif nd.target is None:
+        steps.append((_CONST, V.REF_ERROR))
+    elif keep_ref:
+        steps.append((_CONST, RangeValue(nd.target)))
+    else:
+        owners = wb.formula_owners(nd.target)
+        w = next(iter(owners)) if len(owners) == 1 else None
+        if w is not None and (wb.bounded(wb.names[w].target)
+                              == wb.bounded(nd.target)):
+            steps.append((_OWNER, w))
+        else:
+            steps.append((_READ, RangeValue(nd.target)))
+
+
+def _run(state, steps):
+    """The value of a compiled formula: its steps run on one stack."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    computed = state.computed
+    for op, arg in steps:
+        if op == _CONST:
+            push(arg)
+        elif op == _OWNER:
+            push(computed[arg] if arg in computed
+                 else state.ensure_computed(arg))
+        elif op == _BINARY:
+            b = pop()
+            push(_broadcast(arg, pop(), b))
+        elif op == _READ:
+            push(state.materialize(arg))
+        elif op == _UNARY:
+            push(_broadcast(arg, pop()))
+        elif op == _DEREF:
+            push(_deref(state, pop()))
+        elif op == _NAME:
+            push(state.formula_value(arg))
+        else:  # _CALL
+            fn, n = arg
+            args = stack[len(stack) - n:]
+            del stack[len(stack) - n:]
+            push(fn(state, args))
+    return stack[0]
+
 
 class _EvalState:
     def __init__(self, wb: Workbook, graph: DepGraph, computed,
@@ -706,17 +829,33 @@ class _EvalState:
         self.formula_cache = formula_cache  # NameKey -> Value | RangeValue
         self.in_progress = set()
 
+    def program(self, key):
+        """The compiled steps of a formula name or formula range, made on
+        first use and kept with the plan (graph.programs)."""
+        steps = self.graph.programs.get(key)
+        if steps is None:
+            nd = self.wb.names[key]
+            steps = []
+            _compile(self.wb, nd.formula, self.wb.context_sheet(nd), steps,
+                     nd.kind == FORMULA)
+            steps = self.graph.programs[key] = tuple(steps)
+        return steps
+
     def ensure_computed(self, key):
         if key in self.computed:
             return self.computed[key]
-        # The schedule normally precomputes every owner; this on-demand
-        # path answers reads of a range still being swept, which can only
-        # be an unorderable read and so collapses to the cycle error.
+        # The plan computes every owner before its whole readers.  A sweep
+        # reads a member it is still building outside its refmap only
+        # through a part constant across the sweep (SUM(member), say):
+        # that member is then computed whole here, and a read of a range
+        # still in progress is a cycle error in each of its cells.
+        nd = self.wb.names[key]
         if key in self.in_progress:
-            return V.CYCLE_ERROR
+            return _expand_to_shape(V.CYCLE_ERROR,
+                                    self.wb.bounded(nd.target).shape())
         self.in_progress.add(key)
         try:
-            value = _eval_whole_name(self, self.wb.names[key])
+            value = _eval_whole_name(self, nd)
             self.computed[key] = value
             return value
         finally:
@@ -731,9 +870,7 @@ class _EvalState:
             _, entered = _through_formulas(self.wb, self.graph, key,
                                            self.formula_cache)
             for k in entered:
-                nd = self.wb.names[k]
-                self.formula_cache[k] = _eval_expr(self, nd.formula,
-                                                   self.wb.context_sheet(nd))
+                self.formula_cache[k] = _run(self, self.program(k))
         return self.formula_cache[key]
 
     def materialize(self, rv: RangeValue):
@@ -767,75 +904,6 @@ def _deref(state, v):
     return v
 
 
-def _eval_call(state, func, raw_args, ctx_sheet):
-    if func not in BUILTIN_FUNCTIONS:
-        return V.NAME_ERROR
-    args = [_eval_expr(state, a, ctx_sheet) for a in raw_args]
-    if func == "INDEX":
-        return _builtin_index(state, args)
-    args = [_deref(state, a) for a in args]
-    if func == "IF":
-        if len(args) not in (2, 3):
-            return V.VALUE_ERROR
-        return _broadcast(_if, *args)
-    if func == "SUM":
-        return _builtin_sum(args)
-    if func == "MIN":
-        return _builtin_minmax(args, min)
-    if func == "MAX":
-        return _builtin_minmax(args, max)
-    if func == "MATCH":
-        return _builtin_match(args)
-    if func == "LOOKUP":
-        return _builtin_lookup(args)
-    if func == "AND":
-        return _bool_reduce(args, lambda a, b: a and b, True)
-    if func == "OR":
-        return _bool_reduce(args, lambda a, b: a or b, False)
-    if len(args) != 1:  # NOT
-        return V.VALUE_ERROR
-    return _broadcast(V.logical_not, args[0])
-
-
-def _eval_expr(state: _EvalState, e: Expr, ctx_sheet):
-    """Whole-array evaluation; may yield a RangeValue for reference results."""
-    if isinstance(e, (NumberLit, TextLit, BoolLit)):
-        return e.value
-    if isinstance(e, CellRef):
-        return V.REF_ERROR
-    if isinstance(e, NameRef):
-        nd = state.wb.resolve(e.name, context=ctx_sheet, qualifier=e.sheet)
-        if nd is None:
-            return V.NAME_ERROR
-        if nd.kind == FORMULA:
-            return state.formula_value(nd.key())
-        if nd.target is None:
-            return V.REF_ERROR
-        return RangeValue(nd.target)
-    if isinstance(e, (Unary, Percent)):
-        v = _deref(state, _eval_expr(state, e.operand, ctx_sheet))
-        return _broadcast(V.negate if type(e) is Unary else V.percent, v)
-    if isinstance(e, Binary):
-        a = _deref(state, _eval_expr(state, e.lhs, ctx_sheet))
-        b = _deref(state, _eval_expr(state, e.rhs, ctx_sheet))
-        return _broadcast(V.BINARY[e.op], a, b)
-    if isinstance(e, Intersect):
-        a = _eval_expr(state, e.lhs, ctx_sheet)
-        b = _eval_expr(state, e.rhs, ctx_sheet)
-        for v in (a, b):
-            if isinstance(v, CellError):
-                return v
-        if not isinstance(a, RangeValue) or not isinstance(b, RangeValue):
-            return V.VALUE_ERROR
-        hit = a.rng.intersect(b.rng)
-        if hit is None:
-            return V.NULL_ERROR
-        return RangeValue(hit)
-    if isinstance(e, Call):
-        return _eval_call(state, e.func, e.args, ctx_sheet)
-    raise TypeError("not an expression: %r" % (e,))
-
-
 def _expand_to_shape(value, shape):
     """Broadcast a computed value over the owning rectangle."""
     if shape == (1, 1):
@@ -848,8 +916,7 @@ def _expand_to_shape(value, shape):
 
 def _eval_whole_name(state: _EvalState, nd: NameDef):
     shape = state.wb.bounded(nd.target).shape()
-    raw = _deref(state, _eval_expr(state, nd.formula, state.wb.context_sheet(nd)))
-    return _expand_to_shape(raw, shape)
+    return _expand_to_shape(_run(state, state.program(nd.key())), shape)
 
 
 # --- per-cell recurrence sweeps ----------------------------------------------
@@ -926,23 +993,13 @@ def _compile_cell(swp: _SweepContext, e: Expr, member, ctx_sheet):
     Names are resolved here, once per sweep; IF stays lazy per cell."""
     state = swp.state
     shape = swp.shapes[member]
-    if isinstance(e, (NumberLit, TextLit, BoolLit)):
-        return _const(e.value)
-    if isinstance(e, CellRef):
-        return _const(V.REF_ERROR)
     if isinstance(e, NameRef):
         nd = state.wb.resolve(e.name, context=ctx_sheet, qualifier=e.sheet)
-        if nd is None:
-            return _const(V.NAME_ERROR)
-        if nd.kind == FORMULA:
-            part = swp.partial.get((member, nd.key()))
-            if part is not None:
-                return lambda i, j: part[i][j]
-            return _indexer(_deref(state, state.formula_value(nd.key())),
-                            shape)
-        if nd.target is None:
-            return _const(V.REF_ERROR)
-        hit = swp.refmap.get(nd.key())
+        key = None if nd is None else nd.key()
+        part = swp.partial.get((member, key))  # an inlined formula name
+        if part is not None:
+            return lambda i, j: part[i][j]
+        hit = swp.refmap.get(key)
         if hit is not None:
             return swp.reader(hit, shape)
     elif isinstance(e, (Unary, Percent)):
@@ -967,10 +1024,11 @@ def _compile_cell(swp: _SweepContext, e: Expr, member, ctx_sheet):
                     return t
             return yes(i, j) if t else no(i, j)
         return pick
-    # Plain range names, aggregations, gathers and intersections read
-    # whole ranges; those are constant across the sweep, so compute once
-    # and index in.
-    return _indexer(_deref(state, _eval_expr(state, e, ctx_sheet)), shape)
+    # Literals, other names, aggregations, gathers and intersections are
+    # constant across the sweep, so compute them whole once and index in.
+    steps = []
+    _compile(state.wb, e, ctx_sheet, steps)
+    return _indexer(_run(state, steps), shape)
 
 
 def _run_sweep(state: _EvalState, group: _Group):
@@ -1023,11 +1081,21 @@ def _readers(wb: Workbook, graph: DepGraph) -> dict:
 def _stale(wb: Workbook, graph: DepGraph) -> set:
     """The names evaluate must compute: all of them when no values are
     kept; else those whose rectangle holds a cell written since the
-    values were kept, and every name downstream of them (graph.readers)."""
+    values were kept, and every name downstream of them (graph.readers).
+    A write wholly under formula ranges' blocks is hidden from every read,
+    so it makes nothing stale; formula ranges never overlap, so the areas
+    of their overlaps with it add up to its own when they cover it."""
     if graph.kept is None:
         return set(graph.nodes)
     stale = set()
     for sheet, r1, r2, c1, c2 in set(wb._written):
+        rect = GridRange(sheet, c1, c2, r1, r2)
+        hidden = 0
+        for w in wb.formula_owners(rect, remember=False):
+            rows, cols = wb.bounded(wb.names[w].target).intersect(rect).shape()
+            hidden += rows * cols
+        if hidden == (r2 - r1 + 1) * (c2 - c1 + 1):
+            continue
         for key, nd in wb.names.items():
             t = nd.target
             if (t is not None and t.sheet == sheet and t.col_start <= c2

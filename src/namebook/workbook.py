@@ -385,15 +385,15 @@ class Workbook:
         for col in range(rng.col_start, rng.col_end + 1):
             insort(columns.setdefault(col, []), entry)
 
-    def formula_owners(self, rng: GridRange) -> frozenset:
+    def formula_owners(self, rng: GridRange, remember=True) -> frozenset:
         """Keys of the formula ranges that own any cell of rng.
 
         Formula ranges never overlap, so within a column they sort by first
         and by last row alike: bisect past the last one starting on or
         above rng's bottom row, then step back while they still reach its
-        top row.  The answer is remembered per bounded rectangle until the
-        index changes, so a first read costs O(columns * log n + hits) and
-        a repeated one a dict lookup.
+        top row.  Unless remember is false, the answer is remembered per
+        bounded rectangle until the index changes, so a first read costs
+        O(columns * log n + hits) and a repeated one a dict lookup.
         """
         if self._owners is None:
             self._owners, self._owned = {}, {}
@@ -417,13 +417,16 @@ class Workbook:
             while i > 0 and column[i - 1][1] >= top:
                 i -= 1
                 hits.add(column[i][2])
-        out = self._owned[spot] = frozenset(hits)
+        out = frozenset(hits)
+        if remember:
+            self._owned[spot] = out
         return out
 
     def _check_formula_overlap(self, candidate: NameDef):
         if candidate.formula is None or candidate.target is None:
             return
-        if not self.formula_owners(candidate.target):
+        # Not remembered: indexing the new range would drop the answer.
+        if not self.formula_owners(candidate.target, remember=False):
             return
         # Name the earliest-defined conflicting range.
         mine = self.bounded(candidate.target)

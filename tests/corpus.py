@@ -1,4 +1,5 @@
-"""Three ready-made workbooks exercising the whole engine.
+"""Three ready-made workbooks exercising the whole engine, built in
+Python; the same books are committed as documents under fixtures/.
 
 fixture_a: a product revenue plan.  Twelve products priced over nineteen
 periods, half of them escalating period over period through a displaced
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import random
 
-from .formula import parse_formula
-from .workbook import (FORMULA, NameDef, RANGE, Workbook, parse_a1,
-                       shift_name)
+from namebook.formula import parse_formula
+from namebook.workbook import (FORMULA, NameDef, RANGE, Workbook, parse_a1,
+                               shift_name)
 
 
 def _range_name(identifier, sheet, a1, scope=None, formula=None, array=False):

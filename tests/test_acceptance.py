@@ -13,8 +13,6 @@ import pytest
 
 from namebook.audit import focus_graph, has_errors, lint
 from namebook.cli import main
-from namebook.corpus import (DUMMY_A, DUMMY_B, fixture_a, fixture_b,
-                             fixture_c)
 from namebook.docio import export_doc, rebuild
 from namebook.engine import evaluate
 from namebook.formula import parse_formula, render
@@ -22,6 +20,7 @@ from namebook.values import Array
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                                parse_a1, shift_name)
 
+from corpus import DUMMY_A, DUMMY_B, fixture_a, fixture_b, fixture_c
 from gen import random_workbook
 from oracle import (amortization_schedule, escalated_price, merged_lists,
                     oracle_evaluate)

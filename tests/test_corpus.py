@@ -6,13 +6,13 @@ import os
 
 import pytest
 
-from namebook.corpus import (DUMMY_A, DUMMY_B, MASTER_A, MASTER_B,
-                             fixture_a, fixture_b, fixture_c)
 from namebook.docio import export_doc, rebuild
 from namebook.engine import evaluate
 from namebook.audit import has_errors, lint
 from namebook.workbook import parse_a1
 
+from corpus import (DUMMY_A, DUMMY_B, MASTER_A, MASTER_B, fixture_a,
+                    fixture_b, fixture_c)
 from oracle import amortization_schedule, escalated_price, merged_lists
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")

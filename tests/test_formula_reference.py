@@ -15,9 +15,9 @@ import pytest
 
 import formula_reference as ref
 from namebook import formula
-from namebook.corpus import fixture_a, fixture_b, fixture_c
 from namebook.formula import LexError
 
+from corpus import fixture_a, fixture_b, fixture_c
 from gen import random_workbook
 
 HERE = os.path.dirname(os.path.abspath(__file__))

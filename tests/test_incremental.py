@@ -7,7 +7,8 @@ workbooks, the three fixtures and the benchmark's generated books, and
 after every edit compares evaluate(wb) with a full evaluation of a copy
 (which keeps nothing), value by value through repr.  A store returned
 before an edit must not change.  The work gate counts what one edit to
-one of four independent modules costs: its module, and nothing else."""
+one of four independent modules costs: its module, and nothing else;
+and a write hidden under formula ranges' blocks, nothing at all."""
 
 import cProfile
 import math
@@ -109,6 +110,18 @@ def _edit(rng, wb, kind, serial):
     elif kind == "formula" and formulas:
         wb.set_cell(*_any_cell(rng, wb, rng.choice(formulas)), _value(rng))
         return kind
+    elif kind == "over" and formulas:
+        # A block partly hidden under a formula range: its rectangle grown
+        # by a row and a column where the sheet has room.
+        rect = wb.bounded(rng.choice(formulas).target)
+        sh = wb.sheets[rect.sheet]
+        grown = GridRange(rect.sheet, rect.col_start,
+                          min(sh.cols, rect.col_end + 1), rect.row_start,
+                          min(sh.rows, rect.row_end + 1))
+        rows, cols = grown.shape()
+        wb.fill_block(grown, [[_value(rng) for _ in range(cols)]
+                              for _ in range(rows)])
+        return kind
     elif kind == "swept":
         swept = _swept_inputs(wb)
         if swept:
@@ -160,8 +173,8 @@ def _edit(rng, wb, kind, serial):
     return "input"
 
 
-KINDS = ("unread", "formula", "swept", "blank", "fill", "nan", "rebind",
-         "define", "input")
+KINDS = ("unread", "formula", "over", "swept", "blank", "fill", "nan",
+         "rebind", "define", "input")
 
 
 def _books():
@@ -228,21 +241,21 @@ def _work(wb, monkeypatch):
     """Evaluate wb; returns the cProfile call count of _eval_whole_name,
     the formula ranges it ran for and the formula names evaluated."""
     whole, named = [], []
-    formulas = {id(nd.formula): nd.display() for nd in wb.names.values()
+    formulas = {nd.key(): nd.display() for nd in wb.names.values()
                 if nd.kind == FORMULA}
-    eval_whole, eval_expr = engine._eval_whole_name, engine._eval_expr
+    eval_whole, program = engine._eval_whole_name, engine._EvalState.program
 
     def whole_spy(state, nd):
         whole.append(nd.display())
         return eval_whole(state, nd)
 
-    def expr_spy(state, e, ctx):
-        if id(e) in formulas:
-            named.append(formulas[id(e)])
-        return eval_expr(state, e, ctx)
+    def program_spy(state, key):  # run once per name computed
+        if key in formulas:
+            named.append(formulas[key])
+        return program(state, key)
 
     monkeypatch.setattr(engine, "_eval_whole_name", whole_spy)
-    monkeypatch.setattr(engine, "_eval_expr", expr_spy)
+    monkeypatch.setattr(engine._EvalState, "program", program_spy)
     prof = cProfile.Profile()
     prof.enable()
     store = evaluate(wb)
@@ -261,8 +274,10 @@ def test_an_edit_recomputes_only_the_module_it_reaches(monkeypatch):
     wb.set_cell("band.a", 5, 1, 99.0)
     assert _work(wb, monkeypatch) == (2, ["mod0.double", "mod0.kept"],
                                       ["mod0.total"])
-    wb.set_cell("band.d", 1, 3, 1.0)  # under mod3.kept, which no name reads
-    assert _work(wb, monkeypatch) == (1, ["mod3.kept"], ["mod3.total"])
+    wb.set_cell("band.d", 1, 3, 1.0)  # hidden under mod3.kept's block
+    assert _work(wb, monkeypatch) == (0, [], [])
+    wb.fill_block(GridRange("band.c", 2, 3, 4, 5), [[1.0, 2.0], [3.0, 4.0]])
+    assert _work(wb, monkeypatch) == (0, [], [])  # under two owners
     assert _work(wb, monkeypatch) == (0, [], [])
     wb.rebind_name("mod3.input", None, GridRange("band.d", 1, 1))
     calls, whole, named = _work(wb, monkeypatch)

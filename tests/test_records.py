@@ -13,7 +13,6 @@ import pytest
 
 from namebook.audit import (Finding, GraphSlice, ListingEntry, focus_graph,
                             linear_listing, lint)
-from namebook.corpus import fixture_a, fixture_c
 from namebook.engine import (DepGraph, RangeValue, ValueStore, _Group,
                              build_dep_graph, evaluate)
 from namebook.formula import (Binary, BoolLit, Call, CellRef, Intersect,
@@ -21,6 +20,8 @@ from namebook.formula import (Binary, BoolLit, Call, CellRef, Intersect,
                               parse_formula)
 from namebook.values import CYCLE_ERROR, Array, CellError
 from namebook.workbook import FORMULA, GridRange, NameDef, Sheet
+
+from corpus import fixture_a, fixture_c
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                    "src")

@@ -24,7 +24,6 @@ import random
 
 from namebook import formula
 from namebook.cli import main
-from namebook.corpus import fixture_a, fixture_b, fixture_c
 from namebook.docio import rebuild
 from namebook.engine import (CycleError, _plan, _shift_between, _sort_key,
                              _tarjan, _through_formulas, _validate,
@@ -35,6 +34,7 @@ from namebook.values import CYCLE_ERROR
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                                shift_name)
 
+from corpus import fixture_a, fixture_b, fixture_c
 from gen import random_workbook
 
 
