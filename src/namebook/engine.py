@@ -57,6 +57,7 @@ a la Carte" (ICFP 2018), over the support graph of Sestoft,
 from __future__ import annotations
 
 import heapq
+from itertools import repeat
 
 from . import values as V
 from .formula import (Binary, Call, CellRef, Expr, Intersect, NameRef,
@@ -461,7 +462,28 @@ def _rows_of(v, shape):
 
 def _broadcast(fn, *args):
     """fn applied across args broadcast to one shape; #VALUE! when the
-    shapes do not conform, a scalar when they are all 1x1."""
+    shapes do not conform, a scalar when they are all 1x1.
+
+    Operands that need no layout go straight to fn: all scalars, or
+    scalars and Arrays of one shape other than 1x1, whose output rows map
+    fn over the Arrays' own rows with each scalar repeated in place.  Any
+    other mix (a 1x1 Array, which collapses, a row against a column,
+    shapes that do not conform) takes the fold over the shapes below."""
+    rows = None
+    for a in args:
+        if isinstance(a, Array):
+            cells = a.cells
+            if rows is None:
+                rows, cols = len(cells), len(cells[0])
+            elif len(cells) != rows or len(cells[0]) != cols:
+                break
+    else:
+        if rows is None:
+            return fn(*args)
+        if rows != 1 or cols != 1:
+            return Array([list(map(fn, *row)) for row in zip(*[
+                a.cells if isinstance(a, Array) else repeat(repeat(a))
+                for a in args])])
     shape = (1, 1)
     for a in args:
         shape = V.broadcast_shapes(shape, V.value_shape(a))
@@ -905,10 +927,14 @@ def _deref(state, v):
 
 
 def _expand_to_shape(value, shape):
-    """Broadcast a computed value over the owning rectangle."""
+    """Broadcast a computed value over the owning rectangle.  An Array of
+    exactly that shape is returned as it is, so two names may hold one
+    Array object; values are never written in place (see Array)."""
     if shape == (1, 1):
         out = V.collapse(value)
         return V.VALUE_ERROR if isinstance(out, Array) else out
+    if isinstance(value, Array) and value.shape == shape:
+        return value
     if V.broadcast_shapes(V.value_shape(value), shape) != shape:
         value = V.VALUE_ERROR
     return Array(_rows_of(value, shape))

@@ -146,10 +146,6 @@ def is_identifier(text: str) -> bool:
             and text.upper() not in _BOOLS)
 
 
-def matches_cellref(text: str) -> bool:
-    return bool(_CELLREF_FULL.match(text))
-
-
 def col_to_index(letters: str) -> int:
     """1-based column number of column letters: A is 1, AA is 27."""
     n = 0

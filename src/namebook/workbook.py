@@ -14,7 +14,7 @@ import math
 import re
 from bisect import bisect_right, insort
 
-from .formula import Expr, col_to_index, is_identifier, render
+from .formula import Expr, col_to_index, is_identifier
 from .values import CellError, Record
 
 
@@ -249,9 +249,6 @@ class NameDef(Record):
         if self.scope is None:
             return self.identifier
         return "%s!%s" % (self.scope, self.identifier)
-
-    def formula_text(self) -> str | None:
-        return render(self.formula) if self.formula is not None else None
 
 
 class Sheet(Record):

@@ -4,9 +4,9 @@ range's block is bound to that owner's value.
 
 The reads are checked against the independent interpreter in
 oracle.py, before and after cell edits.  The gates count what a second
-evaluate of the chain book does (no name lookups, and a range copy only
-for reads that are not an owner's exact block) and what its programs
-keep in memory."""
+evaluate of the chain book does (no name lookups, a range copy only for
+reads that are not an owner's exact block, and no operand layout) and
+what its programs keep in memory."""
 
 import cProfile
 import os
@@ -18,7 +18,7 @@ from namebook import engine
 from namebook.docio import rebuild
 from namebook.engine import build_dep_graph, evaluate
 from namebook.formula import NameRef, parse_formula, walk
-from namebook.values import CYCLE_ERROR, NAME_ERROR, Array
+from namebook.values import CYCLE_ERROR, NAME_ERROR, Array, broadcast_shapes
 from namebook.workbook import FORMULA, RANGE, GridRange, NameDef, Workbook
 
 from oracle import oracle_evaluate
@@ -208,6 +208,30 @@ def test_a_second_evaluate_resolves_no_name_and_copies_only_unbound_reads():
              for f in (Workbook.resolve, engine._EvalState.materialize)}
     assert calls == {"resolve": 0, "materialize": want}
     assert want == 9  # of 561 range reads in the book's formulas
+
+
+def _layout_calls(doc, wb):
+    """broadcast_shapes and _rows_of calls of an evaluate after the
+    document's first recorded edit."""
+    evaluate(wb)
+    workloads.apply_edit(wb, doc.edits[0])
+    prof = cProfile.Profile()
+    prof.enable()
+    evaluate(wb)
+    prof.disable()
+    stats = pstats.Stats(prof).stats
+    return [stats.get(cProfile.label(f.__code__), (0, 0))[1]
+            for f in (broadcast_shapes, engine._rows_of)]
+
+
+def test_operands_of_one_shape_are_never_laid_out():
+    # Every kernel step of the chain book is a 1x8 row against a 1x8 row
+    # or a scalar, so none needs a shape fold or a layout.
+    assert _layout_calls(*_chain()) == [0, 0]
+    # The sweep book's recurrences run per-cell closures, which keep
+    # their own shape checks and layouts: the same counts as before.
+    doc = workloads.sweep(403)[0]
+    assert _layout_calls(doc, rebuild(doc.text)) == [11, 7]
 
 
 def test_the_kept_programs_of_the_chain_book_are_small():

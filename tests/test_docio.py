@@ -10,7 +10,7 @@ from namebook.docio import (DocSyntaxError, ExportError, UndeclaredName,
                             UnknownVersion, decode_field, encode_field,
                             export_doc, rebuild, stray_formula_cells)
 from namebook.engine import evaluate
-from namebook.formula import NUMBER_RE, parse_formula
+from namebook.formula import NUMBER_RE, parse_formula, render
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook)
 
 from gen import random_workbook
@@ -43,7 +43,7 @@ def test_rebuild_reads_the_whole_structure():
     assert xs.kind == RANGE and xs.formula is None
     assert xs.target == GridRange("s", 1, 1, 1, 3)
     dbl = wb.resolve("dbl")
-    assert dbl.array and dbl.formula_text() == "xs * 2"
+    assert dbl.array and render(dbl.formula) == "xs * 2"
     assert wb.resolve("label", context="s").scope == "s"
     assert wb.resolve("total").kind == FORMULA
     assert wb.sheet("s").get(1, 1) == 1.0

@@ -7,13 +7,12 @@ import random
 
 import pytest
 
-from namebook.formula import (MAX_DEPTH, MAX_NESTING, Binary, BoolLit, Call,
-                              CellRef, Intersect, LexError, NameRef,
-                              NumberLit, ParseError, Percent, TextLit,
-                              TokenKind, Unary, cell_refs,
-                              is_identifier, matches_cellref,
-                              names_referenced, parse_formula, render,
-                              tokenize, walk)
+from namebook.formula import (_CELLREF_FULL, MAX_DEPTH, MAX_NESTING, Binary,
+                              BoolLit, Call, CellRef, Intersect, LexError,
+                              NameRef, NumberLit, ParseError, Percent,
+                              TextLit, TokenKind, Unary, cell_refs,
+                              is_identifier, names_referenced, parse_formula,
+                              render, tokenize, walk)
 
 ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
@@ -101,6 +100,10 @@ def test_canonical_text_is_a_fixed_point():
     for text in corpus:
         canon = render(parse_formula(text))
         assert render(parse_formula(canon)) == canon
+
+
+def matches_cellref(text: str) -> bool:
+    return bool(_CELLREF_FULL.match(text))
 
 
 def test_identifier_and_cellref_never_overlap_exhaustive():

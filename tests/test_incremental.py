@@ -282,3 +282,26 @@ def test_an_edit_recomputes_only_the_module_it_reaches(monkeypatch):
     wb.rebind_name("mod3.input", None, GridRange("band.d", 1, 1))
     calls, whole, named = _work(wb, monkeypatch)
     assert calls == 8 and len(whole) == 8 and len(named) == 4
+
+
+def test_a_name_that_holds_anothers_array_keeps_its_store():
+    # b = a over a block of a's shape holds a's own Array object, and so
+    # does c = x of the input's; a later edit and recalc must leave the
+    # stores returned before as they were.
+    wb = Workbook().add_sheet("s", 3, 5)
+    for r in range(1, 4):
+        wb.set_cell("s", r, 1, float(r))
+    wb.define_name(NameDef("x", target=GridRange("s", 1, 1, 1, 3)))
+    for ident, text, col in (("a", "x * 2", 2), ("b", "a", 3), ("c", "x", 4)):
+        wb.define_name(NameDef(ident, target=GridRange("s", col, col, 1, 3),
+                               formula=parse_formula(text), array=True))
+    first = evaluate(wb)
+    assert first.value("b") is first.value("a")
+    assert first.value("c") == first.value("x")
+    text = _reprs(first)
+    earlier = [(first, text)]
+    for value in (-5.0, 7.0):
+        wb.set_cell("s", 2, 1, value)
+        _check(wb, earlier)
+        assert _reprs(first) == text
+    assert evaluate(wb).value("b").cells == [[2.0], [14.0], [6.0]]
