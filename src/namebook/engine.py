@@ -16,13 +16,14 @@ compiled, and a read of exactly one formula range's block is bound to
 that owner's computed value, so it copies no cells.  The programs are
 compiled on first use and kept with the plan, so after a cell edit
 evaluate() resolves names only for the sweeps it reruns.  A sweep
-compiles each member's formula once into a closure over the cell
-position (_compile_cell): reads of the members become index closures,
-and every part constant across the sweep runs as a program once and is
-indexed.  A formula name that reads a member is filled into rows of its
-own just before its reader at each step, so chains and diamonds of such
-names cost one closure call per name per cell.  Programs and closures
-apply the same operator kernels (values.BINARY).
+(_run_sweep) compiles each member's formula once into a closure over
+the cell position: a read of a member indexes its rows, padded with the
+cells one step past it, and every part constant across the sweep runs
+as a program once and is indexed.  A formula name that reads a member
+is filled into rows of its own just before its reader at each step, so
+chains and diamonds of such names cost one closure call per name per
+cell.  Programs and closures apply the same operator kernels
+(values.BINARY).
 
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
@@ -79,7 +80,7 @@ class CycleError(Exception):
 class DepGraph(Record):
     _fields = ("nodes", "edges", "recurrence", "unresolved", "display")
     # evaluate's state, filled in on first use, is left out of == and repr
-    __slots__ = _fields + ("plan", "programs", "readers", "kept")
+    __slots__ = _fields + ("plan", "shapes", "programs", "readers", "kept")
     def __init__(self, nodes, edges, recurrence, unresolved, display):
         self.nodes = nodes
         self.edges = edges            # NameKey -> tuple of NameKey, sorted
@@ -87,6 +88,7 @@ class DepGraph(Record):
         self.unresolved = unresolved  # NameKey -> tuple of reference texts with no definition
         self.display = display        # NameKey -> display text
         self.plan = None     # the ordered _Groups, once planned
+        self.shapes = None   # formula range -> its bounded shape, once planned
         self.programs = {}   # NameKey -> its formula's compiled steps
         self.readers = None  # NameKey -> the names whose values read its value
         self.kept = None     # the last evaluate's (values, formula names' values)
@@ -367,6 +369,7 @@ def _plan(wb: Workbook, graph: DepGraph) -> list:
     are the strongly connected components of reader -> owner, owners
     first, the least first member leading among those ready."""
     fkeys = sorted((nd.key() for nd in wb.formula_bearing()), key=_sort_key)
+    graph.shapes = {u: wb.bounded(wb.names[u].target).shape() for u in fkeys}
     table = {}
     entered = {}  # formula range -> the formula names it reads, post-order
     for u in fkeys:
@@ -420,7 +423,7 @@ def _validate(wb: Workbook, graph: DepGraph, members, table, entered):
     if direction is None:
         return _Group(members, failed="conflicting recurrence directions")
     axis = 1 if direction[1] != 0 else 0
-    extents = {wb.bounded(wb.names[m].target).shape()[axis] for m in members}
+    extents = {graph.shapes[m][axis] for m in members}
     if len(extents) > 1:
         return _Group(members, direction, failed="recurrence ranges "
                       "disagree on sweep extent")
@@ -871,13 +874,11 @@ class _EvalState:
         # through a part constant across the sweep (SUM(member), say):
         # that member is then computed whole here, and a read of a range
         # still in progress is a cycle error in each of its cells.
-        nd = self.wb.names[key]
         if key in self.in_progress:
-            return _expand_to_shape(V.CYCLE_ERROR,
-                                    self.wb.bounded(nd.target).shape())
+            return _expand_to_shape(V.CYCLE_ERROR, self.graph.shapes[key])
         self.in_progress.add(key)
         try:
-            value = _eval_whole_name(self, nd)
+            value = _eval_whole_name(self, self.wb.names[key])
             self.computed[key] = value
             return value
         finally:
@@ -941,151 +942,125 @@ def _expand_to_shape(value, shape):
 
 
 def _eval_whole_name(state: _EvalState, nd: NameDef):
-    shape = state.wb.bounded(nd.target).shape()
-    return _expand_to_shape(_run(state, state.program(nd.key())), shape)
+    return _expand_to_shape(_run(state, state.program(nd.key())),
+                            state.graph.shapes[nd.key()])
 
 
 # --- per-cell recurrence sweeps ----------------------------------------------
 
-class _SweepContext:
-    """Shared state for the members of one co-swept recurrence group.
-
-    Reads through the plan's refmap (see _Group) index the rows being
-    built.  Each member formula is compiled once per sweep (_compile_cell)
-    into a closure over the cell position.  Everything in it that is
-    constant across the sweep is computed whole once, at compile time, and
-    indexed per cell: plain range names, aggregates, gathers,
-    intersections, and the formula names whose reads reach no refmap name.
-    Each of the plan's inlined formula names has rows of its own per
-    member, filled at every step just before its reader's, so a read of it
-    is an aligned read of those rows and no closure calls another's.
-    """
-
-    def __init__(self, state: _EvalState, group: _Group):
-        self.state = state
-        self.refmap = group.refmap
-        self.partial = {}  # (member, member or inlined name) -> its rows
-        self.shapes = {}
-        for m in group.members:
-            shape = state.wb.bounded(state.wb.names[m].target).shape()
-            self.shapes[m] = shape
-            for k in group.inlined[m] + [m]:
-                self.partial[m, k] = [[None] * shape[1]
-                                      for _ in range(shape[0])]
-
-    def reader(self, hit, shape):
-        """Closure reading a refmap name at a cell of a member of shape."""
-        w, dr, dc, vrng = hit
-        vshape = vrng.shape()
-        if V.broadcast_shapes(vshape, shape) != shape:
-            return _const(V.VALUE_ERROR)
-        # A cell (i, j) reads (i * si, j * sj): the read runs along an axis
-        # it shares with the member and repeats its one row or column.
-        si, sj = vshape[0] == shape[0], vshape[1] == shape[1]
-        part = self.partial[w, w]
-        rows, cols = self.shapes[w]
-        materialize = self.state.materialize
-
-        def read(i, j):
-            vi, vj = i * si, j * sj
-            ti, tj = vi + dr, vj + dc
-            if 0 <= ti < rows and 0 <= tj < cols:
-                return part[ti][tj]
-            # The slice of the band hanging past the swept range holds
-            # plain sheet cells; read them directly.
-            row, col = vrng.row_start + vi, vrng.col_start + vj
-            return materialize(RangeValue(
-                GridRange(vrng.sheet, col, col, row, row)))
-        return read
-
-
-def _const(value):
-    return lambda i, j: value
-
-
-def _indexer(value, shape):
-    """Closure giving a sweep-constant value's scalar at a cell of shape."""
-    if not isinstance(value, Array):
-        return _const(value)
-    if V.broadcast_shapes(value.shape, shape) != shape:
-        return _const(V.VALUE_ERROR)
-    rows = _rows_of(value, shape)
-    return lambda i, j: rows[i][j]
-
-
-def _compile_cell(swp: _SweepContext, e: Expr, member, ctx_sheet):
-    """Closure (i, j) -> the scalar e takes at cell (i, j) of member.
-
-    Names are resolved here, once per sweep; IF stays lazy per cell."""
-    state = swp.state
-    shape = swp.shapes[member]
-    if isinstance(e, NameRef):
-        nd = state.wb.resolve(e.name, context=ctx_sheet, qualifier=e.sheet)
-        key = None if nd is None else nd.key()
-        part = swp.partial.get((member, key))  # an inlined formula name
-        if part is not None:
-            return lambda i, j: part[i][j]
-        hit = swp.refmap.get(key)
-        if hit is not None:
-            return swp.reader(hit, shape)
-    elif isinstance(e, (Unary, Percent)):
-        fn = V.negate if isinstance(e, Unary) else V.percent
-        operand = _compile_cell(swp, e.operand, member, ctx_sheet)
-        return lambda i, j: fn(operand(i, j))
-    elif isinstance(e, Binary):
-        lhs = _compile_cell(swp, e.lhs, member, ctx_sheet)
-        rhs = _compile_cell(swp, e.rhs, member, ctx_sheet)
-        kernel = V.BINARY[e.op]
-        return lambda i, j: kernel(lhs(i, j), rhs(i, j))
-    elif isinstance(e, Call) and e.func == "IF" and len(e.args) in (2, 3):
-        cond, yes, *no = [_compile_cell(swp, a, member, ctx_sheet)
-                          for a in e.args]
-        no = no[0] if no else _const(False)
-
-        def pick(i, j):
-            t = cond(i, j)
-            if type(t) is not bool:
-                t = V.to_bool(t)
-                if isinstance(t, CellError):
-                    return t
-            return yes(i, j) if t else no(i, j)
-        return pick
-    # Literals, other names, aggregations, gathers and intersections are
-    # constant across the sweep, so compute them whole once and index in.
-    steps = []
-    _compile(state.wb, e, ctx_sheet, steps)
-    return _indexer(_run(state, steps), shape)
-
-
 def _run_sweep(state: _EvalState, group: _Group):
-    wb = state.wb
-    swp = _SweepContext(state, group)
+    """Sweep a valid group cell by cell in its step order, and store each
+    member's value.
+
+    Each member's rows hold one cell more along the sweep axis, the
+    padding: a column at the end of each row (a sweep across) or a row
+    at the end (a sweep down).  Once the closures are compiled, one
+    materialize of the twin's off-band slice, the cells one step past
+    the member, fills the padding of each member read displaced.  A read
+    at the first step lands there, at index -1 on a forward sweep and at
+    the row length on a backward one, so no read tests bounds.
+    """
+    wb, shapes, refmap = state.wb, state.graph.shapes, group.refmap
     dr, dc = group.direction
+    across = dc != 0
+    # (member, member or inlined name) -> its rows, padded
+    partial = {(m, k): [[None] * (shapes[m][1] + across)
+                        for _ in range(shapes[m][0] + (not across))]
+               for m in group.members for k in group.inlined[m] + [m]}
+    twins = {}  # member read displaced -> its twin, clamped to its sheet
+
+    def reader(hit, shape):
+        """Closure reading a refmap name at a cell of a member of shape."""
+        w, hr, hc, vrng = hit
+        vshape = shapes[w]  # a refmap name has its owner's shape
+        if V.broadcast_shapes(vshape, shape) != shape:
+            return lambda i, j: V.VALUE_ERROR
+        # Cell (i, j) reads the owner's (i * si + hr, j * sj + hc): along an
+        # axis it does not share with the member, the read repeats itself.
+        si, sj = vshape[0] == shape[0], vshape[1] == shape[1]
+        if hr or hc:
+            twins.setdefault(w, vrng)
+        part = partial[w, w]
+        return lambda i, j: part[i * si + hr][j * sj + hc]
+
+    def cell(e, member, ctx_sheet):
+        """Closure (i, j) -> the scalar e takes at cell (i, j) of member.
+        Names are resolved here, once per sweep; IF stays lazy per cell."""
+        shape = shapes[member]
+        if isinstance(e, NameRef):
+            nd = wb.resolve(e.name, context=ctx_sheet, qualifier=e.sheet)
+            key = None if nd is None else nd.key()
+            part = partial.get((member, key))  # an inlined formula name
+            if part is not None:
+                return lambda i, j: part[i][j]
+            hit = refmap.get(key)
+            if hit is not None:
+                return reader(hit, shape)
+        elif isinstance(e, (Unary, Percent)):
+            fn = V.negate if isinstance(e, Unary) else V.percent
+            operand = cell(e.operand, member, ctx_sheet)
+            return lambda i, j: fn(operand(i, j))
+        elif isinstance(e, Binary):
+            lhs = cell(e.lhs, member, ctx_sheet)
+            rhs = cell(e.rhs, member, ctx_sheet)
+            kernel = V.BINARY[e.op]
+            return lambda i, j: kernel(lhs(i, j), rhs(i, j))
+        elif isinstance(e, Call) and e.func == "IF" and len(e.args) in (2, 3):
+            cond, yes, *no = [cell(a, member, ctx_sheet) for a in e.args]
+            no = no[0] if no else (lambda i, j: False)
+
+            def pick(i, j):
+                t = cond(i, j)
+                if type(t) is not bool:
+                    t = V.to_bool(t)
+                    if isinstance(t, CellError):
+                        return t
+                return yes(i, j) if t else no(i, j)
+            return pick
+        # Literals, other names, aggregations, gathers and intersections are
+        # constant across the sweep, so compute them whole once and index in.
+        steps = []
+        _compile(wb, e, ctx_sheet, steps)
+        value = _run(state, steps)
+        if isinstance(value, Array):
+            if V.broadcast_shapes(value.shape, shape) != shape:
+                value = V.VALUE_ERROR
+            else:
+                laid = _rows_of(value, shape)
+                return lambda i, j: laid[i][j]
+        return lambda i, j: value
+
     plan = []
     for m in group.order:
         for k in group.inlined[m] + [m]:
             nd = wb.names[k]
-            plan.append((_compile_cell(swp, nd.formula, m,
-                                       wb.context_sheet(nd)),
-                         swp.partial[m, k], swp.shapes[m]))
-    first = swp.shapes[group.order[0]]
-    if dc != 0:
-        for j in (range(first[1]) if dc < 0 else range(first[1] - 1, -1, -1)):
-            for cell, part, (rows, _) in plan:
-                for i in range(rows):
-                    part[i][j] = cell(i, j)
-    else:
-        for i in (range(first[0]) if dr < 0 else range(first[0] - 1, -1, -1)):
-            for cell, part, (_, cols) in plan:
-                row = part[i]
-                for j in range(cols):
-                    row[j] = cell(i, j)
-    for m in group.members:
-        cells = swp.partial[m, m]
-        if len(cells) == 1 and len(cells[0]) == 1:
-            state.computed[m] = cells[0][0]
+            plan.append((cell(nd.formula, m, wb.context_sheet(nd)),
+                         partial[m, k], shapes[m]))
+    del cell  # it holds itself in its closure; free it now, not at a gc run
+    for w, vrng in twins.items():
+        # The twin's first column or row on a forward sweep, else its last.
+        k = 1 if dr + dc < 0 else shapes[w][across]
+        edge = vrng.index_slice(*((0, k) if across else (k, 0)))
+        laid = _rows_of(state.materialize(RangeValue(edge)), edge.shape())
+        if across:
+            for row, (x,) in zip(partial[w, w], laid):
+                row[-1] = x
         else:
-            state.computed[m] = Array(cells)
+            partial[w, w][-1] = laid[0]
+    n = shapes[group.order[0]][across]
+    for s in (range(n) if dr + dc < 0 else range(n - 1, -1, -1)):
+        for fill, part, (rows, cols) in plan:
+            if across:
+                for i in range(rows):
+                    part[i][s] = fill(i, s)
+            else:
+                row = part[s]
+                for j in range(cols):
+                    row[j] = fill(s, j)
+    for m in group.members:
+        part = partial[m, m]
+        state.computed[m] = Array([row[:-1] for row in part] if across
+                                  else part[:-1])
 
 
 def _readers(wb: Workbook, graph: DepGraph) -> dict:
@@ -1163,8 +1138,8 @@ def evaluate(wb: Workbook) -> ValueStore:
             continue
         if group.failed is not None:
             for m in group.members:
-                shape = wb.bounded(wb.names[m].target).shape()
-                state.computed[m] = _expand_to_shape(V.CYCLE_ERROR, shape)
+                state.computed[m] = _expand_to_shape(V.CYCLE_ERROR,
+                                                     graph.shapes[m])
         elif group.direction is not None:
             _run_sweep(state, group)
         else:

@@ -309,3 +309,66 @@ class _Builder:
 def random_workbook(seed):
     """A small valid workbook, fully determined by the seed."""
     return _Builder(random.Random(seed)).build()
+
+
+# The shift of a recurrence band's twin: one cell along one axis.
+_STEPS = ((0, -1), (0, 1), (-1, 0), (1, 0))
+
+
+def recurrence_workbook(seed):
+    """One recurrence band on a sheet of literals of every kind, fully
+    determined by the seed.
+
+    The band "roll" is 1-3 cells across its sweep and 2-4 along it, and
+    reads its twin "←roll", shifted one cell in one of the four
+    directions.  Unless an IF guard on "first" takes the first step, that
+    step reads the off-band slice: the twin's cells one step past the
+    band.  Sometimes the formula range "edge" owns that slice."""
+    rng = random.Random(seed)
+    dr, dc = rng.choice(_STEPS)
+    along, across = rng.randint(2, 4), rng.randint(1, 3)
+    h, w = (across, along) if dc else (along, across)
+    wb = Workbook().add_sheet("s", h + 4, w + 4).add_sheet("g", h + 1, 2 * w)
+    _fill(wb, GridRange("s", 1, w + 4, 1, h + 4), rng)
+    band = GridRange("s", 3, w + 2, 3, h + 2)
+    first = GridRange("g", 1, w, 1, h)
+    for r, c in first.cells():
+        step = c - 1 if dc else r - 1
+        wb.set_cell("g", r, c, step == (0 if dr + dc < 0 else along - 1))
+    wb.set_cell("g", h + 1, 1, float(rng.randrange(1, 30)))
+    aside = GridRange("g", w + 1, 2 * w, 1, h)
+    _fill(wb, aside, rng, numeric=rng.random() < 0.6)
+    for ident, rect in (("first", first), ("aside", aside),
+                        ("seed", GridRange("g", 1, 1, h + 1, h + 1))):
+        wb.define_name(NameDef(ident, None, RANGE, rect))
+    body = rng.choice(("←roll * %s + 1" % rng.choice(("2", "0.5", "1.01")),
+                       "←roll + aside", "IF(←roll > 20, ←roll - aside, "
+                       "←roll * 2)", '←roll & "+"', "-←roll + 1%",
+                       "←roll * 1.5 + SUM(aside)"))
+    if rng.random() < 0.5:
+        body = "IF(first, seed, %s)" % body
+    nd = NameDef("roll", None, RANGE, band, parse_formula(body), array=True)
+    wb.define_name(nd)
+    twin = shift_name(nd, "←roll", dr, dc)
+    wb.define_name(twin)
+    if rng.random() < 0.3:
+        # The slice, and now and then the line past it too.
+        cells = off_band_slice(wb)
+        (r1, c1), (r2, c2) = cells[0], cells[-1]
+        if rng.random() < 0.5:
+            r1, c1 = min(r1, r1 + dr), min(c1, c1 + dc)
+            r2, c2 = max(r2, r2 + dr), max(c2, c2 + dc)
+        text = rng.choice(("7", "seed * 2", '"t" & seed', "1 / 0"))
+        wb.define_name(NameDef("edge", None, RANGE,
+                               GridRange("s", c1, c2, r1, r2),
+                               parse_formula(text), array=True))
+    wb.define_name(NameDef("total", None, FORMULA,
+                           formula=parse_formula("SUM(roll)")))
+    return wb
+
+
+def off_band_slice(wb):
+    """The (row, col) cells of a recurrence book's twin that lie outside
+    its band, in row-major order."""
+    band, twin = (wb.names[None, ident].target for ident in ("roll", "←roll"))
+    return [rc for rc in twin.cells() if not band.contains(*rc)]

@@ -210,9 +210,9 @@ def test_a_second_evaluate_resolves_no_name_and_copies_only_unbound_reads():
     assert want == 9  # of 561 range reads in the book's formulas
 
 
-def _layout_calls(doc, wb):
-    """broadcast_shapes and _rows_of calls of an evaluate after the
-    document's first recorded edit."""
+def _recalc_calls(doc, wb, *functions):
+    """Calls of each function in an evaluate after the document's first
+    recorded edit."""
     evaluate(wb)
     workloads.apply_edit(wb, doc.edits[0])
     prof = cProfile.Profile()
@@ -221,7 +221,17 @@ def _layout_calls(doc, wb):
     prof.disable()
     stats = pstats.Stats(prof).stats
     return [stats.get(cProfile.label(f.__code__), (0, 0))[1]
-            for f in (broadcast_shapes, engine._rows_of)]
+            for f in functions]
+
+
+def _layout_calls(doc, wb):
+    return _recalc_calls(doc, wb, broadcast_shapes, engine._rows_of)
+
+
+def test_a_second_evaluate_works_out_no_shape():
+    # The plan keeps each formula range's shape.
+    assert _recalc_calls(*_chain(), Workbook.bounded, GridRange.shape) == \
+        [0, 0]
 
 
 def test_operands_of_one_shape_are_never_laid_out():
@@ -229,9 +239,10 @@ def test_operands_of_one_shape_are_never_laid_out():
     # or a scalar, so none needs a shape fold or a layout.
     assert _layout_calls(*_chain()) == [0, 0]
     # The sweep book's recurrences run per-cell closures, which keep
-    # their own shape checks and layouts: the same counts as before.
+    # their own shape checks and layouts, and lay out the off-band slice
+    # of ←balance once, as the padding of balance's rows.
     doc = workloads.sweep(403)[0]
-    assert _layout_calls(doc, rebuild(doc.text)) == [11, 7]
+    assert _layout_calls(doc, rebuild(doc.text)) == [11, 8]
 
 
 def test_the_kept_programs_of_the_chain_book_are_small():
