@@ -7,18 +7,24 @@ or rewrite canonically (fmt).
 Exit codes: 0 success, 1 unreadable or malformed document (also an
 unknown name given to --focus or --name), 2 evaluation produced error
 values or hit a cycle, 3 lint found an error-severity problem.
+
+eval prints each name as a "# name RxC" line and then its rows as TSV,
+rendering every cell through a table keyed by the cell's exact type.
+The argument parser is built on the first main call and reused by the
+later ones in the same process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .audit import export_dot, focus_graph, has_errors, linear_listing, lint
 from .docio import (DocSyntaxError, ExportError, UndeclaredName,
                     UnknownVersion, export_doc, rebuild)
 from .engine import CycleError, evaluate
-from .values import Array, CellError, format_number
+from .values import Array, CellError, format_number, tab_rows
 from .workbook import UnknownNameError, WorkbookError
 
 
@@ -39,28 +45,34 @@ def _load(path: str):
         raise _DocFailure("%s: %s" % (path, exc)) from None
 
 
+# The TSV text of each scalar type; a scalar's exact type is looked up
+# here, and any other goes to _show.
+_SHOW = {
+    type(None): lambda s: "",
+    bool: lambda s: "TRUE" if s else "FALSE",
+    float: format_number,
+    CellError: str,
+    str: lambda s: (s.replace("\\", "\\\\").replace("\t", "\\t")
+                     .replace("\n", "\\n").replace("\r", "\\r")),
+}
+
+
 def _show(scalar) -> str:
-    if scalar is None:
-        return ""
-    if isinstance(scalar, bool):
-        return "TRUE" if scalar else "FALSE"
-    if isinstance(scalar, float):
-        return format_number(scalar)
-    if isinstance(scalar, CellError):
-        return str(scalar)
-    return (scalar.replace("\\", "\\\\").replace("\t", "\\t")
-                  .replace("\n", "\\n").replace("\r", "\\r"))
+    for kind, show in _SHOW.items():
+        if isinstance(scalar, kind):
+            return show(scalar)
+    raise TypeError("%r is not a scalar" % (scalar,))
 
 
 def _value_block(display, value):
+    """A name's TSV lines: a "# name RxC" header, then one line per row."""
     if isinstance(value, Array):
-        r, c = value.shape
-        lines = ["# %s %dx%d" % (display, r, c)]
-        for row in value.cells:
-            lines.append("\t".join(_show(s) for s in row))
-    else:
-        lines = ["# %s 1x1" % display, _show(value)]
-    return lines
+        cells = value.cells
+        width = len(cells[0])
+        fields = [_SHOW.get(type(s), _show)(s) for row in cells for s in row]
+        return ["# %s %dx%d" % (display, len(cells), width),
+                *tab_rows(fields, width)]
+    return ["# %s 1x1" % display, _SHOW.get(type(value), _show)(value)]
 
 
 def cmd_eval(args) -> int:
@@ -182,8 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every main call in a process; parse_args leaves it as
+# it was (an "append" option copies its default before appending).
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _DocFailure as exc:

@@ -23,16 +23,24 @@ Format (UTF-8, LF):
 
 Sheet lines keep declaration order; name blocks sort by (scope, id); data
 blocks sort by address.  Within a name block the field order is fixed.
+
+Data blocks move a block at a time.  rebuild reads a block of plain
+numbers whole (one character check, a tab count per line, one float
+conversion and one finiteness check) and stores its cells at once; any
+other block is read field by field through decode_field, the one path
+that refuses a malformed block.  export_doc encodes each cell through a
+table keyed by its exact type.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from itertools import product, repeat
 
 from . import engine
 from .formula import parse_formula, render
-from .values import format_number
+from .values import format_number, tab_rows
 from .workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                        WorkbookError, parse_a1)
 
@@ -70,24 +78,28 @@ class UndeclaredName(Exception):
 # Held to these characters, float() reads just the signed formula numbers,
 # not "nan", "inf", "1_000" or padded text; isfinite then refuses "1e999".
 _NUMBER_CHARS = frozenset("0123456789.eE+-")
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+# A data block of these characters alone may be all plain numbers.
+_BLOCK_CHARS = _NUMBER_CHARS | {"\t", "\n"}
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\t": "\\t",
+                          "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", '"': '"', "t": "\t", "n": "\n", "r": "\r"}
+
+
+# The encoder of each literal type; export_doc looks a cell's exact type
+# up here and hands any other to encode_field.
+_ENCODERS = {
+    type(None): lambda v: "",
+    bool: lambda v: "TRUE" if v else "FALSE",
+    float: format_number,
+    str: lambda v: '"%s"' % v.translate(_ESCAPES),
+}
 
 
 def encode_field(v) -> str:
     """One literal cell as document text.  Blank is the empty field."""
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "TRUE" if v else "FALSE"
-    if isinstance(v, float):
-        return format_number(v)
-    if isinstance(v, str):
-        out = ['"']
-        for ch in v:
-            out.append(_ESCAPES.get(ch, ch))
-        out.append('"')
-        return "".join(out)
+    for kind, encode in _ENCODERS.items():
+        if isinstance(v, kind):
+            return encode(v)
     raise ExportError("cell holds an unserializable value %r" % (v,))
 
 
@@ -130,6 +142,22 @@ def decode_field(text: str, line: int):
     raise DocSyntaxError(line, "unreadable literal %r" % text)
 
 
+def _plain_numbers(block, height: int, width: int):
+    """The cells of a data block of height rows by width fields, row-major,
+    when every field is a number decode_field reads as a finite float;
+    otherwise None, and the block is read field by field instead."""
+    text = "\n".join(block)
+    if (len(block) != height or not _BLOCK_CHARS.issuperset(text)
+            or set(map(str.count, block, repeat("\t"))) != {width - 1}):
+        return None
+    try:
+        numbers = list(map(float, text.replace("\n", "\t").split("\t")))
+    except ValueError:  # an empty field, "+", "1e5e5" and the like
+        return None
+    # Non-finite when some number is, or when finite ones overflow the sum.
+    return numbers if math.isfinite(sum(numbers)) else None
+
+
 # --- export ------------------------------------------------------------------
 
 def _scope_text(scope) -> str:
@@ -141,9 +169,9 @@ def stray_formula_cells(wb: Workbook):
     outside any named range's single defining formula."""
     stray = []
     for sheet in wb.sheets.values():
-        for (r, c), v in sorted(sheet.cells.items()):
-            if isinstance(v, str) and v.startswith("="):
-                stray.append(GridRange(sheet.name, c, c, r, r).address(True))
+        for r, c in sorted([key for key, v in sheet.cells.items()
+                            if isinstance(v, str) and v.startswith("=")]):
+            stray.append(GridRange(sheet.name, c, c, r, r).address(True))
     return stray
 
 
@@ -187,10 +215,12 @@ def export_doc(wb: Workbook) -> str:
         sheet = wb.sheet(rng.sheet)
         bounded = rng.clamp(sheet.rows)
         lines.append("[DATA] %s" % addr)
-        for r in range(bounded.row_start, bounded.row_end + 1):
-            fields = [encode_field(sheet.get(r, c))
-                      for c in range(bounded.col_start, bounded.col_end + 1)]
-            lines.append("\t".join(fields))
+        cols = range(bounded.col_start, bounded.col_end + 1)
+        cells = map(sheet.cells.get,
+                    product(range(bounded.row_start, bounded.row_end + 1),
+                            cols))
+        lines += tab_rows([_ENCODERS.get(type(v), encode_field)(v)
+                           for v in cells], len(cols))
     return "\n".join(lines) + "\n"
 
 
@@ -312,6 +342,16 @@ def rebuild(text: str) -> Workbook:
         i += 1
         bounded = wb.bounded(rng)
         height, width = bounded.shape()
+        numbers = _plain_numbers(lines[i:i + height], height, width)
+        if numbers is not None:
+            # define_name checked that the rectangle lies inside its sheet,
+            # and nothing is recorded for a workbook with no kept values.
+            wb.sheet(rng.sheet).cells.update(zip(
+                product(range(bounded.row_start, bounded.row_end + 1),
+                        range(bounded.col_start, bounded.col_end + 1)),
+                numbers))
+            i += height
+            continue
         rows = []
         for k in range(height):
             if i >= n or lines[i].startswith(("[SHEET]", "[NAME]", "[DATA]")):

@@ -58,7 +58,7 @@ a la Carte" (ICFP 2018), over the support graph of Sestoft,
 from __future__ import annotations
 
 import heapq
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import values as V
 from .formula import (Binary, Call, CellRef, Expr, Intersect, NameRef,
@@ -289,9 +289,11 @@ class ValueStore(Record):
 
     def has_errors(self) -> bool:
         for v in self.values.values():
-            for s in _iter_scalars(v):
-                if isinstance(s, CellError):
+            if type(v) is Array:
+                if CellError in map(type, chain.from_iterable(v.cells)):
                     return True
+            elif type(v) is CellError:
+                return True
         return False
 
     def items(self):

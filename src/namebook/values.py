@@ -114,11 +114,18 @@ def collapse(v):
 
 def format_number(x: float) -> str:
     """Shortest decimal text that parses back to exactly this double."""
-    if x != x or x in (math.inf, -math.inf):
-        return "#VALUE!"  # unreachable from the engine; defensive
-    if x == int(x) and abs(x) < 1e16:
-        return str(int(x))
-    return repr(x)
+    if x.is_integer():
+        return str(int(x)) if abs(x) < 1e16 else repr(x)
+    if math.isfinite(x):
+        return repr(x)
+    return "#VALUE!"  # unreachable from the engine; defensive
+
+
+def tab_rows(fields: list, width: int) -> list:
+    """Row-major fields as lines of width tab-separated fields each."""
+    if width == 1:
+        return fields
+    return list(map("\t".join, zip(*[iter(fields)] * width)))
 
 
 # --- scalar kernels ----------------------------------------------------------

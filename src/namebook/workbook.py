@@ -49,6 +49,8 @@ class RefError(WorkbookError):
 WORKBOOK_SCOPE = None  # scope value for workbook-scoped names
 
 _SHEET_NAME_RE = re.compile(r"^[^\W\d][\w.]*$")
+# The literal types a cell stores as given (a float only when finite).
+_STORED = frozenset((float, bool, str, CellError))
 
 
 def index_to_col(n: int) -> str:
@@ -333,7 +335,12 @@ class Workbook:
         return self
 
     def fill_block(self, rng: GridRange, rows) -> "Workbook":
-        """Write a rectangle of literals covering rng, row-major."""
+        """Write a rectangle of literals covering rng, row-major.
+
+        A finite float, bool, text or error value inside the sheet is
+        stored as it stands; any other cell goes through Sheet.set, which
+        converts or refuses it.  Cells are written in order, so a refused
+        cell leaves the ones before it written."""
         sh = self.sheet(rng.sheet)
         bounded = rng.clamp(sh.rows)
         data = [list(r) for r in rows]
@@ -345,9 +352,18 @@ class Workbook:
             self._written.append((bounded.sheet, bounded.row_start,
                                   bounded.row_end, bounded.col_start,
                                   bounded.col_end))
-        for i, row in enumerate(range(bounded.row_start, bounded.row_end + 1)):
-            for j, col in enumerate(range(bounded.col_start, bounded.col_end + 1)):
-                sh.set(row, col, data[i][j])
+        cells = sh.cells
+        inside = bounded.row_end <= sh.rows and bounded.col_end <= sh.cols
+        cols = range(bounded.col_start, bounded.col_end + 1)
+        for row, values in zip(range(bounded.row_start, bounded.row_end + 1),
+                               data):
+            for col, value in zip(cols, values):
+                kind = type(value)
+                if (inside and kind in _STORED
+                        and (kind is not float or math.isfinite(value))):
+                    cells[row, col] = value
+                else:
+                    sh.set(row, col, value)
         return self
 
     def delete_sheet(self, name: str) -> "Workbook":

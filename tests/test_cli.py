@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from namebook import cli
 from namebook.cli import main
 from namebook.docio import export_doc, rebuild
 from namebook.engine import evaluate
@@ -373,6 +374,26 @@ def test_lint_errors_exit_three(tmp_path, capsys):
     rows = [line.split("\t") for line in
             capsys.readouterr().out.splitlines()]
     assert ["N2", "error", "total", "grid address $J$16 in formula"] in rows
+
+
+def test_repeated_main_calls_behave_like_fresh_ones(capsys):
+    # main builds its parser once per process; no call sees what an
+    # earlier one parsed.
+    assert main(["lint", LOAN_DOC, "--output", "principal.repaid"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["lint", LOAN_DOC]) == 0
+    assert capsys.readouterr().out == \
+        "N4\twarning\tprincipal.repaid\tname is never referenced\n"
+    with pytest.raises(SystemExit) as kept:
+        main(["lint"])
+    kept_err = capsys.readouterr().err
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(["lint"])
+    assert (kept.value.code, kept_err) == (fresh.value.code,
+                                           capsys.readouterr().err)
+    assert kept.value.code == 2 and "usage: namebook lint" in kept_err
+    assert cli._parser() is cli._parser()
+    assert cli._parser().parse_args(["lint", LOAN_DOC]).output == []
 
 
 # --- fmt --------------------------------------------------------------------

@@ -14,12 +14,13 @@ import pstats
 import sys
 import tracemalloc
 
-from namebook import engine
+from namebook import docio, engine
 from namebook.docio import rebuild
 from namebook.engine import build_dep_graph, evaluate
 from namebook.formula import NameRef, parse_formula, walk
 from namebook.values import CYCLE_ERROR, NAME_ERROR, Array, broadcast_shapes
-from namebook.workbook import FORMULA, RANGE, GridRange, NameDef, Workbook
+from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Sheet,
+                               Workbook)
 
 from oracle import oracle_evaluate
 
@@ -263,3 +264,20 @@ def test_the_kept_programs_of_the_chain_book_are_small():
     kept = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
     assert held and kept < 150_000, kept
+
+
+# --- the data-block codec ------------------------------------------------------
+
+def test_rebuild_reads_plain_number_blocks_whole():
+    # The bands book's four 800-row input columns hold plain numbers
+    # only, so no field is decoded and no cell is set one at a time.
+    text = workloads.bands(403)[0].text
+    prof = cProfile.Profile()
+    prof.enable()
+    wb = rebuild(text)
+    prof.disable()
+    stats = pstats.Stats(prof).stats
+    calls = [stats.get(cProfile.label(f.__code__), (0, 0))[1]
+             for f in (docio.decode_field, Sheet.set)]
+    assert calls == [0, 0]
+    assert sum(len(sheet.cells) for sheet in wb.sheets.values()) == 3200

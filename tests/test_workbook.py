@@ -473,6 +473,27 @@ def test_fill_block_rejects_shape_mismatch():
         wb.fill_block(g, [[1.0, 2.0]])
 
 
+def test_fill_block_past_the_last_column_writes_the_cells_to_its_left():
+    # Rows are written in order and each row left to right, so the cells
+    # before the first one outside the sheet are written when it raises.
+    wb = _book()
+    with pytest.raises(RefError):
+        wb.fill_block(GridRange("main", 7, 9, 1, 2),
+                      [[1.0, "a", 2.0], [True, None, 3.0]])
+    assert wb.sheet("main").cells == {(1, 7): 1.0, (1, 8): "a"}
+
+
+def test_fill_block_keeps_the_cells_before_a_refused_one():
+    wb = _book()
+    wb.set_cell("main", 2, 2, "old")
+    with pytest.raises(ValueError):
+        wb.fill_block(GridRange("main", 1, 3, 1, 2),
+                      [[1.0, 2, None], [False, math.inf, "late"]])
+    assert wb.sheet("main").cells == {(1, 1): 1.0, (1, 2): 2.0,
+                                      (2, 1): False, (2, 2): "old"}
+    assert type(wb.sheet("main").cells[1, 2]) is float
+
+
 def test_copy_is_independent():
     wb = _book()
     wb.define_name(NameDef("n", target=GridRange("main", 1, 1, 1, 2)))
