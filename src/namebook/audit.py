@@ -95,12 +95,8 @@ def focus_graph(wb: Workbook, name: str, radius: int = 1) -> GraphSlice:
     """
     g = build_dep_graph(wb)
     focus = _find_name(wb, name).key()
-    readers = {}  # key -> the names whose formulas read it, in node order
-    for u in g.nodes:
-        for v in g.edges[u]:
-            readers.setdefault(v, []).append(u)
     ahead, ahead_edges = _within(focus, g.edges, radius)
-    behind, behind_edges = _within(focus, readers, radius)
+    behind, behind_edges = _within(focus, g.readers(), radius)
     seen = ahead | behind
     kept_edges = ahead_edges | {(w, u) for (u, w) in behind_edges}
     labels = {}
@@ -224,10 +220,7 @@ def lint(wb: Workbook, outputs=()) -> list:
         findings.append(Finding("N3", WARNING, a,
                                 "input ranges %s and %s overlap" % (a, b)))
 
-    referenced = set()
-    g = build_dep_graph(wb)
-    for u, vs in g.edges.items():
-        referenced.update(vs)
+    referenced = set(build_dep_graph(wb).readers())
     for nd in sorted_names:
         if nd.derive is not None:
             base = wb.resolve(nd.derive[0], context=nd.scope)

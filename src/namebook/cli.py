@@ -5,8 +5,10 @@ then evaluate (eval), inspect (audit graph / audit list), check (lint)
 or rewrite canonically (fmt).
 
 Exit codes: 0 success, 1 unreadable or malformed document (also an
-unknown name given to --focus or --name), 2 evaluation produced error
-values or hit a cycle, 3 lint found an error-severity problem.
+unknown name given to --focus or --name, or an output file that cannot
+be written), 2 evaluation produced error values or hit a cycle, 3 lint
+found an error-severity problem.  The commands raise their failures,
+and main alone turns each into its exit code and one line on stderr.
 
 eval prints each name as a "# name RxC" line and then its rows as TSV,
 rendering every cell through a table keyed by the cell's exact type.
@@ -29,24 +31,20 @@ from .workbook import UnknownNameError, WorkbookError
 
 
 class _DocFailure(Exception):
-    pass
+    """The document was refused; main names the document before it."""
 
 
 def _load(path: str):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise _DocFailure(str(exc)) from None
-    try:
-        return rebuild(text)
-    except (DocSyntaxError, UnknownVersion, UndeclaredName,
-            WorkbookError) as exc:
-        raise _DocFailure("%s: %s" % (path, exc)) from None
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return rebuild(fh.read())
+        except (UnicodeDecodeError, DocSyntaxError, UnknownVersion,
+                UndeclaredName, WorkbookError) as exc:
+            raise _DocFailure(exc) from None
 
 
-# The TSV text of each scalar type; a scalar's exact type is looked up
-# here, and any other goes to _show.
+# The TSV text of each scalar type, looked up by the scalar's exact type:
+# every value evaluate makes from a document is one of these.
 _SHOW = {
     type(None): lambda s: "",
     bool: lambda s: "TRUE" if s else "FALSE",
@@ -57,39 +55,25 @@ _SHOW = {
 }
 
 
-def _show(scalar) -> str:
-    for kind, show in _SHOW.items():
-        if isinstance(scalar, kind):
-            return show(scalar)
-    raise TypeError("%r is not a scalar" % (scalar,))
-
-
 def _value_block(display, value):
     """A name's TSV lines: a "# name RxC" header, then one line per row."""
     if isinstance(value, Array):
         cells = value.cells
         width = len(cells[0])
-        fields = [_SHOW.get(type(s), _show)(s) for row in cells for s in row]
+        fields = [_SHOW[type(s)](s) for row in cells for s in row]
         return ["# %s %dx%d" % (display, len(cells), width),
                 *tab_rows(fields, width)]
-    return ["# %s 1x1" % display, _SHOW.get(type(value), _show)(value)]
+    return ["# %s 1x1" % display, _SHOW[type(value)](value)]
 
 
 def cmd_eval(args) -> int:
-    wb = _load(args.doc)
-    try:
-        store = evaluate(wb)
-    except CycleError as exc:
-        print("#CYCLE! %s" % exc, file=sys.stderr)
-        return 2
+    store = evaluate(_load(args.doc))
     items = store.items()
     if args.name is not None:
-        wanted = [(k, v) for k, v in items
-                  if store.display[k] == args.name or k[1] == args.name]
-        if not wanted:
-            print("no name %r in %s" % (args.name, args.doc), file=sys.stderr)
-            return 1
-        items = wanted
+        items = [(k, v) for k, v in items
+                 if store.display[k] == args.name or k[1] == args.name]
+        if not items:
+            raise UnknownNameError("no name %r in %s" % (args.name, args.doc))
     lines = []
     for key, value in items:
         lines.extend(_value_block(store.display[key], value))
@@ -105,12 +89,7 @@ def cmd_eval(args) -> int:
 def cmd_audit(args) -> int:
     wb = _load(args.doc)
     if args.sub == "list":
-        try:
-            entries = linear_listing(wb)
-        except CycleError as exc:
-            print("#CYCLE! %s" % exc, file=sys.stderr)
-            return 2
-        for e in entries:
+        for e in linear_listing(wb):
             if e.kind == "input":
                 print("%s := %s %dx%d" % (e.name, e.address,
                                           e.shape[0], e.shape[1]))
@@ -120,12 +99,7 @@ def cmd_audit(args) -> int:
             else:
                 print("%s = %s" % (e.name, e.formula))
         return 0
-    try:
-        graph_slice = focus_graph(wb, args.focus, args.radius)
-    except UnknownNameError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    dot = export_dot(graph_slice)
+    dot = export_dot(focus_graph(wb, args.focus, args.radius))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(dot)
@@ -143,18 +117,9 @@ def cmd_lint(args) -> int:
 
 
 def cmd_fmt(args) -> int:
-    wb = _load(args.doc)
-    try:
-        text = export_doc(wb)
-    except ExportError as exc:
-        print("%s: %s" % (args.doc, exc), file=sys.stderr)
-        return 1
-    try:
-        with open(args.doc, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    text = export_doc(_load(args.doc))
+    with open(args.doc, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return 0
 
 
@@ -200,12 +165,19 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every failure becomes its exit code here, and
+    prints one line on stderr."""
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except _DocFailure as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    except CycleError as exc:
+        print("#CYCLE! %s" % exc, file=sys.stderr)
+        return 2
+    except (_DocFailure, ExportError) as exc:
+        print("%s: %s" % (args.doc, exc), file=sys.stderr)
+    except (OSError, UnknownNameError) as exc:
+        print(exc, file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

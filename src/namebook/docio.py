@@ -233,6 +233,15 @@ _DATA_LINE = re.compile(r"^\[DATA\] (\S+)!(\S+)$")
 _DERIVE = re.compile(r"^shift\(([^,()]+),(-?\d+),(-?\d+)\)$")
 
 
+def _at(line: int, call, *args):
+    """call(*args), refusing the document at line when it raises a
+    WorkbookError or a ValueError."""
+    try:
+        return call(*args)
+    except (WorkbookError, ValueError) as exc:
+        raise DocSyntaxError(line, str(exc)) from None
+
+
 def rebuild(text: str) -> Workbook:
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -254,10 +263,7 @@ def rebuild(text: str) -> Workbook:
         m = _SHEET_LINE.match(lines[i])
         if not m:
             raise DocSyntaxError(i + 1, "bad sheet line %r" % lines[i])
-        try:
-            wb.add_sheet(m.group(1), int(m.group(2)), int(m.group(3)))
-        except WorkbookError as exc:
-            raise DocSyntaxError(i + 1, str(exc)) from None
+        _at(i + 1, wb.add_sheet, m.group(1), int(m.group(2)), int(m.group(3)))
         i += 1
 
     # then every name block
@@ -279,11 +285,7 @@ def rebuild(text: str) -> Workbook:
             spec = lines[i][len("  target="):]
             if "!" not in spec:
                 raise DocSyntaxError(i + 1, "target %r has no sheet" % spec)
-            sheet_name, a1 = spec.split("!", 1)
-            try:
-                target = parse_a1(sheet_name, a1)
-            except ValueError as exc:
-                raise DocSyntaxError(i + 1, str(exc)) from None
+            target = _at(i + 1, parse_a1, *spec.split("!", 1))
             i += 1
         if i < n and lines[i].startswith("  derive="):
             dm = _DERIVE.match(lines[i][len("  derive="):])
@@ -292,11 +294,7 @@ def rebuild(text: str) -> Workbook:
             derive = (dm.group(1), int(dm.group(2)), int(dm.group(3)))
             i += 1
         if i < n and lines[i].startswith("  formula="):
-            ftext = lines[i][len("  formula="):]
-            try:
-                formula = parse_formula(ftext)
-            except ValueError as exc:
-                raise DocSyntaxError(i + 1, str(exc)) from None
+            formula = _at(i + 1, parse_formula, lines[i][len("  formula="):])
             i += 1
         if kind == "range" and target is None:
             raise DocSyntaxError(header_line, "range name %s without target" %
@@ -316,10 +314,7 @@ def rebuild(text: str) -> Workbook:
                      RANGE if kind == "range" else FORMULA,
                      target=target, formula=formula,
                      array=(array == "1"), derive=derive)
-        try:
-            wb.define_name(nd)
-        except WorkbookError as exc:
-            raise DocSyntaxError(header_line, str(exc)) from None
+        _at(header_line, wb.define_name, nd)
         pending.append((header_line, nd))
 
     # then the data blocks
@@ -385,11 +380,7 @@ def _check_closed_world(wb: Workbook, pending):
             if base.kind != RANGE or base.target is None:
                 raise DocSyntaxError(line, "derive base %s is not a range name"
                                      % base_id)
-            try:
-                expected = base.target.shift(dr, dc)
-            except WorkbookError as exc:
-                raise DocSyntaxError(line, str(exc)) from None
-            if expected != nd.target:
+            if _at(line, base.target.shift, dr, dc) != nd.target:
                 raise DocSyntaxError(
                     line, "target of %s does not equal shift(%s,%d,%d)" %
                     (nd.display(), base_id, dr, dc))

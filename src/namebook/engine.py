@@ -80,7 +80,8 @@ class CycleError(Exception):
 class DepGraph(Record):
     _fields = ("nodes", "edges", "recurrence", "unresolved", "display")
     # evaluate's state, filled in on first use, is left out of == and repr
-    __slots__ = _fields + ("plan", "shapes", "programs", "readers", "kept")
+    __slots__ = _fields + ("plan", "shapes", "programs", "_readers",
+                           "overlays", "kept")
     def __init__(self, nodes, edges, recurrence, unresolved, display):
         self.nodes = nodes
         self.edges = edges            # NameKey -> tuple of NameKey, sorted
@@ -90,8 +91,19 @@ class DepGraph(Record):
         self.plan = None     # the ordered _Groups, once planned
         self.shapes = None   # formula range -> its bounded shape, once planned
         self.programs = {}   # NameKey -> its formula's compiled steps
-        self.readers = None  # NameKey -> the names whose values read its value
+        self._readers = None  # readers(), once built
+        self.overlays = None  # formula range -> the input names laid over it
         self.kept = None     # the last evaluate's (values, formula names' values)
+
+    def readers(self) -> dict:
+        """NameKey -> the names whose formulas reference it, in node order:
+        the edges reversed, built on first use."""
+        if self._readers is None:
+            self._readers = {}
+            for u in self.nodes:
+                for v in self.edges[u]:
+                    self._readers.setdefault(v, []).append(u)
+        return self._readers
 
 
 def _sort_key(key: NameKey):
@@ -1065,29 +1077,17 @@ def _run_sweep(state: _EvalState, group: _Group):
                                   else part[:-1])
 
 
-def _readers(wb: Workbook, graph: DepGraph) -> dict:
-    """NameKey -> the names whose values read its value: the names that
-    reference it (graph.edges reversed) and, for a formula range, the
-    input names laid over its cells.  Every read of a formula range's
-    cells, the planner's read table included, names it or such an input,
-    so these edges reach every reader."""
-    readers = {}
-    for u, targets in graph.edges.items():
-        for v in targets:
-            readers.setdefault(v, []).append(u)
-    for nd in wb.input_ranges():
-        for w in wb.formula_owners(nd.target):
-            readers.setdefault(w, []).append(nd.key())
-    return readers
-
-
 def _stale(wb: Workbook, graph: DepGraph) -> set:
     """The names evaluate must compute: all of them when no values are
     kept; else those whose rectangle holds a cell written since the
-    values were kept, and every name downstream of them (graph.readers).
-    A write wholly under formula ranges' blocks is hidden from every read,
-    so it makes nothing stale; formula ranges never overlap, so the areas
-    of their overlaps with it add up to its own when they cover it."""
+    values were kept, and every name downstream of them: the names that
+    reference one (graph.readers) and, for a formula range, the input
+    names laid over its cells (graph.overlays).  Every read of a formula
+    range's cells, the planner's read table included, names it or such an
+    input, so these edges reach every reader.  A write wholly under
+    formula ranges' blocks is hidden from every read, so it makes nothing
+    stale; formula ranges never overlap, so the areas of their overlaps
+    with it add up to its own when they cover it."""
     if graph.kept is None:
         return set(graph.nodes)
     stale = set()
@@ -1105,11 +1105,16 @@ def _stale(wb: Workbook, graph: DepGraph) -> set:
                     and c1 <= t.col_end and (t.row_start is None or (
                         t.row_start <= r2 and r1 <= t.row_end))):
                 stale.add(key)
-    if graph.readers is None:
-        graph.readers = _readers(wb, graph)
+    if graph.overlays is None:
+        graph.overlays = {}
+        for nd in wb.input_ranges():
+            for w in wb.formula_owners(nd.target):
+                graph.overlays.setdefault(w, []).append(nd.key())
+    readers, overlays = graph.readers(), graph.overlays
     todo = list(stale)
     while todo:
-        for k in graph.readers.get(todo.pop(), ()):
+        u = todo.pop()
+        for k in chain(readers.get(u, ()), overlays.get(u, ())):
             if k not in stale:
                 stale.add(k)
                 todo.append(k)

@@ -118,7 +118,7 @@ def format_number(x: float) -> str:
         return str(int(x)) if abs(x) < 1e16 else repr(x)
     if math.isfinite(x):
         return repr(x)
-    return "#VALUE!"  # unreachable from the engine; defensive
+    return "#VALUE!"  # inf or nan: * and - can make them from finite numbers
 
 
 def tab_rows(fields: list, width: int) -> list:

@@ -439,18 +439,12 @@ class Workbook:
         if candidate.formula is None or candidate.target is None:
             return
         # Not remembered: indexing the new range would drop the answer.
-        if not self.formula_owners(candidate.target, remember=False):
-            return
-        # Name the earliest-defined conflicting range.
-        mine = self.bounded(candidate.target)
-        for other in self.names.values():
-            if other.formula is None or other.target is None:
-                continue
-            theirs = self.bounded(other.target)
-            if mine.intersect(theirs) is not None:
-                raise OverlappingFormulaRangeError(
-                    "%s overlaps formula range %s"
-                    % (candidate.display(), other.display()))
+        owners = self.formula_owners(candidate.target, remember=False)
+        if owners:  # name the earliest-defined of them
+            first = next(k for k in self.names if k in owners)
+            raise OverlappingFormulaRangeError(
+                "%s overlaps formula range %s"
+                % (candidate.display(), self.names[first].display()))
 
     def define_name(self, nd: NameDef) -> "Workbook":
         if not is_identifier(nd.identifier):

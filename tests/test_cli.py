@@ -3,6 +3,9 @@ exit code contract (0 ok, 1 unreadable document or unknown name, 2 error
 values or cycles, 3 lint errors)."""
 
 import os
+import random
+import re
+import signal
 import subprocess
 import sys
 
@@ -99,6 +102,15 @@ def test_eval_cycle_exits_two_with_a_note(tmp_path, capsys):
     assert main(["eval", doc]) == 2
     err = capsys.readouterr().err
     assert err.startswith("#CYCLE!") and "pf" in err and "qf" in err
+
+
+def test_audit_list_cycle_exits_two_with_a_note(tmp_path, capsys):
+    doc = _write(tmp_path, CHAIN_DOC.replace("formula=xs * 2",
+                                             "formula=total * 2"))
+    assert main(["audit", "list", doc]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "#CYCLE! cycle through {dbl, total}\n"
 
 
 def _formula_names_doc(formulas):
@@ -248,6 +260,49 @@ def test_unreadable_documents_exit_one(tmp_path, capsys):
     assert capsys.readouterr().err.count("\n") == 4
 
 
+def _one_line_failure(capsys, argv):
+    """The stderr line of a command that must exit 1 with one line."""
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.err.count("\n") == 1 and "Traceback" not in out.err
+    assert out.out == ""
+    return out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", LOAN_DOC, "--out"],
+    ["audit", "graph", LOAN_DOC, "--focus", "debt.balance", "--dot"],
+], ids=["eval --out", "audit graph --dot"])
+def test_unwritable_output_files_exit_one(tmp_path, capsys, argv):
+    # Under a missing directory: a write that fails whoever runs it.
+    path = str(tmp_path / "missing" / "out.txt")
+    err = _one_line_failure(capsys, argv + [path])
+    assert err == "[Errno 2] No such file or directory: %r\n" % path
+
+
+def test_unreadable_document_files_exit_one(tmp_path, capsys):
+    err = _one_line_failure(capsys, ["eval", str(tmp_path)])
+    assert err.startswith("[Errno 21] Is a directory")
+    path = tmp_path / "utf16.nsdoc"
+    path.write_bytes(b"\xff\xfe" + CHAIN_DOC.encode("utf-8"))
+    for command in ("eval", "lint", "fmt"):
+        err = _one_line_failure(capsys, [command, str(path)])
+        assert err == ("%s: 'utf-8' codec can't decode byte 0xff in position "
+                       "0: invalid start byte\n" % path)
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+
+
+@pytest.mark.parametrize("extent", ["rows=0 cols=3", "rows=3 cols=0"])
+def test_sheets_without_cells_exit_one(tmp_path, capsys, extent):
+    text = CHAIN_DOC.replace("rows=3 cols=3", extent)
+    doc = _write(tmp_path, text)
+    for command in ("eval", "fmt"):
+        err = _one_line_failure(capsys, [command, doc])
+        assert err == "%s: line 2: sheet extent must be positive\n" % doc
+    with open(doc, encoding="utf-8") as fh:
+        assert fh.read() == text
+
+
 @pytest.mark.parametrize("literal", ["nan", "inf", "-inf", "1_000", "1e999"])
 def test_unreadable_data_literals_exit_one(tmp_path, capsys, literal):
     text = CHAIN_DOC.replace("\n1.5\n", "\n%s\n" % literal)
@@ -297,11 +352,15 @@ def test_formulas_at_the_depth_limits_evaluate_and_format(tmp_path, capsys):
     assert main(["lint", doc, "--output", "total"]) == 0
 
 
-def _fixture_and_generated_docs():
+def _fixture_docs():
     for name in sorted(os.listdir(FIXDIR)):
         if name.endswith(".nsdoc"):
             with open(os.path.join(FIXDIR, name), encoding="utf-8") as fh:
                 yield name, fh.read()
+
+
+def _fixture_and_generated_docs():
+    yield from _fixture_docs()
     for seed in (5, 42):
         yield "gen %d" % seed, export_doc(random_workbook(seed))
 
@@ -440,3 +499,97 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "# interest.rate 1x1\n0.005\n"
+
+
+# --- fuzz -------------------------------------------------------------------
+
+_FIXTURE_TEXTS = [text for _, text in _fixture_docs()]
+_EXTENT = re.compile(r"(?<=rows=)\d+|(?<=cols=)\d+")
+_CHARS = "0123456789=!:\t\n\"\\(),-+*[] $#%←AZaz."
+
+
+def _mutate(text, rng):
+    """text with one random edit: a character deleted, inserted or
+    replaced by a digit, a slice copied, a line dropped or repeated, or a
+    [SHEET] extent, or one digit of it, dropped or replaced by 0, 1 or
+    9."""
+    op = rng.randrange(10)
+    i = rng.randrange(len(text))
+    if op < 2:
+        return text[:i] + text[i + 1:]
+    if op < 4:
+        return text[:i] + rng.choice(_CHARS) + text[i:]
+    if op == 4:
+        j = rng.randrange(len(text))
+        return text[:i] + text[j:j + rng.randint(1, 20)] + text[i:]
+    if op < 8:
+        return text[:i] + rng.choice("0123456789") + text[i + 1:]
+    if op == 8:
+        lines = text.split("\n")
+        k = rng.randrange(len(lines))
+        lines[k:k + 1] = rng.choice(([], [lines[k]] * 2))
+        return "\n".join(lines)
+    spots = [m.span() for m in _EXTENT.finditer(text)]
+    if not spots:
+        return text
+    a, b = rng.choice(spots)
+    k = rng.randrange(a, b)
+    a, b = rng.choice(((a, b), (k, k + 1)))
+    return text[:a] + rng.choice(("", "0", "1", "9")) + text[b:]
+
+
+class _Overtime(BaseException):
+    """A fuzz case ran past its time limit (main catches no BaseException,
+    so this ends the test)."""
+
+
+def _overtime(signum, frame):
+    raise _Overtime()
+
+
+def _fuzz_cases(count, seed):
+    """Mutated fixture texts, one or two edits each, that declare no
+    sheet over 2000 rows or columns, so no case builds a huge sheet."""
+    rng = random.Random(seed)
+    while count:
+        text = rng.choice(_FIXTURE_TEXTS)
+        for _ in range(rng.randint(1, 2)):
+            text = _mutate(text, rng)
+        extents = _EXTENT.findall(text)
+        if all(len(e) < 5 and int(e) <= 2000 for e in extents):
+            count -= 1
+            yield text
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_fixtures_never_escape_the_exit_codes(tmp_path, capsys, seed):
+    # Every command, on every mutant, returns 0, 1, 2 or 3 and raises
+    # nothing; a mutant fmt accepts is rewritten into a document that
+    # rebuilds.  Each command run gets 10 seconds.
+    doc = str(tmp_path / "mutant.nsdoc")
+    seen = set()
+    empty_sheets = 0
+    before = signal.signal(signal.SIGALRM, _overtime)
+    try:
+        for n, text in enumerate(_fuzz_cases(100, seed)):
+            for argv in (["eval", doc], ["lint", doc], ["audit", "list", doc],
+                         ["fmt", doc]):
+                with open(doc, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                signal.setitimer(signal.ITIMER_REAL, 10)
+                try:
+                    code = main(argv)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0)
+                err = capsys.readouterr().err
+                assert code in (0, 1, 2, 3), (seed, n, argv[0], text)
+                seen.add(code)
+                empty_sheets += "sheet extent must be positive" in err
+                if argv[0] == "fmt" and code == 0:
+                    with open(doc, encoding="utf-8") as fh:
+                        rebuild(fh.read())
+    finally:
+        signal.signal(signal.SIGALRM, before)
+    # The mutants reach both evaluated books and refused ones.
+    assert {0, 1} <= seen
+    assert empty_sheets

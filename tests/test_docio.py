@@ -11,6 +11,7 @@ from namebook.docio import (DocSyntaxError, ExportError, UndeclaredName,
                             export_doc, rebuild, stray_formula_cells)
 from namebook.engine import evaluate
 from namebook.formula import NUMBER_RE, parse_formula, render
+from namebook.values import CellError
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook)
 
 from gen import random_workbook
@@ -279,6 +280,31 @@ def test_derive_rectangle_must_match_the_shift():
                                    "target=s!A2:C2\n  derive=shift(band,0,-1)"))
 
 
+@pytest.mark.parametrize("doc,old,new,line,reason", [
+    (DOC, "[SHEET] s rows=4 cols=4", "[SHEET] s rows=0 cols=4", 2,
+     "sheet extent must be positive"),
+    (DOC, "[SHEET] s rows=4 cols=4", "[SHEET] s rows=4 cols=0", 2,
+     "sheet extent must be positive"),
+    (DOC, "  target=s!A1:A3", "  target=s!A1:3", 7,
+     "bad A1 rectangle 'A1:3'"),
+    (DOC, "  formula=xs * 2", "  formula=xs +* 2", 5,
+     "offset 4: expected a value or reference, found '*'"),
+    (DOC, "  target=s!A1:A3", "  target=s!A1:A9", 6,
+     "s!A1:A9 exceeds sheet rows"),
+    (DERIVE_DOC, "derive=shift(band,0,-1)", "derive=shift(band,0,-9)", 8,
+     "shift moves B2:E2 off the sheet"),
+], ids=["no rows", "no columns", "bad rectangle", "bad formula",
+        "target off the sheet", "derive off the sheet"])
+def test_refusals_name_their_line_and_reason(doc, old, new, line, reason):
+    # A sheet, a target, a formula, a definition and a derive each
+    # refuse a document at the line that carries them, with the reason
+    # the workbook or the parser gives.
+    assert doc.count(old) == 1
+    with pytest.raises(DocSyntaxError) as err:
+        rebuild(doc.replace(old, new))
+    assert (err.value.line, err.value.reason) == (line, reason)
+
+
 # --- export refusals --------------------------------------------------------
 
 def test_export_refuses_dangling_names():
@@ -286,6 +312,16 @@ def test_export_refuses_dangling_names():
     wb.define_name(NameDef("lost", target=GridRange("gone", 1, 1, 1, 1)))
     wb.delete_sheet("gone")
     with pytest.raises(ExportError):
+        export_doc(wb)
+
+
+def test_export_refuses_error_values_in_cells():
+    # The API may store an error value in a cell; no document literal
+    # spells one.
+    wb = Workbook().add_sheet("s", 2, 2)
+    wb.define_name(NameDef("xs", target=GridRange("s", 1, 1, 1, 1)))
+    wb.set_cell("s", 1, 1, CellError("#DIV/0!"))
+    with pytest.raises(ExportError, match="unserializable value"):
         export_doc(wb)
 
 
