@@ -263,7 +263,8 @@ def rebuild(text: str) -> Workbook:
         m = _SHEET_LINE.match(lines[i])
         if not m:
             raise DocSyntaxError(i + 1, "bad sheet line %r" % lines[i])
-        _at(i + 1, wb.add_sheet, m.group(1), int(m.group(2)), int(m.group(3)))
+        rows, cols = (_at(i + 1, int, d) for d in m.group(2, 3))
+        _at(i + 1, wb.add_sheet, m.group(1), rows, cols)
         i += 1
 
     # then every name block
@@ -291,7 +292,7 @@ def rebuild(text: str) -> Workbook:
             dm = _DERIVE.match(lines[i][len("  derive="):])
             if not dm:
                 raise DocSyntaxError(i + 1, "bad derive %r" % lines[i])
-            derive = (dm.group(1), int(dm.group(2)), int(dm.group(3)))
+            derive = (dm.group(1), *(_at(i + 1, int, d) for d in dm.group(2, 3)))
             i += 1
         if i < n and lines[i].startswith("  formula="):
             formula = _at(i + 1, parse_formula, lines[i][len("  formula="):])

@@ -33,14 +33,14 @@ until its name table changes, so rebuild's closed-world check, evaluate()
 and the audit views share one walk of each formula.  evaluate() refuses
 cycles on it, and there is one read analysis over it, the planner's
 (_plan): one table of who owns the cells each formula reads, seen
-through formula names and Workbook.formula_owners (the index that also
-serves every range read).  Groups, their order, each refusal or sweep
-direction, and what each sweep reads of its own members all come from
-that table, which is what makes cross-name recurrences (interest on a
-prior balance feeding the balance itself) come out in the right order.
-The plan, the ordered groups, is kept with the graph with the compiled
-programs, so only a change to the name table makes evaluate() plan and
-compile again; a cell edit does not.
+through formula names and the owners of each range name, which the plan
+asks of Workbook.formula_owners once.  Groups, their order, each refusal
+or sweep direction, and what each sweep reads of its own members all
+come from that table, which is what makes cross-name recurrences
+(interest on a prior balance feeding the balance itself) come out in the
+right order.  The plan, the ordered groups and those owners, is kept
+with the graph with the compiled programs, so only a change to the name
+table makes evaluate() plan and compile again; a cell edit does not.
 
 So are the last values.  While they are kept, Workbook.set_cell and
 fill_block record the rectangles they write, and the next evaluate()
@@ -80,8 +80,8 @@ class CycleError(Exception):
 class DepGraph(Record):
     _fields = ("nodes", "edges", "recurrence", "unresolved", "display")
     # evaluate's state, filled in on first use, is left out of == and repr
-    __slots__ = _fields + ("plan", "shapes", "programs", "_readers",
-                           "overlays", "kept")
+    __slots__ = _fields + ("plan", "shapes", "owners", "programs",
+                           "_readers", "overlays", "kept")
     def __init__(self, nodes, edges, recurrence, unresolved, display):
         self.nodes = nodes
         self.edges = edges            # NameKey -> tuple of NameKey, sorted
@@ -90,6 +90,7 @@ class DepGraph(Record):
         self.display = display        # NameKey -> display text
         self.plan = None     # the ordered _Groups, once planned
         self.shapes = None   # formula range -> its bounded shape, once planned
+        self.owners = None   # range name -> its owners, sorted, once planned
         self.programs = {}   # NameKey -> its formula's compiled steps
         self._readers = None  # readers(), once built
         self.overlays = None  # formula range -> the input names laid over it
@@ -149,7 +150,6 @@ def build_dep_graph(wb: Workbook) -> DepGraph:
     edges = {}
     recurrence = set()
     unresolved = {}
-    display = {key: nd.display() for key, nd in wb.names.items()}
     for key, nd in wb.names.items():
         if nd.formula is None:
             edges[key] = ()
@@ -171,6 +171,7 @@ def build_dep_graph(wb: Workbook) -> DepGraph:
             recurrence.update((key, t) for t in edges[key]
                               if _shift_between(nd, wb.names[t]))
     nodes = tuple(sorted(wb.names.keys(), key=_sort_key))
+    display = {key: wb.names[key].display() for key in nodes}
     wb._graph = DepGraph(nodes, edges, frozenset(recurrence), unresolved,
                          display)
     return wb._graph
@@ -375,15 +376,19 @@ class _Group(Record):
 def _plan(wb: Workbook, graph: DepGraph) -> list:
     """The formula ranges as _Groups, in evaluation order.
 
+    graph.owners gets each range name's owners (Workbook.formula_owners).
     The read table holds, per formula range u, one (read, owner, shift)
-    entry for each owner (Workbook.formula_owners) of each range name u
-    reads through formula names.  The shift is (0, 0) for an aligned
-    read, the one-cell step of a displaced read a sweep can order, or
-    None for any other read, which needs its owner whole first.  Groups
-    are the strongly connected components of reader -> owner, owners
-    first, the least first member leading among those ready."""
+    entry for each owner of each range name u reads through formula
+    names.  The shift is (0, 0) for an aligned read, the one-cell step
+    of a displaced read a sweep can order, or None for any other read,
+    which needs its owner whole first.  Groups are the strongly connected
+    components of reader -> owner, owners first, the least first member
+    leading among those ready."""
     fkeys = sorted((nd.key() for nd in wb.formula_bearing()), key=_sort_key)
     graph.shapes = {u: wb.bounded(wb.names[u].target).shape() for u in fkeys}
+    graph.owners = {nd.key(): sorted(wb.formula_owners(nd.target),
+                                     key=_sort_key)
+                    for nd in wb.names.values() if nd.target is not None}
     table = {}
     entered = {}  # formula range -> the formula names it reads, post-order
     for u in fkeys:
@@ -391,7 +396,7 @@ def _plan(wb: Workbook, graph: DepGraph) -> list:
         entered[u] = walked[:-1]  # u itself comes last
         row = table[u] = []
         for v in reads:
-            for w in sorted(wb.formula_owners(v.target), key=_sort_key):
+            for w in graph.owners[v.key()]:
                 owner = wb.names[w]
                 d = ((0, 0) if v.target == owner.target
                      else _shift_between(owner, v))
@@ -820,13 +825,13 @@ def _compile(wb: Workbook, e: Expr, ctx_sheet, steps: list, keep_ref=False):
     elif keep_ref:
         steps.append((_CONST, RangeValue(nd.target)))
     else:
-        owners = wb.formula_owners(nd.target)
-        w = next(iter(owners)) if len(owners) == 1 else None
+        owners = wb._graph.owners[nd.key()]  # as _plan found them
+        w = owners[0] if len(owners) == 1 else None
         if w is not None and (wb.bounded(wb.names[w].target)
                               == wb.bounded(nd.target)):
             steps.append((_OWNER, w))
         else:
-            steps.append((_READ, RangeValue(nd.target)))
+            steps.append((_READ, (RangeValue(nd.target), owners)))
 
 
 def _run(state, steps):
@@ -844,7 +849,7 @@ def _run(state, steps):
             b = pop()
             push(_broadcast(arg, pop(), b))
         elif op == _READ:
-            push(state.materialize(arg))
+            push(state.materialize(*arg))
         elif op == _UNARY:
             push(_broadcast(arg, pop()))
         elif op == _DEREF:
@@ -910,9 +915,9 @@ class _EvalState:
                 self.formula_cache[k] = _run(self, self.program(k))
         return self.formula_cache[key]
 
-    def materialize(self, rv: RangeValue):
+    def materialize(self, rv: RangeValue, owners):
         """The cells of a rectangle: plain cells from the sheet, overlaid
-        with the blocks of the formula ranges that own any of them."""
+        with the blocks of owners, its formula ranges in _sort_key order."""
         sh = self.wb.sheets.get(rv.rng.sheet)
         if sh is None:
             return V.REF_ERROR
@@ -921,7 +926,7 @@ class _EvalState:
         cols = range(c0, rng.col_end + 1)
         rows = [[sh.cells.get((r, c)) for c in cols]
                 for r in range(r0, rng.row_end + 1)]
-        for okey in sorted(self.wb.formula_owners(rng), key=_sort_key):
+        for okey in owners:
             value = self.ensure_computed(okey)
             own = self.wb.names[okey].target.clamp(sh.rows)
             block = _rows_of(value, own.shape())
@@ -937,7 +942,8 @@ class _EvalState:
 
 def _deref(state, v):
     if isinstance(v, RangeValue):
-        return state.materialize(v)
+        return state.materialize(v, sorted(state.wb.formula_owners(v.rng),
+                                           key=_sort_key))
     return v
 
 
@@ -1055,7 +1061,7 @@ def _run_sweep(state: _EvalState, group: _Group):
         # The twin's first column or row on a forward sweep, else its last.
         k = 1 if dr + dc < 0 else shapes[w][across]
         edge = vrng.index_slice(*((0, k) if across else (k, 0)))
-        laid = _rows_of(state.materialize(RangeValue(edge)), edge.shape())
+        laid = _rows_of(_deref(state, RangeValue(edge)), edge.shape())
         if across:
             for row, (x,) in zip(partial[w, w], laid):
                 row[-1] = x
@@ -1094,7 +1100,7 @@ def _stale(wb: Workbook, graph: DepGraph) -> set:
     for sheet, r1, r2, c1, c2 in set(wb._written):
         rect = GridRange(sheet, c1, c2, r1, r2)
         hidden = 0
-        for w in wb.formula_owners(rect, remember=False):
+        for w in wb.formula_owners(rect):
             rows, cols = wb.bounded(wb.names[w].target).intersect(rect).shape()
             hidden += rows * cols
         if hidden == (r2 - r1 + 1) * (c2 - c1 + 1):
@@ -1108,7 +1114,7 @@ def _stale(wb: Workbook, graph: DepGraph) -> set:
     if graph.overlays is None:
         graph.overlays = {}
         for nd in wb.input_ranges():
-            for w in wb.formula_owners(nd.target):
+            for w in graph.owners[nd.key()]:
                 graph.overlays.setdefault(w, []).append(nd.key())
     readers, overlays = graph.readers(), graph.overlays
     todo = list(stale)
@@ -1154,10 +1160,8 @@ def evaluate(wb: Workbook) -> ValueStore:
             state.computed[key] = _eval_whole_name(state, wb.names[key])
 
     store = {}
-    display = {}
     for key in graph.nodes:
         nd = wb.names[key]
-        display[key] = nd.display()
         if key not in stale:
             store[key] = kept[key]
         elif nd.kind == FORMULA:
@@ -1167,7 +1171,8 @@ def evaluate(wb: Workbook) -> ValueStore:
         elif nd.formula is not None:
             store[key] = state.ensure_computed(key)
         else:
-            store[key] = state.materialize(RangeValue(nd.target))
+            store[key] = state.materialize(RangeValue(nd.target),
+                                           graph.owners[key])
     graph.kept = (store, state.formula_cache)
     wb._written = []
-    return ValueStore(dict(store), display)
+    return ValueStore(dict(store), graph.display)

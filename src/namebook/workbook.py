@@ -298,7 +298,6 @@ class Workbook:
         # sheet -> column -> sorted [(row_start, row_end, key)], one entry per
         # formula range shared by its columns (no two tie); None when stale.
         self._owners: dict | None = None
-        self._owned = {}  # bounded rectangle -> formula_owners' answer
         self._graph = None  # engine.build_dep_graph's result; None when stale
         # The cells written since evaluate() kept its values, as rectangles
         # (sheet, row_start, row_end, col_start, col_end); None while no
@@ -391,36 +390,28 @@ class Workbook:
             raise RefError("%s exceeds sheet rows" % target.address(True))
 
     def _index_owner(self, nd: NameDef):
-        self._owned = {}
         rng = self.bounded(nd.target)
         entry = (rng.row_start, rng.row_end, nd.key())
         columns = self._owners.setdefault(rng.sheet, {})
         for col in range(rng.col_start, rng.col_end + 1):
             insort(columns.setdefault(col, []), entry)
 
-    def formula_owners(self, rng: GridRange, remember=True) -> frozenset:
+    def formula_owners(self, rng: GridRange) -> frozenset:
         """Keys of the formula ranges that own any cell of rng.
 
         Formula ranges never overlap, so within a column they sort by first
         and by last row alike: bisect past the last one starting on or
         above rng's bottom row, then step back while they still reach its
-        top row.  Unless remember is false, the answer is remembered per
-        bounded rectangle until the index changes, so a first read costs
-        O(columns * log n + hits) and a repeated one a dict lookup.
+        top row.  A query costs O(columns * log n + hits).
         """
         if self._owners is None:
-            self._owners, self._owned = {}, {}
+            self._owners = {}
             for nd in self.formula_bearing():
                 self._index_owner(nd)
         sh = self.sheets.get(rng.sheet)
         if sh is None:
             return frozenset()
         rng = rng.clamp(sh.rows)
-        spot = (rng.sheet, rng.row_start, rng.row_end, rng.col_start,
-                rng.col_end)
-        out = self._owned.get(spot)
-        if out is not None:
-            return out
         columns = self._owners.get(rng.sheet, {})
         probe, top = (rng.row_end, math.inf), rng.row_start
         hits = set()
@@ -430,16 +421,12 @@ class Workbook:
             while i > 0 and column[i - 1][1] >= top:
                 i -= 1
                 hits.add(column[i][2])
-        out = frozenset(hits)
-        if remember:
-            self._owned[spot] = out
-        return out
+        return frozenset(hits)
 
     def _check_formula_overlap(self, candidate: NameDef):
         if candidate.formula is None or candidate.target is None:
             return
-        # Not remembered: indexing the new range would drop the answer.
-        owners = self.formula_owners(candidate.target, remember=False)
+        owners = self.formula_owners(candidate.target)
         if owners:  # name the earliest-defined of them
             first = next(k for k in self.names if k in owners)
             raise OverlappingFormulaRangeError(

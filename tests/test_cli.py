@@ -505,15 +505,17 @@ def test_module_entry_point_runs():
 
 _FIXTURE_TEXTS = [text for _, text in _fixture_docs()]
 _EXTENT = re.compile(r"(?<=rows=)\d+|(?<=cols=)\d+")
+_OFFSET = re.compile(r"(?<=\n  derive=shift\()[^,()]*,(-?\d+),(-?\d+)\)")
+_LONG = "9" * 5000  # more digits than int() converts
 _CHARS = "0123456789=!:\t\n\"\\(),-+*[] $#%←AZaz."
 
 
 def _mutate(text, rng):
     """text with one random edit: a character deleted, inserted or
-    replaced by a digit, a slice copied, a line dropped or repeated, or a
+    replaced by a digit, a slice copied, a line dropped or repeated, a
     [SHEET] extent, or one digit of it, dropped or replaced by 0, 1 or
-    9."""
-    op = rng.randrange(10)
+    9, or an extent or a derive offset replaced by 5000 digits."""
+    op = rng.randrange(11)
     i = rng.randrange(len(text))
     if op < 2:
         return text[:i] + text[i + 1:]
@@ -530,9 +532,13 @@ def _mutate(text, rng):
         lines[k:k + 1] = rng.choice(([], [lines[k]] * 2))
         return "\n".join(lines)
     spots = [m.span() for m in _EXTENT.finditer(text)]
+    if op == 10:
+        spots += [m.span(g) for m in _OFFSET.finditer(text) for g in (1, 2)]
     if not spots:
         return text
     a, b = rng.choice(spots)
+    if op == 10:
+        return text[:a] + _LONG + text[b:]
     k = rng.randrange(a, b)
     a, b = rng.choice(((a, b), (k, k + 1)))
     return text[:a] + rng.choice(("", "0", "1", "9")) + text[b:]
@@ -549,14 +555,17 @@ def _overtime(signum, frame):
 
 def _fuzz_cases(count, seed):
     """Mutated fixture texts, one or two edits each, that declare no
-    sheet over 2000 rows or columns, so no case builds a huge sheet."""
+    sheet over 2000 rows or columns, so no case builds a huge sheet; an
+    extent of more than 4300 digits is refused before any sheet is
+    built."""
     rng = random.Random(seed)
     while count:
         text = rng.choice(_FIXTURE_TEXTS)
         for _ in range(rng.randint(1, 2)):
             text = _mutate(text, rng)
         extents = _EXTENT.findall(text)
-        if all(len(e) < 5 and int(e) <= 2000 for e in extents):
+        if all(len(e) > 4300 or len(e) < 5 and int(e) <= 2000
+               for e in extents):
             count -= 1
             yield text
 
@@ -565,10 +574,11 @@ def _fuzz_cases(count, seed):
 def test_mutated_fixtures_never_escape_the_exit_codes(tmp_path, capsys, seed):
     # Every command, on every mutant, returns 0, 1, 2 or 3 and raises
     # nothing; a mutant fmt accepts is rewritten into a document that
-    # rebuilds.  Each command run gets 10 seconds.
+    # rebuilds, and one holding a number int() cannot convert is refused
+    # with exit 1.  Each command run gets 10 seconds.
     doc = str(tmp_path / "mutant.nsdoc")
     seen = set()
-    empty_sheets = 0
+    empty_sheets = long_numbers = 0
     before = signal.signal(signal.SIGALRM, _overtime)
     try:
         for n, text in enumerate(_fuzz_cases(100, seed)):
@@ -583,6 +593,9 @@ def test_mutated_fixtures_never_escape_the_exit_codes(tmp_path, capsys, seed):
                     signal.setitimer(signal.ITIMER_REAL, 0)
                 err = capsys.readouterr().err
                 assert code in (0, 1, 2, 3), (seed, n, argv[0], text)
+                if _LONG in text:
+                    assert code == 1, (seed, n, argv[0], err)
+                    long_numbers += 1
                 seen.add(code)
                 empty_sheets += "sheet extent must be positive" in err
                 if argv[0] == "fmt" and code == 0:
@@ -592,4 +605,4 @@ def test_mutated_fixtures_never_escape_the_exit_codes(tmp_path, capsys, seed):
         signal.signal(signal.SIGALRM, before)
     # The mutants reach both evaluated books and refused ones.
     assert {0, 1} <= seen
-    assert empty_sheets
+    assert empty_sheets and long_numbers

@@ -5,8 +5,9 @@ range's block is bound to that owner's value.
 The reads are checked against the independent interpreter in
 oracle.py, before and after cell edits.  The gates count what a second
 evaluate of the chain book does (no name lookups, a range copy only for
-reads that are not an owner's exact block, and no operand layout) and
-what its programs keep in memory."""
+reads that are not an owner's exact block, and no operand layout), what
+a first one asks of the owner index, and what its programs keep in
+memory."""
 
 import cProfile
 import os
@@ -89,7 +90,7 @@ def _owner_reads(wb, ident):
 
 
 def _range_reads(wb, ident):
-    return sorted(arg.rng.address(True) for op, arg in _steps(wb, ident)
+    return sorted(arg[0].rng.address(True) for op, arg in _steps(wb, ident)
                   if op == engine._READ)
 
 
@@ -209,6 +210,20 @@ def test_a_second_evaluate_resolves_no_name_and_copies_only_unbound_reads():
              for f in (Workbook.resolve, engine._EvalState.materialize)}
     assert calls == {"resolve": 0, "materialize": want}
     assert want == 9  # of 561 range reads in the book's formulas
+
+
+def test_a_fresh_evaluate_asks_the_owner_index_once_per_range_name():
+    # The plan asks for each range name's owners once and keeps them;
+    # compiled reads, input values and overlays take them from the plan.
+    _, wb = _chain()
+    prof = cProfile.Profile()
+    prof.enable()
+    evaluate(wb)
+    prof.disable()
+    stats = pstats.Stats(prof).stats
+    asked = stats[cProfile.label(Workbook.formula_owners.__code__)][1]
+    ranges = sum(nd.target is not None for nd in wb.names.values())
+    assert asked <= ranges == 321
 
 
 def _recalc_calls(doc, wb, *functions):

@@ -280,6 +280,13 @@ def test_derive_rectangle_must_match_the_shift():
                                    "target=s!A2:C2\n  derive=shift(band,0,-1)"))
 
 
+# A number of more than 4300 digits, which int() refuses to convert.
+_LONG = "9" * 5000
+_TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: "
+             "value has 5000 digits; use sys.set_int_max_str_digits() to "
+             "increase the limit")
+
+
 @pytest.mark.parametrize("doc,old,new,line,reason", [
     (DOC, "[SHEET] s rows=4 cols=4", "[SHEET] s rows=0 cols=4", 2,
      "sheet extent must be positive"),
@@ -293,12 +300,17 @@ def test_derive_rectangle_must_match_the_shift():
      "s!A1:A9 exceeds sheet rows"),
     (DERIVE_DOC, "derive=shift(band,0,-1)", "derive=shift(band,0,-9)", 8,
      "shift moves B2:E2 off the sheet"),
+    (DOC, "[SHEET] s rows=4 cols=4", "[SHEET] s rows=%s cols=4" % _LONG, 2,
+     _TOO_LONG),
+    (DERIVE_DOC, "derive=shift(band,0,-1)", "derive=shift(band,0,-%s)" % _LONG,
+     10, _TOO_LONG),
 ], ids=["no rows", "no columns", "bad rectangle", "bad formula",
-        "target off the sheet", "derive off the sheet"])
+        "target off the sheet", "derive off the sheet", "long extent",
+        "long offset"])
 def test_refusals_name_their_line_and_reason(doc, old, new, line, reason):
     # A sheet, a target, a formula, a definition and a derive each
     # refuse a document at the line that carries them, with the reason
-    # the workbook or the parser gives.
+    # the workbook, the parser or the number conversion gives.
     assert doc.count(old) == 1
     with pytest.raises(DocSyntaxError) as err:
         rebuild(doc.replace(old, new))

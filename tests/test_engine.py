@@ -209,6 +209,36 @@ def test_index_needs_both_axes_on_a_rectangle():
     assert store.value("row") == 7.0
 
 
+def test_lookups_over_computed_arrays_match_the_oracle():
+    # INDEX and MATCH over Arrays rather than references: two Array
+    # indices, one Array index into a row, a whole row or column picked
+    # by a 0 index, and an Array of keys, one of them missing.
+    wb = Workbook().add_sheet("s", 3, 6)
+    wb.fill_block(GridRange("s", 1, 3, 1, 3),
+                  [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]])
+    wb.fill_block(GridRange("s", 4, 5, 1, 2), [[2.0, 1.0], [3.0, 3.0]])
+    wb.fill_block(GridRange("s", 6, 6, 1, 2), [[3.0], [1.0]])
+    wb.define_name(NameDef("grid", target=GridRange("s", 1, 3, 1, 3)))
+    wb.define_name(NameDef("ri", target=GridRange("s", 4, 4, 1, 2)))
+    wb.define_name(NameDef("ci", target=GridRange("s", 5, 5, 1, 2)))
+    wb.define_name(NameDef("rk", target=GridRange("s", 6, 6, 1, 2)))
+    wb.define_name(NameDef("row", target=GridRange("s", 1, 3, 3, 3)))
+    for ident, text in (("pairs", "INDEX(grid + 0, ri, ci)"),
+                        ("along", "INDEX(row * 1, rk)"),
+                        ("across", "INDEX(grid * 1, 2, 0)"),
+                        ("down", "INDEX(grid * 1, 0, 3)"),
+                        ("found", "MATCH(ri, ci, 0)")):
+        wb.define_name(NameDef(ident, None, FORMULA,
+                               formula=parse_formula(text)))
+    store = evaluate(wb)
+    assert store.values == oracle_evaluate(wb)
+    assert store.value("pairs") == Array([[4.0], [9.0]])
+    assert store.value("along") == Array([[9.0], [7.0]])
+    assert store.value("across") == Array([[4.0, 5.0, 6.0]])
+    assert store.value("down") == Array([[3.0], [6.0], [9.0]])
+    assert store.value("found") == Array([[VALUE_ERROR], [2.0]])
+
+
 def test_unknown_function_and_cell_references():
     assert _calc("NOSUCHFN(1)") == NAME_ERROR
     assert _calc("nope + 1") == NAME_ERROR

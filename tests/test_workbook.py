@@ -8,7 +8,6 @@ import random
 import pytest
 
 from namebook.docio import export_doc, rebuild
-from namebook.engine import evaluate
 from namebook.formula import parse_formula
 from namebook.values import DIV0_ERROR, Array
 from namebook.workbook import (FORMULA, RANGE, BadIdentifierError,
@@ -288,8 +287,8 @@ def test_formula_owners_matches_a_scan_of_every_formula_range():
 
 
 def test_a_remembered_owner_answer_follows_the_index():
-    # Answers are kept per rectangle; each change to the index drops them,
-    # and a caller cannot change a kept answer.
+    # Each answer reads the index as it stands after every change to the
+    # names or sheets, and a caller cannot change an answer.
     wb = _book()
     spot = GridRange("main", 1, 2, 1, 3)
     assert wb.formula_owners(spot) == set()
@@ -305,33 +304,6 @@ def test_a_remembered_owner_answer_follows_the_index():
     wb.delete_sheet("aux")
     wb.add_sheet("aux", 6, 6)
     assert wb.formula_owners(GridRange("aux", 1, 1, 2, 2)) == set()
-
-
-def test_define_name_and_a_checked_write_remember_no_owner_answer():
-    # define_name's overlap check would store an answer that indexing the
-    # new range drops at once; evaluate's check of a written cell would
-    # store one per cell ever written.
-    stored = []
-
-    class Spy(dict):
-        def __setitem__(self, spot, answer):
-            stored.append(spot)
-            super().__setitem__(spot, answer)
-
-    wb = _book()
-    wb.define_name(_formula_range("first", GridRange("main", 2, 2, 3, 4)))
-    evaluate(wb)
-    wb._owned = Spy()
-    wb.set_cell("main", 3, 2, 5.0)  # under first
-    wb.set_cell("main", 1, 1, 5.0)
-    evaluate(wb)
-    wb.define_name(_formula_range("second", GridRange("main", 3, 3, 1, 2)))
-    wb._owned = Spy()  # indexing second replaced it
-    with pytest.raises(OverlappingFormulaRangeError):
-        wb.define_name(_formula_range("third", GridRange("main", 3, 3)))
-    assert stored == []
-    wb.formula_owners(GridRange("main", 3, 3))  # a read is remembered
-    assert len(stored) == 1
 
 
 def test_rebind_frees_formula_cells_for_a_new_formula_range():
