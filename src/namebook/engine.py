@@ -58,7 +58,9 @@ a la Carte" (ICFP 2018), over the support graph of Sestoft,
 from __future__ import annotations
 
 import heapq
-from itertools import chain, repeat
+import math
+from bisect import bisect_right
+from itertools import accumulate, chain, repeat
 
 from . import values as V
 from .formula import (Binary, Call, CellRef, Expr, Intersect, NameRef,
@@ -550,52 +552,106 @@ def _if(cond, yes, no=False):
 
 
 def _as_vector(v):
-    """(position, scalar) pairs of a single-row or single-column value."""
+    """The scalars of a single-row or single-column value, in order."""
     if not isinstance(v, Array):
-        return [(1, v)]
+        return [v]
     r, c = v.shape
     if r != 1 and c != 1:
         return None
-    out = []
-    pos = 0
-    for row in v.cells:
-        for s in row:
-            pos += 1
-            out.append((pos, s))
-    return out
+    return [s for row in v.cells for s in row]
 
 
-def _match_scalar(key, vector, exact):
-    """Position of key in vector.  Blank slots are skipped but still count
-    toward the position.  exact picks the first equal element; otherwise
-    the last element <= key over ascending data wins.  No hit is #VALUE!."""
-    if isinstance(key, CellError):
-        return key
-    best = None
-    for pos, s in vector:
+def _exact_key(s):
+    """The dict key under which = finds s: numbers as floats, text
+    casefolded, bools tagged apart from 1.0 and 0.0; None for nan."""
+    if isinstance(s, bool):
+        return (s,)
+    if isinstance(s, str):
+        return s.casefold()
+    s = float(s)
+    return s if s == s else None
+
+
+# The keys a blank key equals in exact mode: the zero of every class.
+_BLANK_KEYS = (0.0, "", (False,))
+
+
+def _matcher(vector, exact):
+    """fn(key) giving MATCH's position of key in vector, a list of
+    scalars, which is indexed once here; LOOKUP shares it.  A blank slot
+    is skipped but keeps its position, nan matches nothing, and no hit is
+    #VALUE!.
+
+    Exact: the first slot equal to key.  A dict holds each value's first
+    position up to the first error slot, and that error answers every key
+    the dict misses.  A blank key equals the zero of every class.
+
+    Approximate: the last slot <= key among the slots of the key's class
+    (numbers, with a blank key as 0; text; bools), sorted or not.  Each
+    class's values are sorted beside a running maximum of position, so
+    one bisect answers a key.  An error slot anywhere answers every key."""
+    first_error = None
+    if exact:
+        first = {}
+        for pos, s in enumerate(vector, 1):
+            if s is None:
+                continue
+            if isinstance(s, CellError):
+                first_error = s
+                break
+            k = _exact_key(s)
+            if k is not None and k not in first:
+                first[k] = float(pos)
+        missing = first_error or V.VALUE_ERROR
+        blank = min((first[k] for k in _BLANK_KEYS if k in first),
+                    default=missing)
+
+        def one(key):
+            if isinstance(key, CellError):
+                return key
+            if key is None:
+                return blank
+            k = _exact_key(key)
+            return missing if k is None else first.get(k, missing)
+        return one
+
+    classes = {float: [], str: [], bool: []}
+    for pos, s in enumerate(vector, 1):
         if s is None:
             continue
         if isinstance(s, CellError):
-            return s
-        if exact:
-            eq = V.BINARY["="](key, s)
-            if isinstance(eq, CellError):
-                return eq
-            if eq:
-                return float(pos)
+            first_error = s
+            break
+        if isinstance(s, bool):
+            classes[bool].append((s, pos))
+        elif isinstance(s, str):
+            classes[str].append((s.casefold(), pos))
+        elif s == s:
+            classes[float].append((s, pos))
+    if first_error is not None:
+        return lambda key: key if isinstance(key, CellError) else first_error
+    for cls, pairs in classes.items():
+        pairs.sort()
+        values = [v for v, _ in pairs]
+        best = list(accumulate([float(p) for _, p in pairs], max))
+        classes[cls] = values, best
+
+    def one(key):
+        if isinstance(key, CellError):
+            return key
+        if isinstance(key, bool):
+            values, best = classes[bool]
+        elif isinstance(key, str):
+            key = key.casefold()
+            values, best = classes[str]
+        elif key != key:
+            return V.VALUE_ERROR
         else:
-            same_class = (isinstance(s, bool) == isinstance(key, bool)
-                          and isinstance(s, str) == isinstance(key, str))
-            if not same_class:
-                continue
-            le = V.BINARY["<="](s, key)
-            if isinstance(le, CellError):
-                return le
-            if le:
-                best = float(pos)
-    if best is None:
-        return V.VALUE_ERROR
-    return best
+            key = 0.0 if key is None else key
+            values, best = classes[float]
+        i = bisect_right(values, key)
+        return best[i - 1] if i else V.VALUE_ERROR
+    return one
 
 
 def _builtin_match(args):
@@ -610,7 +666,7 @@ def _builtin_match(args):
         if isinstance(mode, CellError):
             return mode
         exact = (mode == 0)
-    return _broadcast(lambda k: _match_scalar(k, vector, exact), args[0])
+    return _broadcast(_matcher(vector, exact), args[0])
 
 
 def _builtin_lookup(args):
@@ -620,24 +676,24 @@ def _builtin_lookup(args):
     result = _as_vector(args[2])
     if vector is None or result is None:
         return V.VALUE_ERROR
-    by_pos = dict(result)
+    match = _matcher(vector, exact=False)
+    n = len(result)
 
     def one(k):
-        pos = _match_scalar(k, vector, exact=False)
+        pos = match(k)
         if isinstance(pos, CellError):
             return pos
-        if int(pos) not in by_pos:
-            return V.REF_ERROR
-        return by_pos[int(pos)]
+        return result[int(pos) - 1] if pos <= n else V.REF_ERROR
 
     return _broadcast(one, args[0])
 
 
 def _index_int(s):
-    n = V.to_number(s)
+    """An INDEX index as an int: #VALUE! unless a finite number >= 0."""
+    n = s if type(s) is float else V.to_number(s)
     if isinstance(n, CellError):
         return n
-    if n < 0:
+    if not 0 <= n < math.inf:
         return V.VALUE_ERROR
     return int(n)
 
@@ -703,12 +759,23 @@ def _builtin_index(state, args):
         src = Array([[src]])
     r, c = src.shape
     if len(idx_args) == 1:
-        if c == 1:
-            row_idx, col_idx = idx_args[0], 1.0
-        else:
-            row_idx, col_idx = 1.0, idx_args[0]
-    else:
-        row_idx, col_idx = idx_args
+        # A lone index runs down a single column, else along the first row.
+        line = [row[0] for row in src.cells] if c == 1 else src.cells[0]
+        n = len(line)
+
+        def along(k):
+            if type(k) is float and 1.0 <= k < n + 1:
+                return line[int(k) - 1]
+            i = _index_int(k)
+            if isinstance(i, CellError):
+                return i
+            if i == 0:
+                return V.VALUE_ERROR
+            if i > n:
+                return V.REF_ERROR
+            return line[i - 1]
+
+        return _broadcast(along, idx_args[0])
 
     def gather(ri, ci):
         i = _index_int(ri)
@@ -723,7 +790,7 @@ def _builtin_index(state, args):
             return V.REF_ERROR
         return src.cells[i - 1][j - 1]
 
-    return _broadcast(gather, row_idx, col_idx)
+    return _broadcast(gather, *idx_args)
 
 
 def _bool_reduce(args, fold, seed):

@@ -10,6 +10,7 @@ the property under test, not success.
 import random
 
 from namebook.formula import parse_formula
+from namebook.values import DIV0_ERROR, VALUE_ERROR
 from namebook.workbook import (FORMULA, GridRange, NameDef, RANGE, Workbook,
                                parse_a1, shift_name)
 
@@ -309,6 +310,97 @@ class _Builder:
 def random_workbook(seed):
     """A small valid workbook, fully determined by the seed."""
     return _Builder(random.Random(seed)).build()
+
+
+# Slots of a searched vector: duplicates, mixed-case text, bools, blanks and
+# an error now and then.  Keys are drawn from the same pool.
+_LOOKUP_POOL = (None, 0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 5.0, 8.0, 8.0, -1.0,
+                2.5, 6.0, "a", "A", "b", "B", "", "abc", True, False)
+_INDEX_POOL = (0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 3.0, 4.0, 1.5, -1.0, 9.0, None,
+               True, "2")
+
+
+def lookup_workbook(seed):
+    """MATCH, LOOKUP and INDEX over vectors of every kind of literal,
+    fully determined by the seed.
+
+    Sheet d holds the inputs: the column vec (sorted, reversed or
+    unsorted), a row, a grid, a column of keys and one of results, and
+    two columns of indices.  Sheet o holds formula ranges, among them
+    cvec, a computed copy of vec.  Each lookup is a formula name or a
+    formula range on o: MATCH in every mode and LOOKUP with Array or
+    scalar keys, and INDEX with one or two Array indices."""
+    rng = random.Random(seed)
+    n = rng.randint(3, 8)
+    wb = Workbook().add_sheet("d", n, 10).add_sheet("o", n, 16)
+
+    def slot(pool, error=0.08):
+        if rng.random() < error:
+            return rng.choice((DIV0_ERROR, VALUE_ERROR))
+        return rng.choice(pool)
+
+    # Half the books search plain numbers and blanks, as lookups mostly do.
+    pool = _LOOKUP_POOL if rng.random() < 0.5 else _LOOKUP_POOL[:14]
+    vec = [slot(pool, rng.choice((0, 0, 0.1))) for _ in range(n)]
+    order = rng.random()
+    if order < 0.4:
+        numbers = iter(sorted(s for s in vec if type(s) is float))
+        vec = [next(numbers) if type(s) is float else s for s in vec]
+        if order < 0.1:
+            vec.reverse()
+    columns = {"vec": vec,
+               "keys": [slot(_LOOKUP_POOL) for _ in range(n)],
+               "res": [slot(_LOOKUP_POOL, 0)
+                       for _ in range(rng.randint(1, n))],
+               "idx": [slot(_INDEX_POOL, 0.04) for _ in range(n)],
+               "idy": [slot(_INDEX_POOL, 0.04) for _ in range(n)]}
+    for col, (ident, cells) in enumerate(columns.items(), start=1):
+        rect = GridRange("d", col, col, 1, len(cells))
+        wb.fill_block(rect, [[s] for s in cells])
+        wb.define_name(NameDef(ident, None, RANGE, rect))
+    grid = GridRange("d", 6, 8, 1, n)
+    wb.fill_block(grid, [[slot(_LOOKUP_POOL, 0.03) for _ in range(3)]
+                         for _ in range(n)])
+    wb.define_name(NameDef("grid", None, RANGE, grid))
+    wb.define_name(NameDef("row", None, RANGE, GridRange("d", 6, 8, 1, 1)))
+    wb.define_name(NameDef("cvec", None, RANGE, GridRange("o", 1, 1, 1, n),
+                           parse_formula(rng.choice(
+                               ("vec * 1", "IF(TRUE, vec, 0)", "-vec",
+                                "vec * 1e200 * 1e200"))), array=True))
+
+    vectors = ("vec", "vec", "cvec", "row", "vec * 1", "keys")
+    keys = ("keys", "keys", "idx", "cvec", "2", '"a"', "TRUE", "keys * 1")
+    modes = ("", ", 1", ", 0", ", 0", ", -1")
+    lookups = (
+        lambda: "MATCH(%s, %s%s)" % (rng.choice(keys), rng.choice(vectors),
+                                     rng.choice(modes)),
+        lambda: "LOOKUP(%s, %s, %s)" % (rng.choice(keys),
+                                        rng.choice(vectors),
+                                        rng.choice(("res", "grid", "cvec"))),
+        lambda: "INDEX(%s, %s)" % (rng.choice(("vec", "row", "grid", "cvec",
+                                               "vec * 1", "grid * 1")),
+                                   rng.choice(("idx", "idy", "idx * 1e200 "
+                                               "* 1e200", "idx + 1"))),
+        lambda: "INDEX(%s, %s, %s)" % (rng.choice(("grid", "grid * 1",
+                                                   "vec")),
+                                       rng.choice(("idx", "idx", "2", "0")),
+                                       rng.choice(("idy", "idy", "1", "3"))),
+        lambda: "INDEX(vec, MATCH(keys, %s, 0))" % rng.choice(vectors),
+    )
+    col = 2
+    for serial in range(rng.randint(3, 7)):
+        text = rng.choice(lookups)()
+        ident = "look%d" % serial
+        h = rng.choice((n, n, n, 1))
+        if rng.random() < 0.4:
+            wb.define_name(NameDef(ident, None, FORMULA,
+                                   formula=parse_formula(text)))
+            continue
+        wb.define_name(NameDef(ident, None, RANGE,
+                               GridRange("o", col, col, 1, h),
+                               parse_formula(text), array=h > 1))
+        col += 2
+    return wb
 
 
 # The shift of a recurrence band's twin: one cell along one axis.

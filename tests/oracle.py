@@ -335,7 +335,7 @@ def _idx(s):
     n = _num(s)
     if isinstance(n, CellError):
         return n
-    if n < 0:
+    if n < 0 or not math.isfinite(n):
         return VALUE_ERROR
     return int(n)
 

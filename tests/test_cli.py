@@ -91,6 +91,25 @@ def test_eval_error_values_exit_two(tmp_path, capsys):
     assert "# boom 1x1" in out and "#DIV/0!" in out
 
 
+@pytest.mark.parametrize("index", ["xs * 1e200 * 1e200",
+                                   "xs * 1e200 * 1e200 * 0", "1e200 * 1e200"])
+def test_eval_non_finite_index_is_a_value_error(tmp_path, capsys, index):
+    # inf and nan indices, as an Array and as a scalar.
+    doc = _write(tmp_path, """#%%NAMESDOC v1
+[SHEET] s rows=2 cols=1
+[NAME] scope=workbook id=pick kind=formula array=0
+  formula=INDEX(xs * 1, %s)
+[NAME] scope=workbook id=xs kind=range array=0
+  target=s!A1:A2
+[DATA] s!A1:A2
+1
+2
+""" % index)
+    assert main(["eval", doc]) == 2
+    out, err = capsys.readouterr()
+    assert "#VALUE!" in out and "Traceback" not in out + err
+
+
 def test_eval_cycle_exits_two_with_a_note(tmp_path, capsys):
     doc = _write(tmp_path, """#%NAMESDOC v1
 [SHEET] s rows=2 cols=2

@@ -7,6 +7,10 @@ The interpreter in oracle.py shares no evaluation code with the engine
 where the engine runs scheduled sweeps), so agreement between the two is
 evidence about the semantics rather than about one implementation."""
 
+import cProfile
+import pstats
+import random
+
 import pytest
 
 from namebook.docio import UndeclaredName, export_doc, rebuild
@@ -17,7 +21,7 @@ from namebook.values import (CYCLE_ERROR, DIV0_ERROR, NAME_ERROR, NULL_ERROR,
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                                shift_name)
 
-from gen import random_workbook
+from gen import _INDEX_POOL, _LOOKUP_POOL, lookup_workbook, random_workbook
 from oracle import oracle_evaluate
 
 
@@ -237,6 +241,47 @@ def test_lookups_over_computed_arrays_match_the_oracle():
     assert store.value("across") == Array([[4.0, 5.0, 6.0]])
     assert store.value("down") == Array([[3.0], [6.0], [9.0]])
     assert store.value("found") == Array([[VALUE_ERROR], [2.0]])
+
+
+def _reprs(values):
+    return {k: repr(v) for k, v in values.items()}
+
+
+def test_lookup_books_match_the_oracle_and_a_full_evaluation():
+    # Values compare through repr: computed vectors may hold nan.
+    for seed in range(150):
+        wb = lookup_workbook(seed)
+        assert _reprs(evaluate(wb).values) == _reprs(oracle_evaluate(wb)), seed
+        rng = random.Random(seed)
+        for _ in range(3):
+            r, c = rng.randint(1, wb.sheet("d").rows), rng.randint(1, 8)
+            wb.set_cell("d", r, c, rng.choice(_LOOKUP_POOL + _INDEX_POOL
+                                              + (DIV0_ERROR,)))
+            assert (_reprs(evaluate(wb).values)
+                    == _reprs(evaluate(wb.copy()).values)), seed
+
+
+@pytest.mark.parametrize("text", ["MATCH(keys, xs, 1)", "MATCH(keys, xs, 0)",
+                                  "LOOKUP(keys, xs, ys)"])
+def test_a_lookup_indexes_its_vector_once(text):
+    # A fresh evaluate of one lookup over n keys and n sorted slots makes
+    # a bounded number of calls per row; a scan per key makes O(n) of them.
+    n = 2000
+    wb = Workbook().add_sheet("s", n, 3)
+    wb.fill_block(GridRange("s", 1, 3, 1, n),
+                  [[float(3 * i % n), float(i), float(-i)] for i in range(n)])
+    for ident, col in (("keys", 1), ("xs", 2), ("ys", 3)):
+        wb.define_name(NameDef(ident, target=GridRange("s", col, col, 1, n)))
+    wb.define_name(NameDef("pos", None, FORMULA, formula=parse_formula(text)))
+    prof = cProfile.Profile()
+    prof.enable()
+    store = evaluate(wb)
+    prof.disable()
+    assert pstats.Stats(prof).total_calls <= 40 * n
+    want = [float(3 * i % n + 1) for i in range(n)]
+    if text.startswith("LOOKUP"):
+        want = [1.0 - k for k in want]
+    assert _col(store.value("pos")) == want
 
 
 def test_unknown_function_and_cell_references():
