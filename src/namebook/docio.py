@@ -26,17 +26,18 @@ blocks sort by address.  Within a name block the field order is fixed.
 
 Data blocks move a block at a time.  rebuild reads a block of plain
 numbers whole (one character check, a tab count per line, one float
-conversion and one finiteness check) and stores its cells at once; any
-other block is read field by field through decode_field, the one path
-that refuses a malformed block.  export_doc encodes each cell through a
-table keyed by its exact type.
+conversion and one finiteness check) and stores it one column slice at
+a time; any other block is read field by field through decode_field,
+the one path that refuses a malformed block.  export_doc reads each
+column of a block as one slice and encodes each cell through a table
+keyed by its exact type.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from itertools import product, repeat
+from itertools import chain, repeat
 
 from . import engine
 from .formula import parse_formula, render
@@ -166,10 +167,15 @@ def _scope_text(scope) -> str:
 
 def stray_formula_cells(wb: Workbook):
     """Literal text cells that carry a leading "=", i.e. formulas living
-    outside any named range's single defining formula."""
+    outside any named range's single defining formula.  Only a sheet
+    that holds text is walked cell by cell."""
     stray = []
     for sheet in wb.sheets.values():
-        for r, c in sorted([key for key, v in sheet.cells.items()
+        kinds = set(map(type, chain.from_iterable(sheet.columns)))
+        if not any(issubclass(kind, str) for kind in kinds):
+            continue
+        for r, c in sorted([(r, c) for c, column in enumerate(sheet.columns, 1)
+                            for r, v in enumerate(column, 1)
                             if isinstance(v, str) and v.startswith("=")]):
             stray.append(GridRange(sheet.name, c, c, r, r).address(True))
     return stray
@@ -215,12 +221,12 @@ def export_doc(wb: Workbook) -> str:
         sheet = wb.sheet(rng.sheet)
         bounded = rng.clamp(sheet.rows)
         lines.append("[DATA] %s" % addr)
-        cols = range(bounded.col_start, bounded.col_end + 1)
-        cells = map(sheet.cells.get,
-                    product(range(bounded.row_start, bounded.row_end + 1),
-                            cols))
+        columns = [sheet.column(c, bounded.row_start, bounded.row_end)
+                   for c in range(bounded.col_start, bounded.col_end + 1)]
+        cells = (columns[0] if len(columns) == 1
+                 else chain.from_iterable(zip(*columns)))
         lines += tab_rows([_ENCODERS.get(type(v), encode_field)(v)
-                           for v in cells], len(cols))
+                           for v in cells], len(columns))
     return "\n".join(lines) + "\n"
 
 
@@ -342,10 +348,10 @@ def rebuild(text: str) -> Workbook:
         if numbers is not None:
             # define_name checked that the rectangle lies inside its sheet,
             # and nothing is recorded for a workbook with no kept values.
-            wb.sheet(rng.sheet).cells.update(zip(
-                product(range(bounded.row_start, bounded.row_end + 1),
-                        range(bounded.col_start, bounded.col_end + 1)),
-                numbers))
+            sheet = wb.sheet(rng.sheet)
+            for k in range(width):
+                sheet.store(bounded.col_start + k, bounded.row_start,
+                            numbers[k::width])
             i += height
             continue
         rows = []

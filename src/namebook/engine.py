@@ -939,6 +939,7 @@ class _EvalState:
         self.computed = computed            # NameKey -> Value, read for formula ranges
         self.formula_cache = formula_cache  # NameKey -> Value | RangeValue
         self.in_progress = set()
+        self.plain = {}  # GridRange with no owners -> its materialized value
 
     def program(self, key):
         """The compiled steps of a formula name or formula range, made on
@@ -983,16 +984,25 @@ class _EvalState:
         return self.formula_cache[key]
 
     def materialize(self, rv: RangeValue, owners):
-        """The cells of a rectangle: plain cells from the sheet, overlaid
-        with the blocks of owners, its formula ranges in _sort_key order."""
+        """The cells of a rectangle: plain cells from the sheet, one slice
+        per column, overlaid with the blocks of owners, its formula ranges
+        in _sort_key order.  Evaluation writes no cell, so a rectangle
+        with no owners is copied once per evaluate and its value shared
+        (values are read-only)."""
+        if not owners:
+            value = self.plain.get(rv.rng)
+            if value is not None:
+                return value
         sh = self.wb.sheets.get(rv.rng.sheet)
         if sh is None:
             return V.REF_ERROR
         rng = rv.rng.clamp(sh.rows)
-        r0, c0 = rng.row_start, rng.col_start
-        cols = range(c0, rng.col_end + 1)
-        rows = [[sh.cells.get((r, c)) for c in cols]
-                for r in range(r0, rng.row_end + 1)]
+        r0, r1, c0 = rng.row_start, rng.row_end, rng.col_start
+        columns = [sh.column(c, r0, r1) for c in range(c0, rng.col_end + 1)]
+        if len(columns) == 1:
+            rows = [[v] for v in columns[0]]
+        else:
+            rows = list(map(list, zip(*columns)))
         for okey in owners:
             value = self.ensure_computed(okey)
             own = self.wb.names[okey].target.clamp(sh.rows)
@@ -1002,9 +1012,12 @@ class _EvalState:
             for r in range(hit.row_start, hit.row_end + 1):
                 rows[r - r0][hit.col_start - c0:hit.col_end - c0 + 1] = \
                     block[r - own.row_start][lo:hi + 1]
+        value = Array(rows)
         if len(rows) == 1 and len(rows[0]) == 1:
-            return rows[0][0]
-        return Array(rows)
+            value = rows[0][0]
+        if not owners:
+            self.plain[rv.rng] = value
+        return value
 
 
 def _deref(state, v):

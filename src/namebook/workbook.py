@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right, insort
+from itertools import chain
+from types import MappingProxyType
 
 from .formula import Expr, col_to_index, is_identifier
 from .values import CellError, Record
@@ -49,8 +51,9 @@ class RefError(WorkbookError):
 WORKBOOK_SCOPE = None  # scope value for workbook-scoped names
 
 _SHEET_NAME_RE = re.compile(r"^[^\W\d][\w.]*$")
-# The literal types a cell stores as given (a float only when finite).
-_STORED = frozenset((float, bool, str, CellError))
+# The literal types a cell stores as given (a float only when finite),
+# and the blank.
+_STORED = frozenset((float, bool, str, CellError, type(None)))
 
 
 def index_to_col(n: int) -> str:
@@ -59,6 +62,17 @@ def index_to_col(n: int) -> str:
         n, rem = divmod(n - 1, 26)
         out.append(chr(65 + rem))
     return "".join(reversed(out))
+
+
+def _stored_as_given(rows) -> bool:
+    """Whether Sheet.set would store every cell of rows as it stands."""
+    cells = list(chain.from_iterable(rows))
+    kinds = set(map(type, cells))
+    if not kinds <= _STORED:
+        return False
+    if kinds != {float}:
+        cells = [v for v in cells if type(v) is float]
+    return all(map(math.isfinite, cells))
 
 
 class GridRange(Record):
@@ -254,13 +268,69 @@ class NameDef(Record):
 
 
 class Sheet(Record):
-    __slots__ = ("name", "rows", "cols", "cells")
+    """A sheet's literal cells, stored by column: cell (row, col) is
+    columns[col - 1][row - 1], and a blank is None.  Each column is as
+    long as its last written row, and the list of columns as long as the
+    last column written, so memory grows with the rows written, not the
+    rows declared.  A clear trims the blanks it leaves at a column's end,
+    so two sheets holding the same cells hold equal columns: sheets are
+    equal by their cells.  A range read is a slice of each column.  The
+    cells given as a {(row, col): literal} dict are set one by one."""
+
+    __slots__ = ("name", "rows", "cols", "columns")
     def __init__(self, name: str, rows: int, cols: int, cells=None):
         self.name, self.rows, self.cols = name, rows, cols
-        self.cells = {} if cells is None else cells  # (row, col) -> literal
+        self.columns = []
+        for (row, col), value in (cells or {}).items():
+            self.set(row, col, value)
+
+    @property
+    def cells(self):
+        """The stored cells as a read-only {(row, col): literal} view,
+        built on each access, for inspection: the package reads the
+        columns."""
+        return MappingProxyType({
+            (row, col): value
+            for col, column in enumerate(self.columns, 1)
+            for row, value in enumerate(column, 1) if value is not None})
 
     def get(self, row: int, col: int):
-        return self.cells.get((row, col))
+        if 0 < col <= len(self.columns):
+            column = self.columns[col - 1]
+            if 0 < row <= len(column):
+                return column[row - 1]
+        return None
+
+    def column(self, col: int, row_start: int, row_end: int) -> list:
+        """A new list of the cells of column col from row_start to
+        row_end, blanks as None."""
+        if col > len(self.columns):
+            return [None] * (row_end - row_start + 1)
+        part = self.columns[col - 1][row_start - 1:row_end]
+        short = row_end - row_start + 1 - len(part)
+        return part + [None] * short if short else part
+
+    def store(self, col: int, row: int, values):
+        """Write values down column col from row on, unchecked: the caller
+        knows each is a literal Sheet.set would store as it stands, or
+        None, and that they lie inside the sheet.  The blanks this leaves
+        at the column's end are dropped, then the empty columns at the
+        sheet's end."""
+        columns = self.columns
+        if (col > len(columns) or row > len(columns[col - 1])) \
+                and values.count(None) == len(values):
+            return  # blanks past a column's end are blank already
+        while len(columns) < col:
+            columns.append([])
+        column = columns[col - 1]
+        if row > len(column):
+            column += [None] * (row - 1 - len(column))
+        column[row - 1:row - 1 + len(values)] = values
+        if column[-1] is None:
+            while column and column[-1] is None:
+                column.pop()
+            while columns and not columns[-1]:
+                columns.pop()
 
     def set(self, row: int, col: int, value):
         """Store a literal; None clears the cell.  A literal is a finite
@@ -271,9 +341,9 @@ class Sheet(Record):
         if not (1 <= row <= self.rows and 1 <= col <= self.cols):
             raise RefError("cell (%d, %d) outside sheet %s" % (row, col, self.name))
         if value is None:
-            self.cells.pop((row, col), None)
-            return
-        if isinstance(value, float):
+            if self.get(row, col) is None:
+                return
+        elif isinstance(value, float):
             if not math.isfinite(value):
                 raise ValueError("cell (%d, %d) of sheet %s: %r is not finite"
                                  % (row, col, self.name, value))
@@ -282,7 +352,13 @@ class Sheet(Record):
         elif not isinstance(value, (bool, str, CellError)):
             raise ValueError("cell (%d, %d) of sheet %s: %r is not a literal"
                              % (row, col, self.name, value))
-        self.cells[(row, col)] = value
+        self.store(col, row, (value,))
+
+    def copy(self) -> "Sheet":
+        """An independent sheet holding the same cells."""
+        out = Sheet(self.name, self.rows, self.cols)
+        out.columns += [column.copy() for column in self.columns]
+        return out
 
 
 class Workbook:
@@ -336,10 +412,11 @@ class Workbook:
     def fill_block(self, rng: GridRange, rows) -> "Workbook":
         """Write a rectangle of literals covering rng, row-major.
 
-        A finite float, bool, text or error value inside the sheet is
-        stored as it stands; any other cell goes through Sheet.set, which
-        converts or refuses it.  Cells are written in order, so a refused
-        cell leaves the ones before it written."""
+        A block of finite floats, bools, text, error values and blanks
+        inside the sheet is stored as it stands, a column slice at a
+        time; any other goes cell by cell through Sheet.set, which
+        converts or refuses each.  Cells are written in order, so a
+        refused cell leaves the ones before it written."""
         sh = self.sheet(rng.sheet)
         bounded = rng.clamp(sh.rows)
         data = [list(r) for r in rows]
@@ -351,18 +428,16 @@ class Workbook:
             self._written.append((bounded.sheet, bounded.row_start,
                                   bounded.row_end, bounded.col_start,
                                   bounded.col_end))
-        cells = sh.cells
-        inside = bounded.row_end <= sh.rows and bounded.col_end <= sh.cols
+        if (bounded.row_end <= sh.rows and bounded.col_end <= sh.cols
+                and _stored_as_given(data)):
+            for col, values in enumerate(zip(*data), bounded.col_start):
+                sh.store(col, bounded.row_start, values)
+            return self
         cols = range(bounded.col_start, bounded.col_end + 1)
         for row, values in zip(range(bounded.row_start, bounded.row_end + 1),
                                data):
             for col, value in zip(cols, values):
-                kind = type(value)
-                if (inside and kind in _STORED
-                        and (kind is not float or math.isfinite(value))):
-                    cells[row, col] = value
-                else:
-                    sh.set(row, col, value)
+                sh.set(row, col, value)
         return self
 
     def delete_sheet(self, name: str) -> "Workbook":
@@ -520,7 +595,7 @@ class Workbook:
     def copy(self) -> "Workbook":
         out = Workbook()
         for sh in self.sheets.values():
-            out.sheets[sh.name] = Sheet(sh.name, sh.rows, sh.cols, dict(sh.cells))
+            out.sheets[sh.name] = sh.copy()
         out.names = dict(self.names)  # definitions are never changed in place
         return out
 
