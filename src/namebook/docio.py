@@ -167,14 +167,17 @@ def _scope_text(scope) -> str:
 
 def stray_formula_cells(wb: Workbook):
     """Literal text cells that carry a leading "=", i.e. formulas living
-    outside any named range's single defining formula.  Only a sheet
-    that holds text is walked cell by cell."""
+    outside any named range's single defining formula, in row-major order
+    per sheet.  One pass over the types of a sheet's cells finds its
+    kinds of text, and only a column holding one is walked cell by cell."""
     stray = []
     for sheet in wb.sheets.values():
         kinds = set(map(type, chain.from_iterable(sheet.columns)))
-        if not any(issubclass(kind, str) for kind in kinds):
+        text = {kind for kind in kinds if issubclass(kind, str)}
+        if not text:
             continue
         for r, c in sorted([(r, c) for c, column in enumerate(sheet.columns, 1)
+                            if not text.isdisjoint(map(type, column))
                             for r, v in enumerate(column, 1)
                             if isinstance(v, str) and v.startswith("=")]):
             stray.append(GridRange(sheet.name, c, c, r, r).address(True))

@@ -23,7 +23,10 @@ as a program once and is indexed.  A formula name that reads a member
 is filled into rows of its own just before its reader at each step, so
 chains and diamonds of such names cost one closure call per name per
 cell.  Programs and closures apply the same operator kernels
-(values.BINARY).
+(values.BINARY); on a result of at least _TWIN_MIN_CELLS cells whose
+operands are all floats, a program maps the kernel's float twin
+(values.FLOAT_TWIN), the plain operator the kernel applies to two floats,
+so the loop runs in C and the values are the same.
 
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
@@ -59,7 +62,9 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from bisect import bisect_right
+from functools import reduce
 from itertools import accumulate, chain, repeat
 
 from . import values as V
@@ -464,12 +469,18 @@ def _validate(wb: Workbook, graph: DepGraph, members, table, entered):
 
 # --- builtin functions -------------------------------------------------------
 
-def _iter_scalars(v):
+def _scalars(v):
+    """The scalars of a value in row-major order, walked in C."""
+    return chain.from_iterable(v.cells) if isinstance(v, Array) else (v,)
+
+
+def _all_floats(v):
+    """True when v is a float, or an Array whose cells are all floats;
+    an Array's cells are tested in C."""
     if isinstance(v, Array):
-        for row in v.cells:
-            yield from row
-    else:
-        yield v
+        return all(map(isinstance, chain.from_iterable(v.cells),
+                       repeat(float)))
+    return type(v) is float
 
 
 def _rows_of(v, shape):
@@ -484,15 +495,28 @@ def _rows_of(v, shape):
     return cells if len(cells) == rows else cells * rows
 
 
+# The fewest result cells for which _broadcast tests its operands for a
+# float twin.  The test walks every operand cell, so on a small result it
+# costs more than the twin saves: with no floor, the 1x8 results of the
+# bench's chain book made its recalc 13% slower (in-process, CPython
+# 3.11, 2-core Xeon VM), while on its bands book (800x1) the twin made
+# recalc 5% faster.
+_TWIN_MIN_CELLS = 32
+
+
 def _broadcast(fn, *args):
     """fn applied across args broadcast to one shape; #VALUE! when the
     shapes do not conform, a scalar when they are all 1x1.
 
     Operands that need no layout go straight to fn: all scalars, or
     scalars and Arrays of one shape other than 1x1, whose output rows map
-    fn over the Arrays' own rows with each scalar repeated in place.  Any
-    other mix (a 1x1 Array, which collapses, a row against a column,
-    shapes that do not conform) takes the fold over the shapes below."""
+    fn over the Arrays' own rows with each scalar repeated in place.  On
+    that path a result of at least _TWIN_MIN_CELLS cells whose operands
+    are all floats maps fn's float twin (values.FLOAT_TWIN), if it has
+    one, in fn's place, and a one-column result is one map over the
+    flattened operands.  Any other mix (a 1x1 Array, which collapses, a
+    row against a column, shapes that do not conform) takes the fold over
+    the shapes below."""
     rows = None
     for a in args:
         if isinstance(a, Array):
@@ -505,6 +529,13 @@ def _broadcast(fn, *args):
         if rows is None:
             return fn(*args)
         if rows != 1 or cols != 1:
+            if (rows * cols >= _TWIN_MIN_CELLS and fn in V.FLOAT_TWIN
+                    and all(map(_all_floats, args))):
+                fn = V.FLOAT_TWIN[fn]
+            if cols == 1:
+                return Array([[v] for v in map(fn, *[
+                    chain.from_iterable(a.cells) if isinstance(a, Array)
+                    else repeat(a) for a in args])])
             return Array([list(map(fn, *row)) for row in zip(*[
                 a.cells if isinstance(a, Array) else repeat(repeat(a))
                 for a in args])])
@@ -520,9 +551,16 @@ def _broadcast(fn, *args):
 
 
 def _builtin_sum(args):
+    """SUM: numbers added left to right, blanks, bools and text skipped,
+    the first error returned.  An Array of floats alone is folded by
+    reduce, the same additions in the same order without a Python step
+    per cell."""
     total = 0.0
     for v in args:
-        for s in _iter_scalars(v):
+        if isinstance(v, Array) and _all_floats(v):
+            total = reduce(operator.add, chain.from_iterable(v.cells), total)
+            continue
+        for s in _scalars(v):
             if isinstance(s, CellError):
                 return s
             if s is None or isinstance(s, (bool, str)):
@@ -532,9 +570,18 @@ def _builtin_sum(args):
 
 
 def _builtin_minmax(args, pick):
+    """MIN or MAX (pick is the builtin min or max): the running best kept
+    against each number left to right, as SUM skips and fails.  An Array
+    of floats alone goes to one call of pick, starting from the best so
+    far, which makes the same comparisons in the same order: a nan met
+    first stays, a later one is passed over."""
     best = None
     for v in args:
-        for s in _iter_scalars(v):
+        if isinstance(v, Array) and _all_floats(v):
+            flat = chain.from_iterable(v.cells)
+            best = pick(flat) if best is None else pick(best, *flat)
+            continue
+        for s in _scalars(v):
             if isinstance(s, CellError):
                 return s
             if s is None or isinstance(s, (bool, str)):
@@ -797,7 +844,7 @@ def _bool_reduce(args, fold, seed):
     acc = seed
     seen = False
     for v in args:
-        for s in _iter_scalars(v):
+        for s in _scalars(v):
             if isinstance(s, CellError):
                 return s
             if s is None or isinstance(s, str):

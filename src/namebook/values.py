@@ -4,7 +4,8 @@ A scalar is one of: None (blank), float, bool, str, or CellError.  Array wraps
 a rectangular, non-empty grid of scalars; arrays never nest.  The kernels here
 define coercion and error propagation once, one kernel per operator in
 BINARY, so the array evaluator and the compiled sweep closures cannot drift
-apart.
+apart.  A kernel's float twin (FLOAT_TWIN), which the array evaluator maps
+over floats alone, is the very function the kernel applies to two floats.
 """
 
 from __future__ import annotations
@@ -184,6 +185,7 @@ def _arithmetic(fn):
         if isinstance(y, CellError):
             return y
         return fn(x, y)
+    kernel.fn = fn
     return kernel
 
 
@@ -259,6 +261,7 @@ def _comparison(fn):
         elif ca == 0:
             a, b = float(a), float(b)
         return fn(a, b)
+    kernel.fn = fn
     return kernel
 
 
@@ -287,7 +290,8 @@ def logical_not(a):
     return not b
 
 
-# One kernel per binary operator, for whole arrays and sweeps alike.
+# One kernel per binary operator, for whole arrays and sweeps alike.  An
+# _arithmetic or _comparison kernel keeps the function it applies as .fn.
 BINARY = {
     "+": _arithmetic(operator.add),
     "-": _arithmetic(operator.sub),
@@ -302,3 +306,10 @@ BINARY = {
     ">": _comparison(operator.gt),
     ">=": _comparison(operator.ge),
 }
+
+# Kernel -> its float twin: for + - * and the six comparisons, the plain
+# operator the kernel applies when both operands are floats.  Mapped over
+# floats alone, the twin gives the kernel's values without a Python call
+# per cell.  / and ^ check their result and & is text: no twin.
+FLOAT_TWIN = {BINARY[op]: BINARY[op].fn
+              for op in ("+", "-", "*", "=", "<>", "<", "<=", ">", ">=")}

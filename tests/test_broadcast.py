@@ -1,12 +1,19 @@
-"""engine._broadcast against the generic fold it takes a short cut past.
+"""engine._broadcast and SUM/MIN/MAX against the loops they take a
+short cut past.
 
 _broadcast hands operands that already agree in shape (scalars, and
-Arrays of one shape other than 1x1) straight to the kernel.  The
-reference below is the fold every call used to take: combine the shapes,
-lay each operand out over the result, zip the rows.  The two must give
-the same repr, scalar or Array, over random operand lists mixing every
-kind of scalar with Arrays that conform and Arrays that do not."""
+Arrays of one shape other than 1x1) straight to the kernel, and maps a
+kernel's float twin in its place when a large enough result has float
+operands alone.  The reference below is the fold every call used to
+take: combine the shapes, lay each operand out over the result, zip the
+rows, and apply the kernel to every cell.  The two must give the same
+repr, scalar or Array, over random operand lists mixing every kind of
+scalar with Arrays that conform and Arrays that do not, and over lists
+of floats alone, with and without one cell of another kind.  SUM, MIN
+and MAX fold an Array of floats in C; the reference is their loop over
+each scalar."""
 
+import math
 import random
 
 from namebook import engine
@@ -44,6 +51,12 @@ KERNELS = ([(k, (2,)) for k in V.BINARY.values()]
 SCALARS = ([None, True, False, "", "x", "2.5"]
            + [V.CellError(k) for k in V.ERROR_KINDS])
 
+# Floats with a sign, at the edge of overflow, and the inf and nan that
+# overflow makes.
+_INF = 1e300 * 1e300
+FLOATS = (0.0, -0.0, 1.0, -2.5, 3.0, 100.5, 1e300, -1e300, _INF, -_INF,
+          _INF - _INF)
+
 
 def _scalar(rng):
     roll = rng.random()
@@ -52,35 +65,143 @@ def _scalar(rng):
     return rng.choice(SCALARS)
 
 
-def _array(rng, shape):
-    return Array([[_scalar(rng) for _ in range(shape[1])]
+def _float(rng):
+    return rng.choice(FLOATS)
+
+
+def _array(rng, shape, draw=_scalar):
+    return Array([[draw(rng) for _ in range(shape[1])]
                   for _ in range(shape[0])])
 
 
-def _operand(rng, shape):
+def _operand(rng, shape, draw=_scalar):
     """A scalar, or an Array that conforms to shape or, now and then,
     one that does not."""
     rows, cols = shape
     kind = rng.randrange(7)
     if kind == 0:
-        return _scalar(rng)
+        return draw(rng)
     return _array(rng, ((rows, cols), (1, 1), (1, cols), (rows, 1),
                         (rows, cols), (rng.randint(1, 3), rng.randint(1, 3)),
-                        (cols, rows))[kind - 1])
+                        (cols, rows))[kind - 1], draw)
 
 
-def test_the_direct_path_agrees_with_the_generic_fold():
+def _spoil(rng, args):
+    """args with one cell of one Array, at a random position, replaced
+    by a blank, a bool, text or an error."""
+    arrays = [i for i, a in enumerate(args) if isinstance(a, Array)]
+    if not arrays:
+        return args
+    i = rng.choice(arrays)
+    cells = [list(row) for row in args[i].cells]
+    row = rng.choice(cells)
+    row[rng.randrange(len(row))] = rng.choice(SCALARS)
+    return args[:i] + [Array(cells)] + args[i + 1:]
+
+
+def _all_floats(v):
+    if isinstance(v, Array):
+        return all(type(s) is float for row in v.cells for s in row)
+    return type(v) is float
+
+
+def test_the_direct_path_agrees_with_the_generic_fold(monkeypatch):
+    # Each float twin is wrapped so a call shows when _broadcast took it.
+    twin_calls = []
+    for kernel, twin in list(V.FLOAT_TWIN.items()):
+        monkeypatch.setitem(V.FLOAT_TWIN, kernel, lambda a, b, twin=twin:
+                            twin_calls.append(None) or twin(a, b))
+    floor = engine._TWIN_MIN_CELLS
     rng = random.Random(12)
-    direct = 0
-    for _ in range(4000):
+    direct = twinned = spoiled = taken = 0
+    for _ in range(8000):
         fn, arities = rng.choice(KERNELS)
-        shape = rng.choice(((1, 1), (1, 4), (3, 1), (2, 3), (3, 3)))
-        args = [_operand(rng, shape) for _ in range(rng.choice(arities))]
+        shape = rng.choice(((1, 1), (1, 4), (3, 1), (2, 3), (3, 3),
+                            (40, 1), (1, 40), (8, 8), (floor - 1, 1)))
+        mode = rng.choice(("mixed", "floats", "spoiled"))
+        draw = _scalar if mode == "mixed" else _float
+        args = [_operand(rng, shape, draw)
+                for _ in range(rng.choice(arities))]
+        if mode == "spoiled":
+            args = _spoil(rng, args)
         arrays = {a.shape for a in args if isinstance(a, Array)}
-        direct += len(arrays) < 2 and (1, 1) not in arrays
+        is_direct = len(arrays) < 2 and (1, 1) not in arrays
+        direct += is_direct
+        cells = math.prod(arrays.pop()) if len(arrays) == 1 else 0
+        eligible = is_direct and cells >= floor and fn in V.FLOAT_TWIN
+        floats = all(map(_all_floats, args))
+        twinned += eligible and floats
+        spoiled += eligible and mode == "spoiled" and not floats
+        before = len(twin_calls)
         assert repr(engine._broadcast(fn, *args)) == \
             repr(_reference(fn, *args)), (fn, args)
-    assert direct > 1000  # the direct path is well exercised
+        taken += len(twin_calls) > before
+    assert direct > 2000  # the direct path is well exercised
+    # The twin is taken exactly when it may, and refused for every large
+    # enough list of floats that holds one cell of another kind.
+    assert taken == twinned == 116
+    assert spoiled == 133
+
+
+def _sum_reference(args):
+    total = 0.0
+    for v in args:
+        for s in ([s for row in v.cells for s in row]
+                  if isinstance(v, Array) else [v]):
+            if isinstance(s, V.CellError):
+                return s
+            if s is None or isinstance(s, (bool, str)):
+                continue
+            total += float(s)
+    return total
+
+
+def _minmax_reference(args, pick):
+    best = None
+    for v in args:
+        for s in ([s for row in v.cells for s in row]
+                  if isinstance(v, Array) else [v]):
+            if isinstance(s, V.CellError):
+                return s
+            if s is None or isinstance(s, (bool, str)):
+                continue
+            s = float(s)
+            best = s if best is None else pick(best, s)
+    return 0.0 if best is None else best
+
+
+def test_sum_min_and_max_agree_with_the_per_scalar_loop():
+    nan = _INF - _INF
+    # nan before, among and after the maximum, and -0.0 against 0.0
+    cases = [[Array([[nan], [1.0], [5.0]])], [Array([[1.0, nan, 5.0]])],
+             [Array([[1.0], [5.0], [nan]])], [5.0, Array([[nan, 1.0]])],
+             [Array([[1.0, 5.0]]), nan, Array([[7.0, 2.0]])],
+             [Array([[-0.0, 0.0]])], [Array([[0.0, -0.0]])],
+             [0.0, Array([[-0.0]])], [-0.0, Array([[0.0], [-0.0]])],
+             [Array([[1e300, 1e300, -_INF]])]]
+    rng = random.Random(14)
+    for _ in range(3000):
+        args = []
+        for _ in range(rng.randint(1, 4)):
+            shape = (rng.randint(1, 6), rng.randint(1, 3))
+            roll = rng.random()
+            if roll < 0.2:
+                args.append(rng.choice((_scalar, _float))(rng))
+            elif roll < 0.7:
+                args.append(_array(rng, shape, _float))
+            else:
+                args.append(_spoil(rng, [_array(rng, shape, _float)])[0])
+        cases.append(args)
+    floats_alone = 0
+    for args in cases:
+        floats_alone += any(isinstance(a, Array) and _all_floats(a)
+                            for a in args)
+        assert repr(engine._builtin_sum(args)) == \
+            repr(_sum_reference(args)), args
+        for pick in (min, max):
+            assert repr(engine._builtin_minmax(args, pick)) == \
+                repr(_minmax_reference(args, pick)), (pick, args)
+    assert floats_alone > 1500
 
 
 def test_a_value_of_the_target_shape_is_kept_as_it_is():

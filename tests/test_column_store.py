@@ -17,7 +17,8 @@ from namebook.docio import (ExportError, encode_field, export_doc, rebuild,
 from namebook.engine import RangeValue, build_dep_graph, evaluate
 from namebook.formula import parse_formula
 from namebook.values import DIV0_ERROR, REF_ERROR, Array
-from namebook.workbook import GridRange, NameDef, RefError, Sheet, Workbook
+from namebook.workbook import (FORMULA, GridRange, NameDef, RefError, Sheet,
+                               Workbook)
 
 _LITERALS = [0.0, -0.0, 1.5, 7.0, 3, True, False, "", "t", "=a1", DIV0_ERROR,
              REF_ERROR, None, None, None]
@@ -228,10 +229,14 @@ def test_storage_grows_with_the_rows_written_not_the_rows_declared():
 
 
 def _column_book(n):
-    wb = Workbook().add_sheet("s", n, 2)
+    wb = Workbook().add_sheet("s", n, 4)
     wb.define_name(NameDef("xs", target=GridRange("s", 1, 1)))
-    wb.define_name(NameDef("ys", target=GridRange("s", 2, 2),
-                           formula=parse_formula("xs")))
+    for ident, col, text in (("ys", 2, "xs"), ("dbl", 3, "xs * 2 + 1"),
+                             ("big", 4, "xs > 100")):
+        wb.define_name(NameDef(ident, target=GridRange("s", col, col),
+                               formula=parse_formula(text)))
+    wb.define_name(NameDef("total", None, FORMULA,
+                           formula=parse_formula("SUM(xs)")))
     wb.fill_block(GridRange("s", 1, 1), [[float(r)] for r in range(n)])
     return wb
 
@@ -247,7 +252,12 @@ def _evaluate_calls(wb):
 def test_a_column_read_makes_no_call_per_row():
     # A read slices each column once, and an owner-free rectangle is
     # copied once per evaluate, so the count does not grow with the rows.
+    # Nor does whole-column arithmetic, a comparison or SUM over floats:
+    # each maps a float twin or folds in C.
     small, store = _evaluate_calls(_column_book(800))
-    large, _ = _evaluate_calls(_column_book(3200))
+    large, big = _evaluate_calls(_column_book(3200))
     assert small == large
     assert store.value("ys") is store.value("xs")
+    assert big.value("total") == 3199 * 3200 / 2
+    assert big.value("dbl").cells[-1] == [6399.0]
+    assert big.value("big").cells[100:102] == [[False], [True]]

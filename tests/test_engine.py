@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from namebook import engine
 from namebook.docio import UndeclaredName, export_doc, rebuild
 from namebook.engine import CycleError, build_dep_graph, evaluate
 from namebook.formula import parse_formula
@@ -259,6 +260,35 @@ def test_lookup_books_match_the_oracle_and_a_full_evaluation():
                                               + (DIV0_ERROR,)))
             assert (_reprs(evaluate(wb).values)
                     == _reprs(evaluate(wb.copy()).values)), seed
+
+
+def test_a_whole_column_band_matches_the_oracle():
+    # The bench's bands module over 800-row columns, large enough that
+    # the operators map their float twins and SUM, MIN and MAX fold in C
+    # (gen.py's rectangles stay under engine._TWIN_MIN_CELLS).  `over`
+    # makes inf and nan by overflow, which a comparison and the folds
+    # then read.
+    n = 800
+    assert n >= engine._TWIN_MIN_CELLS
+    rng = random.Random(19)
+    wb = Workbook().add_sheet("s", n, 5)
+    wb.fill_block(GridRange("s", 1, 1, 1, n),
+                  [[rng.randrange(0, 400) / 4] for _ in range(n)])
+    wb.define_name(NameDef("input", target=GridRange("s", 1, 1)))
+    for ident, col, text in (
+            ("double", 2, "input * 2 + 1"),
+            ("kept", 3, "IF(double > 100, double, 0)"),
+            ("over", 4, "input * 1e300 * 1e300 - double * 1e300 * 1e300"),
+            ("flag", 5, "over >= kept")):
+        wb.define_name(NameDef(ident, target=GridRange("s", col, col),
+                               formula=parse_formula(text), array=True))
+    for ident, text in (("total", "SUM(kept)"), ("top", "MAX(kept, over)"),
+                        ("low", "MIN(over, kept)"), ("all", "SUM(over)")):
+        wb.define_name(NameDef(ident, None, FORMULA,
+                               formula=parse_formula(text)))
+    store = evaluate(wb)
+    assert _reprs(store.values) == _reprs(oracle_evaluate(wb))
+    assert repr(store.value("all")) == "nan"
 
 
 @pytest.mark.parametrize("text", ["MATCH(keys, xs, 1)", "MATCH(keys, xs, 0)",
