@@ -12,22 +12,44 @@ and main alone turns each into its exit code and one line on stderr.
 
 eval prints each name as a "# name RxC" line and then its rows as TSV,
 rendering every cell through a table keyed by the cell's exact type.
-The argument parser is built on the first main call and reused by the
-later ones in the same process.
+The argument parser is built, and argparse imported, on the first main
+call and reused by the later ones in the same process.  The audit views
+are imported on first use, by audit and lint, so eval never loads
+namebook.audit.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 
-from .audit import export_dot, focus_graph, has_errors, linear_listing, lint
 from .docio import (DocSyntaxError, ExportError, UndeclaredName,
                     UnknownVersion, export_doc, rebuild)
 from .engine import CycleError, evaluate
 from .values import Array, CellError, format_number, tab_rows
 from .workbook import UnknownNameError, WorkbookError
+
+
+# The audit views this module binds on first use, by _import_audit or by
+# an attribute lookup from outside (PEP 562), such as the traced run of
+# bench/layers.py wrapping each view.
+_AUDIT_VIEWS = ("export_dot", "focus_graph", "has_errors", "linear_listing",
+                "lint")
+
+
+def _import_audit():
+    """Bind the audit views in this module; a name already bound stays."""
+    from . import audit
+    for view in _AUDIT_VIEWS:
+        globals().setdefault(view, getattr(audit, view))
+
+
+def __getattr__(name):
+    if name not in _AUDIT_VIEWS:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    _import_audit()
+    return globals()[name]
 
 
 class _DocFailure(Exception):
@@ -87,6 +109,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    _import_audit()
     wb = _load(args.doc)
     if args.sub == "list":
         for e in linear_listing(wb):
@@ -109,6 +132,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_lint(args) -> int:
+    _import_audit()
     wb = _load(args.doc)
     findings = lint(wb, outputs=tuple(args.output))
     for f in findings:
@@ -123,7 +147,9 @@ def cmd_fmt(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="namebook",
         description="evaluate and audit name-driven workbook documents")

@@ -154,31 +154,33 @@ def build_dep_graph(wb: Workbook) -> DepGraph:
     change it."""
     if wb._graph is not None:
         return wb._graph
+    names = wb.names
     edges = {}
     recurrence = set()
     unresolved = {}
-    for key, nd in wb.names.items():
+    for key, nd in names.items():
         if nd.formula is None:
             edges[key] = ()
             continue
         ctx = wb.context_sheet(nd)
         targets = set()
         missing = []
-        for qual, ident in sorted(names_referenced(nd.formula),
-                                  key=lambda p: (p[1], p[0] or "")):
-            hit = wb.resolve(ident, context=ctx, qualifier=qual)
+        for qual, ident in names_referenced(nd.formula):
+            hit = wb.resolve(ident, ctx, qual)
             if hit is None:
-                missing.append(("%s!%s" % (qual, ident)) if qual else ident)
+                missing.append((qual, ident))
             else:
                 targets.add(hit.key())
-        edges[key] = tuple(sorted(targets, key=_sort_key))
-        if missing:
-            unresolved[key] = tuple(missing)
+        edges[key] = out = tuple(sorted(targets, key=_sort_key))
+        if missing:  # (sheet, identifier) pairs sort as name keys do
+            unresolved[key] = tuple(("%s!%s" % ref) if ref[0] else ref[1]
+                                    for ref in sorted(missing, key=_sort_key))
         if nd.target is not None:
-            recurrence.update((key, t) for t in edges[key]
-                              if _shift_between(nd, wb.names[t]))
-    nodes = tuple(sorted(wb.names.keys(), key=_sort_key))
-    display = {key: wb.names[key].display() for key in nodes}
+            for t in out:
+                if _shift_between(nd, names[t]):
+                    recurrence.add((key, t))
+    nodes = tuple(sorted(names, key=_sort_key))
+    display = {key: names[key].display() for key in nodes}
     wb._graph = DepGraph(nodes, edges, frozenset(recurrence), unresolved,
                          display)
     return wb._graph

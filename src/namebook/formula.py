@@ -18,12 +18,16 @@ All binary operators associate left.  Unary minus binds tighter than "^"
 whitespace between two reference terms and binds tightest of all.
 
 The lexer is one compiled pattern, _TOKEN, with one alternative per token
-class, run over the formula once by finditer.  The parser climbs
-precedence (Pratt, "Top Down Operator Precedence", POPL 1973): one loop
-reads every binary operator at a given binding level or tighter from
-_BINARY_LEVEL, the table render also uses to decide where parentheses
-go.  Both do a small, fixed amount of Python work per token, and each
-tree node is a slot record (values.Record) built by one plain __init__.  A
+class, run over the formula once by finditer; an identifier of ASCII
+characters needs no check after its match.  It makes plain (kind, lexeme,
+start, end) tuples, which parse_formula hands straight to the parser;
+tokenize wraps each in a Token.  The parser climbs precedence (Pratt,
+"Top Down Operator Precedence", POPL 1973): one loop reads every binary
+operator at a given binding level or tighter from _BINARY_LEVEL, the
+table render also uses to decide where parentheses go, and reads a right
+operand that is one name or number in that loop, without recursing.
+Both do a small, fixed amount of Python work per token, and each tree
+node is a slot record (values.Record) built by one plain __init__.  A
 character-at-a-time lexer and a recursive-descent parser with one method
 per level, which they must match token for token, tree for tree and
 error for error, are kept in tests/formula_reference.py.
@@ -103,7 +107,9 @@ _CELLREF_FULL = re.compile(r"^(?:%s)$" % _CELLREF_PATTERN)
 
 # One alternative per token class.  A letter starts a cell reference when
 # the reference holds a "$" or ":" (an identifier stops there) or when no
-# identifier character follows it, so the longer reading wins.  A text
+# identifier character follows it, so the longer reading wins.  An
+# identifier of ASCII characters that is no sheet qualifier is an IDENT
+# as it stands; any other ("name") is checked by _lex.  A text
 # literal must not close on the first quote of a doubled pair.  No
 # alternative starts with a blank, so the leading blanks never backtrack
 # into a token.
@@ -113,15 +119,17 @@ _TOKEN = re.compile(r"""[ \t]*(?:
   | (?P<CELLREF>(?=\$|[A-Za-z]{1,3}[$:]|[A-Za-z]{1,3}[0-9]{1,7}:)(?:%s)
                |[A-Za-z]{1,3}[0-9]{1,7}(?![\w.?]))
   | (?P<BOOL>(?i:TRUE|FALSE)(?![\w.?]))
-  | (?P<IDENT>%s!?)
+  | (?P<IDENT>[A-Za-z][A-Za-z0-9._]*(?:\?(?!!)|(?![\w.!?])))
+  | (?P<name>%s!?)
   | (?P<NUMBER>%s)
   | (?P<TEXT>"(?:[^"]|"")*"(?!"))
   | (?P<bad>[^ \t]))""" % (_CELLREF_PATTERN, _IDENT_PATTERN, NUMBER_RE.pattern),
                     re.VERBOSE | re.DOTALL)
 
-# TokenKind by group number; None for the "bad" group.
+# TokenKind by group number; None for the "name" and "bad" groups.
 _GROUP_KIND = {number: TokenKind.__members__.get(name)
                for name, number in _TOKEN.groupindex.items()}
+_NAME_GROUP = _TOKEN.groupindex["name"]
 # Token(kind, lexeme, start, end) without namedtuple's Python-level __new__.
 _token = tuple.__new__
 _BOOLS = ("TRUE", "FALSE")
@@ -156,43 +164,49 @@ def col_to_index(letters: str) -> int:
 
 def tokenize(text: str) -> list[Token]:
     """Lex a formula.  A leading "=" or surrounding "{=...}" is tolerated."""
-    n = len(text)
+    return [_token(Token, t) for t in _lex(text)]
+
+
+def _lex(text: str) -> list[tuple]:
+    """tokenize's tokens as plain (kind, lexeme, start, end) tuples, which
+    is what parse_formula hands the parser."""
     pos = 0
-    # Tolerate array-entry braces and the leading equals sign.
-    end_limit = n
-    while pos < n and text[pos] in " \t":
-        pos += 1
-    if pos < n and text[pos] == "{":
-        close = text.rstrip()
-        if not close.endswith("}"):
-            raise LexError(pos, "unmatched '{'")
-        end_limit = len(close) - 1
-        pos += 1
-    while pos < end_limit and text[pos] in " \t":
-        pos += 1
-    if pos < end_limit and text[pos] == "=":
-        pos += 1
+    end_limit = n = len(text)
+    if text[:1] in " \t{=":
+        # Tolerate array-entry braces and the leading equals sign.
+        while pos < n and text[pos] in " \t":
+            pos += 1
+        if pos < n and text[pos] == "{":
+            close = text.rstrip()
+            if not close.endswith("}"):
+                raise LexError(pos, "unmatched '{'")
+            end_limit = len(close) - 1
+            pos += 1
+        while pos < end_limit and text[pos] in " \t":
+            pos += 1
+        if pos < end_limit and text[pos] == "=":
+            pos += 1
     tokens = []
+    append = tokens.append
     prev_end, prev_kind = pos, None
     for m in _TOKEN.finditer(text, pos, end_limit):
         group = m.lastindex
         start, end = m.span(group)
         lexeme = text[start:end]
         kind = _GROUP_KIND[group]
-        if kind is _IDENT:
+        if kind is None:
+            if group != _NAME_GROUP:
+                raise LexError(start, "unterminated text literal"
+                               if lexeme == '"' else
+                               "unexpected character %r" % lexeme)
             name = lexeme[:-1] if lexeme[-1] == "!" else lexeme
             if not name.isascii() and (cut := _ident_cut(name)) < len(name):
                 raise LexError(start + cut, "unexpected character %r"
                                % name[cut])
-            if name is not lexeme:
-                kind = _SHEET_QUAL
-        elif kind is None:
-            raise LexError(start, "unterminated text literal" if lexeme == '"'
-                           else "unexpected character %r" % lexeme)
+            kind = _IDENT if name is lexeme else _SHEET_QUAL
         if start > prev_end and prev_kind in _REF_LEFT and kind in _REF_RIGHT:
-            tokens.append(_token(Token, (_INTERSECT,
-                                         text[prev_end:start], prev_end, start)))
-        tokens.append(_token(Token, (kind, lexeme, start, end)))
+            append((_INTERSECT, text[prev_end:start], prev_end, start))
+        append((kind, lexeme, start, end))
         prev_end, prev_kind = end, kind
     return tokens
 
@@ -305,15 +319,17 @@ _NODE_LEVEL = {Unary: _LEVEL_UNARY, Percent: _LEVEL_PERCENT,
 
 
 def _fail(tok, expected):
-    raise ParseError(tok.start, expected, "end of formula"
-                     if tok.kind is None else repr(tok.lexeme))
+    kind, lexeme, start, _ = tok
+    raise ParseError(start, expected, "end of formula"
+                     if kind is None else repr(lexeme))
 
 
 _TOO_DEEP = "at most %d levels of nesting" % MAX_NESTING
 
 
 def parse(tokens: list[Token]) -> Expr:
-    """The expression tree of a token list, by precedence climbing.
+    """The expression tree of a token list, by precedence climbing.  A
+    token is a Token or the plain (kind, lexeme, start, end) tuple of one.
 
     The list gets a sentinel of kind None and empty lexeme where the
     formula ends.  Only OP tokens have a lexeme that is a key of
@@ -321,102 +337,10 @@ def parse(tokens: list[Token]) -> Expr:
     and the sentinel reads as binding level 0, which ends every loop."""
     if not tokens:
         raise ParseError(0, "a formula", "end of formula")
-    end = tokens[-1].end
-    toks = tokens + [_token(Token, (None, "", end, end))]
-    pos = 0
-    nesting = 0  # parentheses, arguments and minus signs open
-
-    def nested():
-        """A whole expression one nesting level deeper."""
-        nonlocal nesting
-        nesting += 1
-        if nesting > MAX_NESTING:
-            _fail(toks[pos], _TOO_DEEP)
-        e = binary(1)
-        nesting -= 1
-        return e
-
-    def closing():
-        nonlocal pos
-        if toks[pos].kind is not _RPAREN:
-            _fail(toks[pos], "')'")
-        pos += 1
-
-    def binary(floor):
-        """An expression whose binary operators bind at floor or tighter."""
-        nonlocal pos, nesting
-        signs = 0
-        while toks[pos].lexeme == "-":
-            pos += 1
-            signs += 1
-            nesting += 1
-            if nesting > MAX_NESTING:
-                _fail(toks[pos], _TOO_DEEP)
-        e = None
-        while True:  # primaries joined by INTERSECT
-            tok = toks[pos]
-            kind = tok.kind
-            pos += 1
-            if kind is _IDENT:
-                if toks[pos].kind is not _LPAREN:
-                    p = NameRef(tok.lexeme)
-                else:
-                    pos += 1
-                    args = []
-                    if toks[pos].kind is _RPAREN:
-                        pos += 1
-                    else:
-                        args.append(nested())
-                        while toks[pos].kind is _COMMA:
-                            pos += 1
-                            args.append(nested())
-                        closing()
-                    p = Call(tok.lexeme.upper(), tuple(args))
-            elif kind is _NUMBER:
-                value = float(tok.lexeme)
-                if not math.isfinite(value):
-                    _fail(tok, "a finite number")
-                p = NumberLit(value)
-            elif kind is _LPAREN:
-                p = nested()
-                closing()
-            elif kind is _SHEET_QUAL:
-                nxt = toks[pos]
-                pos += 1
-                if nxt.kind is _IDENT:
-                    p = NameRef(nxt.lexeme, tok.lexeme[:-1])
-                elif nxt.kind is _CELLREF:
-                    p = CellRef(_normalize_cellref(nxt.lexeme), tok.lexeme[:-1])
-                else:
-                    _fail(nxt, "a name after %r" % tok.lexeme)
-            elif kind is _CELLREF:
-                p = CellRef(_normalize_cellref(tok.lexeme))
-            elif kind is _TEXT:
-                p = TextLit(tok.lexeme[1:-1].replace('""', '"'))
-            elif kind is _BOOL:
-                p = BoolLit(tok.lexeme.upper() == "TRUE")
-            else:
-                _fail(tok, "a value or reference")
-            e = p if e is None else Intersect(e, p)
-            if toks[pos].kind is not _INTERSECT:
-                break
-            pos += 1
-        while toks[pos].lexeme == "%":
-            pos += 1
-            e = Percent(e)
-        nesting -= signs
-        for _ in range(signs):
-            e = Unary("-", e)
-        while True:
-            op = toks[pos].lexeme
-            level = _BINARY_LEVEL.get(op, 0)
-            if level < floor:
-                return e
-            pos += 1
-            e = Binary(op, e, binary(level + 1))
-
-    e = binary(1)
-    if toks[pos].kind is not None:
+    end = tokens[-1][3]
+    toks = tokens + [(None, "", end, end)]
+    e, pos = _binary(toks, 0, 1, 0)
+    if toks[pos][0] is not None:
         _fail(toks[pos], "end of formula")
     # A tree has no more levels than the formula has tokens.
     if (len(tokens) > MAX_DEPTH
@@ -426,8 +350,122 @@ def parse(tokens: list[Token]) -> Expr:
     return e
 
 
+def _binary(toks, pos, floor, nesting):
+    """The expression that starts at toks[pos] and whose binary operators
+    bind at floor or tighter, with the position after it.  nesting counts
+    the parentheses, arguments and minus signs open around it.  One call
+    reads the minus signs, the primaries joined by INTERSECT, the "%"
+    signs and the binary operators at floor or tighter, left to right.
+    It recurses for a parenthesis, an argument, and a right operand that
+    is more than one name or number."""
+    kind, lexeme, _, _ = toks[pos]
+    signs = 0
+    while lexeme == "-":
+        pos += 1
+        signs += 1
+        if nesting + signs > MAX_NESTING:
+            _fail(toks[pos], _TOO_DEEP)
+        kind, lexeme, _, _ = toks[pos]
+    inner = nesting + signs
+    e = None
+    while True:  # primaries joined by INTERSECT
+        pos += 1
+        if kind is _IDENT:
+            if toks[pos][0] is not _LPAREN:
+                p = NameRef(lexeme)
+            else:
+                pos += 1
+                args = []
+                if toks[pos][0] is _RPAREN:
+                    pos += 1
+                else:
+                    arg, pos = _nested(toks, pos, inner)
+                    args.append(arg)
+                    while toks[pos][0] is _COMMA:
+                        arg, pos = _nested(toks, pos + 1, inner)
+                        args.append(arg)
+                    pos = _closing(toks, pos)
+                p = Call(lexeme.upper(), tuple(args))
+        elif kind is _NUMBER:
+            value = float(lexeme)
+            if not math.isfinite(value):
+                _fail(toks[pos - 1], "a finite number")
+            p = NumberLit(value)
+        elif kind is _LPAREN:
+            p, pos = _nested(toks, pos, inner)
+            pos = _closing(toks, pos)
+        elif kind is _SHEET_QUAL:
+            nxt = toks[pos]
+            pos += 1
+            if nxt[0] is _IDENT:
+                p = NameRef(nxt[1], lexeme[:-1])
+            elif nxt[0] is _CELLREF:
+                p = CellRef(_normalize_cellref(nxt[1]), lexeme[:-1])
+            else:
+                _fail(nxt, "a name after %r" % lexeme)
+        elif kind is _CELLREF:
+            p = CellRef(_normalize_cellref(lexeme))
+        elif kind is _TEXT:
+            p = TextLit(lexeme[1:-1].replace('""', '"'))
+        elif kind is _BOOL:
+            p = BoolLit(lexeme.upper() == "TRUE")
+        else:
+            _fail(toks[pos - 1], "a value or reference")
+        e = p if e is None else Intersect(e, p)
+        kind, lexeme, _, _ = toks[pos]
+        if kind is not _INTERSECT:
+            break
+        kind, lexeme, _, _ = toks[pos + 1]
+        pos += 1
+    while lexeme == "%":
+        pos += 1
+        e = Percent(e)
+        lexeme = toks[pos][1]
+    for _ in range(signs):
+        e = Unary("-", e)
+    while True:
+        level = _BINARY_LEVEL.get(lexeme, 0)
+        if level < floor:
+            return e, pos
+        # A right operand that is one name or number, followed by an
+        # operator that binds no tighter, is read here without recursing.
+        kind, word, _, _ = toks[pos + 1]
+        if kind is _IDENT or kind is _NUMBER:
+            after = toks[pos + 2]
+            if (after[0] is not _LPAREN and after[0] is not _INTERSECT
+                    and after[1] != "%"
+                    and _BINARY_LEVEL.get(after[1], 0) <= level):
+                if kind is _IDENT:
+                    rhs = NameRef(word)
+                elif math.isfinite(value := float(word)):
+                    rhs = NumberLit(value)
+                else:
+                    _fail(toks[pos + 1], "a finite number")
+                e = Binary(lexeme, e, rhs)
+                pos += 2
+                lexeme = after[1]
+                continue
+        rhs, pos = _binary(toks, pos + 1, level + 1, nesting)
+        e = Binary(lexeme, e, rhs)
+        lexeme = toks[pos][1]
+
+
+def _nested(toks, pos, nesting):
+    """_binary's whole expression at toks[pos], one nesting level deeper."""
+    if nesting >= MAX_NESTING:
+        _fail(toks[pos], _TOO_DEEP)
+    return _binary(toks, pos, 1, nesting + 1)
+
+
+def _closing(toks, pos):
+    """The position after the ")" at toks[pos]."""
+    if toks[pos][0] is not _RPAREN:
+        _fail(toks[pos], "')'")
+    return pos + 1
+
+
 def parse_formula(text: str) -> Expr:
-    return parse(tokenize(text))
+    return parse(_lex(text))
 
 
 # --- canonical rendering -----------------------------------------------------
@@ -473,31 +511,47 @@ def render(e: Expr) -> str:
     raise TypeError("not an expression: %r" % (e,))
 
 
-def walk(e: Expr) -> list:
-    """(node, level) for every node in reading order, the root at level 1.
+def walk(e: Expr, kind=None) -> list:
+    """(node, level) for every node in reading order, the root at level 1;
+    given a leaf type as kind, just the nodes of that type, in the same
+    order, with no levels built.
 
     Iterative, so it is safe on a tree of any depth."""
     out = []
+    if kind is not None:
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            t = type(node)
+            if t is kind:
+                out.append(node)
+            elif t is Binary or t is Intersect:
+                stack += (node.rhs, node.lhs)
+            elif t is Unary or t is Percent:
+                stack.append(node.operand)
+            elif t is Call:
+                stack += reversed(node.args)
+        return out
     stack = [(e, 1)]
     while stack:
         item = stack.pop()
         out.append(item)
         node, level = item[0], item[1] + 1
-        kind = type(node)
-        if kind is Binary or kind is Intersect:
+        t = type(node)
+        if t is Binary or t is Intersect:
             stack += ((node.rhs, level), (node.lhs, level))
-        elif kind is Unary or kind is Percent:
+        elif t is Unary or t is Percent:
             stack.append((node.operand, level))
-        elif kind is Call:
+        elif t is Call:
             stack += [(a, level) for a in reversed(node.args)]
     return out
 
 
 def names_referenced(e: Expr) -> set[tuple[str | None, str]]:
     """All (sheet qualifier, identifier) pairs referenced by the expression."""
-    return {(n.sheet, n.name) for n, _ in walk(e) if isinstance(n, NameRef)}
+    return {(n.sheet, n.name) for n in walk(e, NameRef)}
 
 
 def cell_refs(e: Expr) -> list[CellRef]:
     """All CellRef nodes, in reading order; used by the linter."""
-    return [n for n, _ in walk(e) if isinstance(n, CellRef)]
+    return walk(e, CellRef)

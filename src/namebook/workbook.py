@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from itertools import chain
 from types import MappingProxyType
 
@@ -210,29 +210,28 @@ class GridRange(Record):
         return ("%s!%s" % (self.sheet, body)) if with_sheet else body
 
 
-_A1_PART = re.compile(r"^\$?([A-Z]{1,3})\$?([0-9]{1,7})?$", re.IGNORECASE)
+# One or two corners, each column letters with an optional row; "$" marks
+# are allowed and ignored.  A corner may end in one "\n", as "$" let it.
+_A1 = re.compile(r"\$?([A-Z]{1,3})\$?([0-9]{1,7})?\n?"
+                 r"(?::\$?([A-Z]{1,3})\$?([0-9]{1,7})?\n?)?", re.IGNORECASE)
 
 
 def parse_a1(sheet: str, text: str) -> GridRange:
     """GridRange for an A1 rectangle like F5:X16, C3 or F:X."""
-    parts = text.split(":")
-    if len(parts) > 2 or not parts[0]:
+    m = _A1.fullmatch(text)
+    if m is None:
         raise ValueError("bad A1 rectangle %r" % text)
-    m1 = _A1_PART.match(parts[0])
-    m2 = _A1_PART.match(parts[-1])
-    if not m1 or not m2:
-        raise ValueError("bad A1 rectangle %r" % text)
-    c1, r1 = col_to_index(m1.group(1)), m1.group(2)
-    c2, r2 = col_to_index(m2.group(1)), m2.group(2)
-    if (r1 is None) != (r2 is None):
-        raise ValueError("bad A1 rectangle %r" % text)
-    if r1 is None:
-        if len(parts) == 1:
+    col1, row1, col2, row2 = m.groups()
+    if col2 is None:
+        if row1 is None:  # a lone column
             raise ValueError("bad A1 rectangle %r" % text)
-        lo, hi = sorted((c1, c2))
-        return GridRange(sheet, lo, hi)
-    return GridRange(sheet, min(c1, c2), max(c1, c2),
-                     min(int(r1), int(r2)), max(int(r1), int(r2)))
+        col2, row2 = col1, row1
+    elif (row1 is None) != (row2 is None):
+        raise ValueError("bad A1 rectangle %r" % text)
+    if row1 is None:
+        return GridRange(sheet, col_to_index(col1), col_to_index(col2))
+    return GridRange(sheet, col_to_index(col1), col_to_index(col2),
+                     int(row1), int(row2))
 
 
 RANGE = "range"
@@ -371,8 +370,8 @@ class Workbook:
     def __init__(self):
         self.sheets: dict[str, Sheet] = {}
         self.names: dict[tuple, NameDef] = {}
-        # sheet -> column -> sorted [(row_start, row_end, key)], one entry per
-        # formula range shared by its columns (no two tie); None when stale.
+        # The formula ranges over each run of columns (see _owner_index);
+        # None when stale.
         self._owners: dict | None = None
         self._graph = None  # engine.build_dep_graph's result; None when stale
         # The cells written since evaluate() kept its values, as rectangles
@@ -464,61 +463,84 @@ class Workbook:
         if not target.is_whole_rows and target.row_end > sh.rows:
             raise RefError("%s exceeds sheet rows" % target.address(True))
 
-    def _index_owner(self, nd: NameDef):
+    def _claim(self, nd: NameDef):
+        """Index nd's formula range as the owner of its cells, or raise
+        OverlappingFormulaRangeError, naming the earliest-defined owner,
+        when a formula range already owns one of them.
+
+        The runs of nd's columns are split off at its edges.  Formula
+        ranges never overlap, so within a run they sort by first and by
+        last row alike: one bisection per run finds the place past the
+        last one starting on or above nd's bottom row, and nd is free in
+        that run when the one before that place ends above nd's top row.
+        nd goes in at that place in every run once all are free.  A claim
+        costs O(runs * log n)."""
         rng = self.bounded(nd.target)
-        entry = (rng.row_start, rng.row_end, nd.key())
-        columns = self._owners.setdefault(rng.sheet, {})
-        for col in range(rng.col_start, rng.col_end + 1):
-            insort(columns.setdefault(col, []), entry)
+        top, bottom = rng.row_start, rng.row_end
+        starts, runs = self._owner_index().setdefault(rng.sheet, ([1], [[]]))
+        first = _split(starts, runs, rng.col_start)
+        span = runs[first:_split(starts, runs, rng.col_end + 1)]
+        probe = (bottom, math.inf)
+        places = []
+        for owners in span:
+            i = bisect_right(owners, probe)
+            if i and owners[i - 1][1] >= top:
+                taken = self.formula_owners(rng)
+                earliest = next(k for k in self.names if k in taken)
+                raise OverlappingFormulaRangeError(
+                    "%s overlaps formula range %s"
+                    % (nd.display(), self.names[earliest].display()))
+            places.append(i)
+        entry = (top, bottom, nd.key())
+        for owners, i in zip(span, places):
+            owners.insert(i, entry)
 
-    def formula_owners(self, rng: GridRange) -> frozenset:
-        """Keys of the formula ranges that own any cell of rng.
-
-        Formula ranges never overlap, so within a column they sort by first
-        and by last row alike: bisect past the last one starting on or
-        above rng's bottom row, then step back while they still reach its
-        top row.  A query costs O(columns * log n + hits).
-        """
+    def _owner_index(self) -> dict:
+        """sheet -> (starts, runs): the sheet's columns cut into runs of
+        columns that the same formula ranges cover, run k starting at
+        column starts[k] and holding the sorted (row_start, row_end, key)
+        of those ranges as runs[k]; built on first use."""
         if self._owners is None:
             self._owners = {}
             for nd in self.formula_bearing():
-                self._index_owner(nd)
+                self._claim(nd)
+        return self._owners
+
+    def formula_owners(self, rng: GridRange) -> frozenset:
+        """Keys of the formula ranges that own any cell of rng: in each run
+        of its columns, bisect as _claim does, then step back while they
+        still reach rng's top row.  A query costs O(runs * log n + hits).
+        """
+        index = self._owner_index().get(rng.sheet)
         sh = self.sheets.get(rng.sheet)
-        if sh is None:
+        if index is None or sh is None:
             return frozenset()
         rng = rng.clamp(sh.rows)
-        columns = self._owners.get(rng.sheet, {})
+        starts, runs = index
         probe, top = (rng.row_end, math.inf), rng.row_start
         hits = set()
-        for col in range(rng.col_start, rng.col_end + 1):
-            column = columns.get(col, ())
-            i = bisect_right(column, probe)
-            while i > 0 and column[i - 1][1] >= top:
+        for owners in runs[bisect_right(starts, rng.col_start) - 1:
+                           bisect_right(starts, rng.col_end)]:
+            i = bisect_right(owners, probe)
+            while i > 0 and owners[i - 1][1] >= top:
                 i -= 1
-                hits.add(column[i][2])
+                hits.add(owners[i][2])
         return frozenset(hits)
-
-    def _check_formula_overlap(self, candidate: NameDef):
-        if candidate.formula is None or candidate.target is None:
-            return
-        owners = self.formula_owners(candidate.target)
-        if owners:  # name the earliest-defined of them
-            first = next(k for k in self.names if k in owners)
-            raise OverlappingFormulaRangeError(
-                "%s overlaps formula range %s"
-                % (candidate.display(), self.names[first].display()))
 
     def define_name(self, nd: NameDef) -> "Workbook":
         if not is_identifier(nd.identifier):
             raise BadIdentifierError("bad identifier %r" % nd.identifier)
         if nd.scope is not None and nd.scope not in self.sheets:
             raise UnknownSheetError("scope sheet %r does not exist" % nd.scope)
-        if nd.key() in self.names:
+        key = (nd.scope, nd.identifier)
+        if key in self.names:
             raise DuplicateNameError("name %s already defined" % nd.display())
         if nd.kind == RANGE:
             if nd.target is None:
                 raise ValueError("range name %s needs a target" % nd.display())
             self._check_target(nd.target)
+            if nd.formula is not None:
+                self._claim(nd)
         elif nd.kind == FORMULA:
             if nd.formula is None:
                 raise ValueError("formula name %s needs a formula" % nd.display())
@@ -526,12 +548,8 @@ class Workbook:
                 raise ValueError("formula name %s cannot target cells" % nd.display())
         else:
             raise ValueError("unknown name kind %r" % nd.kind)
-        self._check_formula_overlap(nd)
-        self.names[nd.key()] = nd
+        self.names[key] = nd
         self._graph = self._written = None
-        if (self._owners is not None and nd.formula is not None
-                and nd.target is not None):
-            self._index_owner(nd)
         return self
 
     def rebind_name(self, identifier: str, scope: str | None, refers_to) -> "Workbook":
@@ -598,6 +616,17 @@ class Workbook:
             out.sheets[sh.name] = sh.copy()
         out.names = dict(self.names)  # definitions are never changed in place
         return out
+
+
+def _split(starts: list, runs: list, col: int) -> int:
+    """The place of the run that starts at column col, made by cutting the
+    run that holds col in two there if it starts before col."""
+    k = bisect_right(starts, col) - 1
+    if starts[k] != col:
+        k += 1
+        starts.insert(k, col)
+        runs.insert(k, runs[k - 1].copy())
+    return k
 
 
 def shift_name(base: NameDef, identifier: str, dr: int, dc: int) -> NameDef:

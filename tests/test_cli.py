@@ -520,6 +520,21 @@ def test_module_entry_point_runs():
     assert proc.stdout == "# interest.rate 1x1\n0.005\n"
 
 
+def test_eval_loads_no_audit_module(tmp_path):
+    # The audit views are imported by audit and lint alone.
+    script = ("import sys; from namebook.cli import main; "
+              "main(['eval', sys.argv[1], '--out', sys.argv[2]]); "
+              "print('namebook.audit' in sys.modules); "
+              "main(['lint', sys.argv[1]]); "
+              "print('namebook.audit' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, LOAN_DOC, str(tmp_path / "v.tsv")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-1] == "True"
+
+
 # --- fuzz -------------------------------------------------------------------
 
 _FIXTURE_TEXTS = [text for _, text in _fixture_docs()]

@@ -6,8 +6,8 @@ The reads are checked against the independent interpreter in
 oracle.py, before and after cell edits.  The gates count what a second
 evaluate of the chain book does (no name lookups, a range copy only for
 reads that are not an owner's exact block, and no operand layout), what
-a first one asks of the owner index, and what its programs keep in
-memory."""
+a first one asks of the owner index, what its programs keep in memory,
+and how many calls a rebuild makes per name."""
 
 import cProfile
 import os
@@ -296,3 +296,25 @@ def test_rebuild_reads_plain_number_blocks_whole():
              for f in (docio.decode_field, Sheet.set)]
     assert calls == [0, 0]
     assert sum(len(sheet.cells) for sheet in wb.sheets.values()) == 3200
+
+
+# --- load cost ----------------------------------------------------------------
+
+def _rebuild_calls_per_name(text):
+    rebuild(text)  # first, so that nothing is built once per process
+    prof = cProfile.Profile()
+    prof.enable()
+    wb = rebuild(text)
+    prof.disable()
+    return pstats.Stats(prof).total_calls / len(wb.names)
+
+
+def test_a_rebuild_makes_the_same_calls_per_name_at_any_size():
+    # cProfile calls per name of one rebuild of the chain book, at half
+    # and at full size: 113.1 and 112.9.  Before the lexer, the parser,
+    # the A1 target parser, the owner index and the closed-world graph
+    # were reworked they were 180.2 and 180.3.
+    half, full = (_rebuild_calls_per_name(workloads.chain(403, scale)[0].text)
+                  for scale in (0.5, 1.0))
+    assert abs(half - full) <= 0.05 * full
+    assert max(half, full) < 120
