@@ -80,10 +80,9 @@ _SHOW = {
 def _value_block(display, value):
     """A name's TSV lines: a "# name RxC" header, then one line per row."""
     if isinstance(value, Array):
-        cells = value.cells
-        width = len(cells[0])
-        fields = [_SHOW[type(s)](s) for row in cells for s in row]
-        return ["# %s %dx%d" % (display, len(cells), width),
+        rows, width = value.shape
+        fields = [_SHOW[type(s)](s) for s in value.flat]
+        return ["# %s %dx%d" % (display, rows, width),
                 *tab_rows(fields, width)]
     return ["# %s 1x1" % display, _SHOW[type(value)](value)]
 

@@ -26,7 +26,11 @@ cell.  Programs and closures apply the same operator kernels
 (values.BINARY); on a result of at least _TWIN_MIN_CELLS cells whose
 operands are all floats, a program maps the kernel's float twin
 (values.FLOAT_TWIN), the plain operator the kernel applies to two floats,
-so the loop runs in C and the values are the same.
+so the loop runs in C and the values are the same.  A whole value is a
+scalar or an Array(flat, shape), one row-major list and its shape, so a
+step over operands of one shape is one map over their lists, and a
+one-column read is the slice the sheet gives.  Only a sweep keeps rows,
+its padded per-cell ones, and it flattens each member when it is done.
 
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
@@ -310,13 +314,8 @@ class ValueStore(Record):
         return V.collapse(self.value(identifier, scope))
 
     def has_errors(self) -> bool:
-        for v in self.values.values():
-            if type(v) is Array:
-                if CellError in map(type, chain.from_iterable(v.cells)):
-                    return True
-            elif type(v) is CellError:
-                return True
-        return False
+        return any(CellError in map(type, _scalars(v))
+                   for v in self.values.values())
 
     def items(self):
         return sorted(self.values.items(), key=lambda kv: _sort_key(kv[0]))
@@ -472,29 +471,29 @@ def _validate(wb: Workbook, graph: DepGraph, members, table, entered):
 # --- builtin functions -------------------------------------------------------
 
 def _scalars(v):
-    """The scalars of a value in row-major order, walked in C."""
-    return chain.from_iterable(v.cells) if isinstance(v, Array) else (v,)
+    """The scalars of a value in row-major order."""
+    return v.flat if isinstance(v, Array) else (v,)
 
 
 def _all_floats(v):
     """True when v is a float, or an Array whose cells are all floats;
     an Array's cells are tested in C."""
     if isinstance(v, Array):
-        return all(map(isinstance, chain.from_iterable(v.cells),
-                       repeat(float)))
+        return all(map(isinstance, v.flat, repeat(float)))
     return type(v) is float
 
 
-def _rows_of(v, shape):
-    """v laid out as rows of shape: a scalar, single row or single column
-    repeats along the missing axis.  v must conform to shape."""
+def _flat_of(v, shape):
+    """v laid out row-major over shape: a scalar, single row or single
+    column repeats along the missing axis, and an Array of shape is its
+    own list.  v must conform to shape."""
     rows, cols = shape
     if not isinstance(v, Array):
-        return [[v] * cols] * rows
-    cells = v.cells
-    if len(cells[0]) != cols:
-        cells = [row * cols for row in cells]
-    return cells if len(cells) == rows else cells * rows
+        return [v] * (rows * cols)
+    flat = v.flat
+    if v.shape[1] != cols:
+        flat = list(chain.from_iterable(zip(*[flat] * cols)))
+    return flat if v.shape[0] == rows else flat * rows
 
 
 # The fewest result cells for which _broadcast tests its operands for a
@@ -511,36 +510,30 @@ def _broadcast(fn, *args):
     shapes do not conform, a scalar when they are all 1x1.
 
     Operands that need no layout go straight to fn: all scalars, or
-    scalars and Arrays of one shape other than 1x1, whose output rows map
-    fn over the Arrays' own rows with each scalar repeated in place.  On
-    that path a result of at least _TWIN_MIN_CELLS cells whose operands
-    are all floats maps fn's float twin (values.FLOAT_TWIN), if it has
-    one, in fn's place, and a one-column result is one map over the
-    flattened operands.  Any other mix (a 1x1 Array, which collapses, a
-    row against a column, shapes that do not conform) takes the fold over
-    the shapes below."""
-    rows = None
+    scalars and Arrays of one shape other than 1x1, whose result is one
+    map of fn over the Arrays' lists with each scalar repeated in place.
+    On that path a result of at least _TWIN_MIN_CELLS cells whose
+    operands are all floats maps fn's float twin (values.FLOAT_TWIN), if
+    it has one, in fn's place.  Any other mix (a 1x1 Array, which
+    collapses, a row against a column, shapes that do not conform) takes
+    the fold over the shapes below."""
+    shape = None
     for a in args:
         if isinstance(a, Array):
-            cells = a.cells
-            if rows is None:
-                rows, cols = len(cells), len(cells[0])
-            elif len(cells) != rows or len(cells[0]) != cols:
+            if shape is None:
+                shape = a.shape
+            elif a.shape != shape:
                 break
     else:
-        if rows is None:
+        if shape is None:
             return fn(*args)
-        if rows != 1 or cols != 1:
-            if (rows * cols >= _TWIN_MIN_CELLS and fn in V.FLOAT_TWIN
-                    and all(map(_all_floats, args))):
+        if shape != (1, 1):
+            if (shape[0] * shape[1] >= _TWIN_MIN_CELLS
+                    and fn in V.FLOAT_TWIN and all(map(_all_floats, args))):
                 fn = V.FLOAT_TWIN[fn]
-            if cols == 1:
-                return Array([[v] for v in map(fn, *[
-                    chain.from_iterable(a.cells) if isinstance(a, Array)
-                    else repeat(a) for a in args])])
-            return Array([list(map(fn, *row)) for row in zip(*[
-                a.cells if isinstance(a, Array) else repeat(repeat(a))
-                for a in args])])
+            return Array(list(map(fn, *[
+                a.flat if isinstance(a, Array) else repeat(a)
+                for a in args])), shape)
     shape = (1, 1)
     for a in args:
         shape = V.broadcast_shapes(shape, V.value_shape(a))
@@ -548,8 +541,7 @@ def _broadcast(fn, *args):
             return V.VALUE_ERROR
     if shape == (1, 1):
         return fn(*map(V.collapse, args))
-    laid_out = [_rows_of(a, shape) for a in args]
-    return Array([list(map(fn, *row)) for row in zip(*laid_out)])
+    return Array(list(map(fn, *[_flat_of(a, shape) for a in args])), shape)
 
 
 def _builtin_sum(args):
@@ -560,7 +552,7 @@ def _builtin_sum(args):
     total = 0.0
     for v in args:
         if isinstance(v, Array) and _all_floats(v):
-            total = reduce(operator.add, chain.from_iterable(v.cells), total)
+            total = reduce(operator.add, v.flat, total)
             continue
         for s in _scalars(v):
             if isinstance(s, CellError):
@@ -580,8 +572,7 @@ def _builtin_minmax(args, pick):
     best = None
     for v in args:
         if isinstance(v, Array) and _all_floats(v):
-            flat = chain.from_iterable(v.cells)
-            best = pick(flat) if best is None else pick(best, *flat)
+            best = pick(v.flat) if best is None else pick(best, *v.flat)
             continue
         for s in _scalars(v):
             if isinstance(s, CellError):
@@ -604,10 +595,7 @@ def _as_vector(v):
     """The scalars of a single-row or single-column value, in order."""
     if not isinstance(v, Array):
         return [v]
-    r, c = v.shape
-    if r != 1 and c != 1:
-        return None
-    return [s for row in v.cells for s in row]
+    return v.flat if 1 in v.shape else None
 
 
 def _exact_key(s):
@@ -778,14 +766,17 @@ def _builtin_index(state, args):
             rng = source.rng
             rows_decl = (state.wb.sheet(rng.sheet).rows
                          if rng.sheet in state.wb.sheets else 1)
-            pair = _index_pair(nums, rng.clamp(rows_decl).shape())
+            shape = rng.clamp(rows_decl).shape()
+            pair = _index_pair(nums, shape)
             if pair is None:
                 return V.VALUE_ERROR
+            if pair[0] > shape[0]:  # past a whole-column band's last row
+                return V.REF_ERROR
             try:
                 return RangeValue(rng.index_slice(*pair))
             except RefError:
                 return V.REF_ERROR
-        src = source if isinstance(source, Array) else Array([[source]])
+        src = source if isinstance(source, Array) else Array([source], (1, 1))
         r, c = src.shape
         pair = _index_pair(nums, (r, c))
         if pair is None:
@@ -793,23 +784,24 @@ def _builtin_index(state, args):
         row, col = pair
         if row > r or col > c:
             return V.REF_ERROR
-        rows = range(r) if row == 0 else [row - 1]
-        cols = range(c) if col == 0 else [col - 1]
-        out = [[src.cells[i][j] for j in cols] for i in rows]
-        if len(out) == 1 and len(out[0]) == 1:
-            return out[0][0]
-        return Array(out)
+        flat = src.flat
+        if row:
+            flat, r = flat[(row - 1) * c:row * c], 1
+        if col:
+            flat, c = flat[col - 1::c], 1
+        return flat[0] if r == c == 1 else Array(flat, (r, c))
 
     # Array indices gather elementwise; a whole-axis 0 has no meaning here.
     src = _deref(state, source)
     if isinstance(src, CellError):
         return src
     if not isinstance(src, Array):
-        src = Array([[src]])
+        src = Array([src], (1, 1))
     r, c = src.shape
+    flat = src.flat
     if len(idx_args) == 1:
         # A lone index runs down a single column, else along the first row.
-        line = [row[0] for row in src.cells] if c == 1 else src.cells[0]
+        line = flat if c == 1 else flat[:c]
         n = len(line)
 
         def along(k):
@@ -837,7 +829,7 @@ def _builtin_index(state, args):
             return V.VALUE_ERROR
         if i > r or j > c:
             return V.REF_ERROR
-        return src.cells[i - 1][j - 1]
+        return flat[(i - 1) * c + j - 1]
 
     return _broadcast(gather, *idx_args)
 
@@ -1034,8 +1026,9 @@ class _EvalState:
 
     def materialize(self, rv: RangeValue, owners):
         """The cells of a rectangle: plain cells from the sheet, one slice
-        per column, overlaid with the blocks of owners, its formula ranges
-        in _sort_key order.  Evaluation writes no cell, so a rectangle
+        per column (a one-column read is that slice), overlaid with the
+        blocks of owners, its formula ranges in _sort_key order, one slice
+        per row of each overlap.  Evaluation writes no cell, so a rectangle
         with no owners is copied once per evaluate and its value shared
         (values are read-only)."""
         if not owners:
@@ -1047,23 +1040,24 @@ class _EvalState:
             return V.REF_ERROR
         rng = rv.rng.clamp(sh.rows)
         r0, r1, c0 = rng.row_start, rng.row_end, rng.col_start
-        columns = [sh.column(c, r0, r1) for c in range(c0, rng.col_end + 1)]
-        if len(columns) == 1:
-            rows = [[v] for v in columns[0]]
+        rows, cols = r1 - r0 + 1, rng.col_end - c0 + 1
+        if cols == 1:
+            flat = sh.column(c0, r0, r1)
         else:
-            rows = list(map(list, zip(*columns)))
+            flat = [None] * (rows * cols)
+            for k in range(cols):
+                flat[k::cols] = sh.column(c0 + k, r0, r1)
         for okey in owners:
-            value = self.ensure_computed(okey)
             own = self.wb.names[okey].target.clamp(sh.rows)
-            block = _rows_of(value, own.shape())
+            block = _flat_of(self.ensure_computed(okey), own.shape())
+            width = own.col_end - own.col_start + 1
             hit = own.intersect(rng)
-            lo, hi = hit.col_start - own.col_start, hit.col_end - own.col_start
+            lo, m = hit.col_start, hit.col_end - hit.col_start + 1
             for r in range(hit.row_start, hit.row_end + 1):
-                rows[r - r0][hit.col_start - c0:hit.col_end - c0 + 1] = \
-                    block[r - own.row_start][lo:hi + 1]
-        value = Array(rows)
-        if len(rows) == 1 and len(rows[0]) == 1:
-            value = rows[0][0]
+                at = (r - r0) * cols + lo - c0
+                of = (r - own.row_start) * width + lo - own.col_start
+                flat[at:at + m] = block[of:of + m]
+        value = flat[0] if rows == cols == 1 else Array(flat, (rows, cols))
         if not owners:
             self.plain[rv.rng] = value
         return value
@@ -1087,7 +1081,7 @@ def _expand_to_shape(value, shape):
         return value
     if V.broadcast_shapes(V.value_shape(value), shape) != shape:
         value = V.VALUE_ERROR
-    return Array(_rows_of(value, shape))
+    return Array(_flat_of(value, shape), shape)
 
 
 def _eval_whole_name(state: _EvalState, nd: NameDef):
@@ -1175,7 +1169,10 @@ def _run_sweep(state: _EvalState, group: _Group):
             if V.broadcast_shapes(value.shape, shape) != shape:
                 value = V.VALUE_ERROR
             else:
-                laid = _rows_of(value, shape)
+                # As rows; a single row repeats its one row object.
+                laid = (value.cells if value.shape[1] == shape[1]
+                        else [[s] * shape[1] for s in value.flat])
+                laid *= shape[0] // len(laid)
                 return lambda i, j: laid[i][j]
         return lambda i, j: value
 
@@ -1190,12 +1187,12 @@ def _run_sweep(state: _EvalState, group: _Group):
         # The twin's first column or row on a forward sweep, else its last.
         k = 1 if dr + dc < 0 else shapes[w][across]
         edge = vrng.index_slice(*((0, k) if across else (k, 0)))
-        laid = _rows_of(_deref(state, RangeValue(edge)), edge.shape())
+        laid = _flat_of(_deref(state, RangeValue(edge)), edge.shape())
         if across:
-            for row, (x,) in zip(partial[w, w], laid):
+            for row, x in zip(partial[w, w], laid):
                 row[-1] = x
         else:
-            partial[w, w][-1] = laid[0]
+            partial[w, w][-1] = laid
     n = shapes[group.order[0]][across]
     for s in (range(n) if dr + dc < 0 else range(n - 1, -1, -1)):
         for fill, part, (rows, cols) in plan:
@@ -1208,8 +1205,9 @@ def _run_sweep(state: _EvalState, group: _Group):
                     row[j] = fill(s, j)
     for m in group.members:
         part = partial[m, m]
-        state.computed[m] = Array([row[:-1] for row in part] if across
-                                  else part[:-1])
+        for row in part if across else [part]:
+            del row[-1]  # the padding: each row's last cell, or the last row
+        state.computed[m] = Array(list(chain.from_iterable(part)), shapes[m])
 
 
 def _stale(wb: Workbook, graph: DepGraph) -> set:

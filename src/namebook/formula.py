@@ -19,10 +19,10 @@ whitespace between two reference terms and binds tightest of all.
 
 The lexer is one compiled pattern, _TOKEN, with one alternative per token
 class, run over the formula once by finditer; an identifier of ASCII
-characters needs no check after its match.  It makes plain (kind, lexeme,
-start, end) tuples, which parse_formula hands straight to the parser;
-tokenize wraps each in a Token.  The parser climbs precedence (Pratt,
-"Top Down Operator Precedence", POPL 1973): one loop reads every binary
+characters needs no check after its match.  tokenize makes plain (kind,
+lexeme, start, end) tuples, which parse_formula hands straight to the
+parser.  The parser climbs precedence (Pratt, "Top Down Operator
+Precedence", POPL 1973): one loop reads every binary
 operator at a given binding level or tighter from _BINARY_LEVEL, the
 table render also uses to decide where parentheses go, and reads a right
 operand that is one name or number in that loop, without recursing.
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import namedtuple
 from enum import Enum, auto
 
 from .values import Record, format_number
@@ -83,9 +82,6 @@ class TokenKind(Enum):
     INTERSECT = auto()    # whitespace between two reference-producing tokens
 
 
-Token = namedtuple("Token", "kind lexeme start end")
-
-
 (_NUMBER, _TEXT, _BOOL, _IDENT, _SHEET_QUAL, _CELLREF, _OP, _LPAREN, _RPAREN,
  _COMMA, _INTERSECT) = TokenKind
 
@@ -109,7 +105,7 @@ _CELLREF_FULL = re.compile(r"^(?:%s)$" % _CELLREF_PATTERN)
 # the reference holds a "$" or ":" (an identifier stops there) or when no
 # identifier character follows it, so the longer reading wins.  An
 # identifier of ASCII characters that is no sheet qualifier is an IDENT
-# as it stands; any other ("name") is checked by _lex.  A text
+# as it stands; any other ("name") is checked by tokenize.  A text
 # literal must not close on the first quote of a doubled pair.  No
 # alternative starts with a blank, so the leading blanks never backtrack
 # into a token.
@@ -130,8 +126,6 @@ _TOKEN = re.compile(r"""[ \t]*(?:
 _GROUP_KIND = {number: TokenKind.__members__.get(name)
                for name, number in _TOKEN.groupindex.items()}
 _NAME_GROUP = _TOKEN.groupindex["name"]
-# Token(kind, lexeme, start, end) without namedtuple's Python-level __new__.
-_token = tuple.__new__
 _BOOLS = ("TRUE", "FALSE")
 _REF_LEFT = (_IDENT, _CELLREF, _RPAREN)
 _REF_RIGHT = (_IDENT, _CELLREF)
@@ -162,14 +156,9 @@ def col_to_index(letters: str) -> int:
     return n
 
 
-def tokenize(text: str) -> list[Token]:
-    """Lex a formula.  A leading "=" or surrounding "{=...}" is tolerated."""
-    return [_token(Token, t) for t in _lex(text)]
-
-
-def _lex(text: str) -> list[tuple]:
-    """tokenize's tokens as plain (kind, lexeme, start, end) tuples, which
-    is what parse_formula hands the parser."""
+def tokenize(text: str) -> list[tuple]:
+    """Lex a formula into (kind, lexeme, start, end) tuples.  A leading "="
+    or surrounding "{=...}" is tolerated."""
     pos = 0
     end_limit = n = len(text)
     if text[:1] in " \t{=":
@@ -327,9 +316,9 @@ def _fail(tok, expected):
 _TOO_DEEP = "at most %d levels of nesting" % MAX_NESTING
 
 
-def parse(tokens: list[Token]) -> Expr:
-    """The expression tree of a token list, by precedence climbing.  A
-    token is a Token or the plain (kind, lexeme, start, end) tuple of one.
+def parse(tokens: list[tuple]) -> Expr:
+    """The expression tree of a list of tokenize's (kind, lexeme, start,
+    end) tuples, by precedence climbing.
 
     The list gets a sentinel of kind None and empty lexeme where the
     formula ends.  Only OP tokens have a lexeme that is a key of
@@ -465,7 +454,7 @@ def _closing(toks, pos):
 
 
 def parse_formula(text: str) -> Expr:
-    return parse(_lex(text))
+    return parse(tokenize(text))
 
 
 # --- canonical rendering -----------------------------------------------------

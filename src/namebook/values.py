@@ -1,11 +1,12 @@
 """Cell values and the scalar operation kernels.
 
 A scalar is one of: None (blank), float, bool, str, or CellError.  Array wraps
-a rectangular, non-empty grid of scalars; arrays never nest.  The kernels here
-define coercion and error propagation once, one kernel per operator in
-BINARY, so the array evaluator and the compiled sweep closures cannot drift
-apart.  A kernel's float twin (FLOAT_TWIN), which the array evaluator maps
-over floats alone, is the very function the kernel applies to two floats.
+a rectangular, non-empty grid of scalars as one row-major list and its
+shape; arrays never nest.  The kernels here define coercion and error
+propagation once, one kernel per operator in BINARY, so the array
+evaluator and the compiled sweep closures cannot drift apart.  A
+kernel's float twin (FLOAT_TWIN), which the array evaluator maps over
+floats alone, is the very function the kernel applies to two floats.
 """
 
 from __future__ import annotations
@@ -60,28 +61,32 @@ CYCLE_ERROR = CellError("#CYCLE!")
 
 
 class Array:
-    """Rectangular non-empty grid of scalars.
+    """Rectangular non-empty grid of scalars: one row-major list, flat,
+    and its shape, (rows, cols).  Cell (i, j) is flat[i * cols + j].
 
-    Arrays are built from rows an evaluator has just made or from sheet
-    cells, which Sheet.set checked on entry, so the rows are kept as
-    given: no copy and no per-scalar check.  Rows may be shared
-    between arrays (a broadcast repeats one row object), so an Array and
-    its rows are never mutated after construction.
+    Arrays are built from lists an evaluator has just made or from sheet
+    cells, which Sheet.set checked on entry, so flat is kept as given:
+    no copy and no per-scalar check.  A list may be shared between
+    arrays (a value of the right shape is passed on as it is), so an
+    Array and its list are never mutated after construction.  cells,
+    the rows, is built on each access.
     """
 
-    __slots__ = ("cells",)
-    def __init__(self, cells):
-        self.cells = cells
+    __slots__ = ("flat", "shape")
+    def __init__(self, flat, shape):
+        self.flat, self.shape = flat, shape
 
     @property
-    def shape(self):
-        return (len(self.cells), len(self.cells[0]))
+    def cells(self):
+        flat, cols = self.flat, self.shape[1]
+        return [flat[k:k + cols] for k in range(0, len(flat), cols)]
 
     def get(self, i, j):
-        return self.cells[i][j]
+        return self.flat[i * self.shape[1] + j]
 
     def __eq__(self, other):
-        return isinstance(other, Array) and self.cells == other.cells
+        return (isinstance(other, Array) and self.shape == other.shape
+                and self.flat == other.flat)
 
     def __repr__(self):
         return "Array(%r)" % (self.cells,)
@@ -107,7 +112,7 @@ def broadcast_shapes(sa, sb):
 def collapse(v):
     """Fold a 1x1 array down to its scalar; other values pass through."""
     if isinstance(v, Array) and v.shape == (1, 1):
-        return v.cells[0][0]
+        return v.flat[0]
     return v
 
 

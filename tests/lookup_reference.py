@@ -15,6 +15,8 @@ from namebook import values as V
 from namebook.engine import _broadcast
 from namebook.values import Array, CellError
 
+from arrays import of_rows
+
 
 def _as_vector(v):
     """(position, scalar) pairs of a single-row or single-column value."""
@@ -114,7 +116,7 @@ def index_by_arrays(src, idx_args):
     the old `_builtin_index`, after its arguments were checked for errors
     and src was dereferenced."""
     if not isinstance(src, Array):
-        src = Array([[src]])
+        src = of_rows([[src]])
     r, c = src.shape
     if len(idx_args) == 1:
         if c == 1:

@@ -17,6 +17,8 @@ from namebook.values import (Array, CellError, CYCLE_ERROR, DIV0_ERROR,
                              NAME_ERROR, NULL_ERROR, REF_ERROR, VALUE_ERROR)
 from namebook.workbook import FORMULA, RANGE, GridRange, RefError
 
+from arrays import of_rows
+
 
 # --- scalar helpers (written fresh, no reuse of namebook.values kernels) ----
 
@@ -177,13 +179,13 @@ def _map2(fn, a, b):
     if shape == (1, 1):
         return fn(a if not isinstance(a, Array) else a.cells[0][0],
                   b if not isinstance(b, Array) else b.cells[0][0])
-    return Array([[fn(_at(a, i, j, shape), _at(b, i, j, shape))
-                   for j in range(shape[1])] for i in range(shape[0])])
+    return of_rows([[fn(_at(a, i, j, shape), _at(b, i, j, shape))
+                     for j in range(shape[1])] for i in range(shape[0])])
 
 
 def _map1(fn, a):
     if isinstance(a, Array):
-        return Array([[fn(s) for s in row] for row in a.cells])
+        return of_rows([[fn(s) for s in row] for row in a.cells])
     return fn(a)
 
 
@@ -254,9 +256,10 @@ def _fn_if(args):
     if shape == (1, 1):
         vals = [v.cells[0][0] if isinstance(v, Array) else v for v in args]
         return pick(*vals)
-    return Array([[pick(_at(args[0], i, j, shape), _at(args[1], i, j, shape),
-                        _at(args[2], i, j, shape))
-                   for j in range(shape[1])] for i in range(shape[0])])
+    return of_rows([[pick(_at(args[0], i, j, shape),
+                          _at(args[1], i, j, shape),
+                          _at(args[2], i, j, shape))
+                     for j in range(shape[1])] for i in range(shape[0])])
 
 
 def _vectorize(v):
@@ -570,7 +573,7 @@ class Oracle:
                 for r in range(rect.row_start, rect.row_end + 1)]
         if len(rows) == 1 and len(rows[0]) == 1:
             return rows[0][0]
-        return Array(rows)
+        return of_rows(rows)
 
     def whole_expr(self, e, nd):
         if isinstance(e, NumberLit):
@@ -686,11 +689,13 @@ class Oracle:
                         nums = [0, nums[0]]
                     else:
                         return VALUE_ERROR
+                if nums[0] > r:  # past the rows the range covers
+                    return REF_ERROR
                 try:
                     return source.index_slice(nums[0], nums[1])
                 except RefError:
                     return REF_ERROR
-            src = source if isinstance(source, Array) else Array([[source]])
+            src = source if isinstance(source, Array) else of_rows([[source]])
             r, c = src.shape
             if len(nums) == 1:
                 if c == 1:
@@ -707,12 +712,12 @@ class Oracle:
                    for i in (range(r) if row == 0 else [row - 1])]
             if len(sel) == 1 and len(sel[0]) == 1:
                 return sel[0][0]
-            return Array(sel)
+            return of_rows(sel)
         src = self.deref(source)
         if isinstance(src, CellError):
             return src
         if not isinstance(src, Array):
-            src = Array([[src]])
+            src = of_rows([[src]])
         r, c = src.shape
         if len(idx) == 1:
             ri, ci = (idx[0], 1.0) if c == 1 else (1.0, idx[0])

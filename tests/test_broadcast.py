@@ -7,7 +7,8 @@ kernel's float twin in its place when a large enough result has float
 operands alone.  The reference below is the fold every call used to
 take: combine the shapes, lay each operand out over the result, zip the
 rows, and apply the kernel to every cell.  The two must give the same
-repr, scalar or Array, over random operand lists mixing every kind of
+scalar, or an Array whose one row-major list holds the reference's
+rows, over random operand lists mixing every kind of
 scalar with Arrays that conform and Arrays that do not, and over lists
 of floats alone, with and without one cell of another kind.  SUM, MIN
 and MAX fold an Array of floats in C; the reference is their loop over
@@ -19,6 +20,8 @@ import random
 from namebook import engine
 from namebook import values as V
 from namebook.values import Array
+
+from arrays import of_rows
 
 
 def _rows_of(v, shape):
@@ -32,6 +35,7 @@ def _rows_of(v, shape):
 
 
 def _reference(fn, *args):
+    """The fold: fn's scalar, or the rows of the result."""
     shape = (1, 1)
     for a in args:
         shape = V.broadcast_shapes(shape, V.value_shape(a))
@@ -40,7 +44,7 @@ def _reference(fn, *args):
     if shape == (1, 1):
         return fn(*map(V.collapse, args))
     laid_out = [_rows_of(a, shape) for a in args]
-    return Array([list(map(fn, *row)) for row in zip(*laid_out)])
+    return [list(map(fn, *row)) for row in zip(*laid_out)]
 
 
 # (kernel, the operand counts it takes)
@@ -70,8 +74,8 @@ def _float(rng):
 
 
 def _array(rng, shape, draw=_scalar):
-    return Array([[draw(rng) for _ in range(shape[1])]
-                  for _ in range(shape[0])])
+    return of_rows([[draw(rng) for _ in range(shape[1])]
+                    for _ in range(shape[0])])
 
 
 def _operand(rng, shape, draw=_scalar):
@@ -96,7 +100,7 @@ def _spoil(rng, args):
     cells = [list(row) for row in args[i].cells]
     row = rng.choice(cells)
     row[rng.randrange(len(row))] = rng.choice(SCALARS)
-    return args[:i] + [Array(cells)] + args[i + 1:]
+    return args[:i] + [of_rows(cells)] + args[i + 1:]
 
 
 def _all_floats(v):
@@ -133,9 +137,18 @@ def test_the_direct_path_agrees_with_the_generic_fold(monkeypatch):
         twinned += eligible and floats
         spoiled += eligible and mode == "spoiled" and not floats
         before = len(twin_calls)
-        assert repr(engine._broadcast(fn, *args)) == \
-            repr(_reference(fn, *args)), (fn, args)
+        got = engine._broadcast(fn, *args)
+        want = _reference(fn, *args)
         taken += len(twin_calls) > before
+        if isinstance(want, list):
+            # One row-major list of rows * cols cells, whose rows are
+            # the reference's.
+            rows, cols = len(want), len(want[0])
+            assert type(got) is Array and got.shape == (rows, cols)
+            assert len(got.flat) == rows * cols
+            assert repr(got.cells) == repr(want), (fn, args)
+        else:
+            assert repr(got) == repr(want), (fn, args)
     assert direct > 2000  # the direct path is well exercised
     # The twin is taken exactly when it may, and refused for every large
     # enough list of floats that holds one cell of another kind.
@@ -173,12 +186,12 @@ def _minmax_reference(args, pick):
 def test_sum_min_and_max_agree_with_the_per_scalar_loop():
     nan = _INF - _INF
     # nan before, among and after the maximum, and -0.0 against 0.0
-    cases = [[Array([[nan], [1.0], [5.0]])], [Array([[1.0, nan, 5.0]])],
-             [Array([[1.0], [5.0], [nan]])], [5.0, Array([[nan, 1.0]])],
-             [Array([[1.0, 5.0]]), nan, Array([[7.0, 2.0]])],
-             [Array([[-0.0, 0.0]])], [Array([[0.0, -0.0]])],
-             [0.0, Array([[-0.0]])], [-0.0, Array([[0.0], [-0.0]])],
-             [Array([[1e300, 1e300, -_INF]])]]
+    cases = [[of_rows([[nan], [1.0], [5.0]])], [of_rows([[1.0, nan, 5.0]])],
+             [of_rows([[1.0], [5.0], [nan]])], [5.0, of_rows([[nan, 1.0]])],
+             [of_rows([[1.0, 5.0]]), nan, of_rows([[7.0, 2.0]])],
+             [of_rows([[-0.0, 0.0]])], [of_rows([[0.0, -0.0]])],
+             [0.0, of_rows([[-0.0]])], [-0.0, of_rows([[0.0], [-0.0]])],
+             [of_rows([[1e300, 1e300, -_INF]])]]
     rng = random.Random(14)
     for _ in range(3000):
         args = []
@@ -216,7 +229,8 @@ def test_a_value_of_the_target_shape_is_kept_as_it_is():
         else:
             if V.broadcast_shapes(V.value_shape(value), shape) != shape:
                 value = V.VALUE_ERROR
-            want = Array(_rows_of(value, shape))
+            want = of_rows(_rows_of(value, shape))
+            assert len(got.flat) == shape[0] * shape[1]
         assert repr(got) == repr(want), (value, shape)
         if isinstance(value, Array) and value.shape == shape != (1, 1):
             assert got is value

@@ -20,6 +20,8 @@ from namebook.docio import DocSyntaxError, decode_field, export_doc, rebuild
 from namebook.values import ERROR_KINDS, Array, CellError, format_number
 from namebook.workbook import GridRange, NameDef, Sheet, Workbook, parse_a1
 
+from arrays import of_rows
+
 
 # --- the per-cell references -------------------------------------------------
 
@@ -203,8 +205,8 @@ def _respell(rng, text):
 def _array(rng):
     shape = (rng.randrange(1, 30), 1) if rng.random() < 0.5 else \
         (rng.randrange(1, 6), rng.randrange(1, 6))
-    return Array([[_scalar(rng) for _ in range(shape[1])]
-                  for _ in range(shape[0])])
+    return of_rows([[_scalar(rng) for _ in range(shape[1])]
+                    for _ in range(shape[0])])
 
 
 # --- differential tests ----------------------------------------------------------

@@ -20,6 +20,8 @@ from namebook.values import DIV0_ERROR, REF_ERROR, Array
 from namebook.workbook import (FORMULA, GridRange, NameDef, RefError, Sheet,
                                Workbook)
 
+from arrays import of_rows
+
 _LITERALS = [0.0, -0.0, 1.5, 7.0, 3, True, False, "", "t", "=a1", DIV0_ERROR,
              REF_ERROR, None, None, None]
 _REFUSED = [math.inf, math.nan, [1.0], object()]
@@ -157,7 +159,7 @@ def _agree(rng, wb, model):
         if want == [[want[0][0]]]:
             assert repr(got) == repr(want[0][0])
         else:
-            assert repr(got) == repr(Array(want))
+            assert repr(got) == repr(of_rows(want))
         assert state.materialize(RangeValue(rect), ()) is got or \
             not isinstance(got, Array)
 

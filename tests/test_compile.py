@@ -19,10 +19,11 @@ from namebook import docio, engine
 from namebook.docio import rebuild
 from namebook.engine import build_dep_graph, evaluate
 from namebook.formula import NameRef, parse_formula, walk
-from namebook.values import CYCLE_ERROR, NAME_ERROR, Array, broadcast_shapes
+from namebook.values import CYCLE_ERROR, NAME_ERROR, broadcast_shapes
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Sheet,
                                Workbook)
 
+from arrays import of_rows
 from oracle import oracle_evaluate
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -148,7 +149,7 @@ def test_a_sweep_computes_a_member_it_reads_whole_on_demand(monkeypatch):
         value = ensure(state, key)
         asked.append((key[1], busy))
         if busy:  # read as materialize would lay it out: five cells
-            assert value == Array([[CYCLE_ERROR] * 5])
+            assert value == of_rows([[CYCLE_ERROR] * 5])
         return value
 
     monkeypatch.setattr(engine._EvalState, "ensure_computed", spy)
@@ -160,7 +161,7 @@ def test_a_sweep_computes_a_member_it_reads_whole_on_demand(monkeypatch):
     # w still in progress.
     assert asked == [("w", True), ("w", True), ("u", False), ("w", False)]
     assert store.values == oracle_evaluate(wb)
-    assert store.value("u") == Array([[CYCLE_ERROR] * 5])
+    assert store.value("u") == of_rows([[CYCLE_ERROR] * 5])
     assert store.value("w").cells[0][0] == 3.0
 
 
@@ -241,7 +242,7 @@ def _recalc_calls(doc, wb, *functions):
 
 
 def _layout_calls(doc, wb):
-    return _recalc_calls(doc, wb, broadcast_shapes, engine._rows_of)
+    return _recalc_calls(doc, wb, broadcast_shapes, engine._flat_of)
 
 
 def test_a_second_evaluate_works_out_no_shape():
@@ -255,10 +256,12 @@ def test_operands_of_one_shape_are_never_laid_out():
     # or a scalar, so none needs a shape fold or a layout.
     assert _layout_calls(*_chain()) == [0, 0]
     # The sweep book's recurrences run per-cell closures, which keep
-    # their own shape checks and layouts, and lay out the off-band slice
-    # of ←balance once, as the padding of balance's rows.
+    # their own shape checks and lay their constant parts out as rows.
+    # The flat layout runs twice: on the off-band slice of ←balance, the
+    # padding of balance's rows, and on balance's block as it is laid
+    # into the value of ←balance.
     doc = workloads.sweep(403)[0]
-    assert _layout_calls(doc, rebuild(doc.text)) == [11, 8]
+    assert _layout_calls(doc, rebuild(doc.text)) == [11, 2]
 
 
 def test_the_kept_programs_of_the_chain_book_are_small():

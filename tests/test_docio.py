@@ -14,6 +14,7 @@ from namebook.formula import NUMBER_RE, parse_formula, render
 from namebook.values import CellError
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook)
 
+from arrays import of_rows
 from gen import random_workbook
 
 DOC = """#%NAMESDOC v1
@@ -250,8 +251,7 @@ def test_derive_wires_the_displaced_twin():
     twin = wb.resolve("←band")
     assert twin.derive == ("band", 0, -1)
     store = evaluate(wb)
-    from namebook.values import Array
-    assert store.value("band") == Array([[1.0, 2.0, 3.0, 4.0]])
+    assert store.value("band") == of_rows([[1.0, 2.0, 3.0, 4.0]])
     assert export_doc(rebuild(export_doc(wb))) == export_doc(wb)
 
 

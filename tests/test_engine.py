@@ -22,6 +22,7 @@ from namebook.values import (CYCLE_ERROR, DIV0_ERROR, NAME_ERROR, NULL_ERROR,
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                                shift_name)
 
+from arrays import of_rows
 from gen import _INDEX_POOL, _LOOKUP_POOL, lookup_workbook, random_workbook
 from oracle import oracle_evaluate
 
@@ -214,6 +215,33 @@ def test_index_needs_both_axes_on_a_rectangle():
     assert store.value("row") == 7.0
 
 
+def test_an_index_past_a_whole_column_band_is_a_ref_error():
+    # A whole-column band ends at its sheet's last row, as a bounded
+    # range ends at its own: scalar and array indices agree past it.
+    wb = Workbook().add_sheet("s", 5, 3)
+    wb.fill_block(GridRange("s", 1, 2, 1, 5),
+                  [[10.0, 1.0], [20.0, 2.0], [30.0, 3.0], [40.0, 4.0],
+                   [50.0, 5.0]])
+    wb.define_name(NameDef("band", target=GridRange("s", 1, 1)))
+    wb.define_name(NameDef("box", target=GridRange("s", 2, 2, 1, 5)))
+    wb.define_name(NameDef("past", kind=RANGE, array=True,
+                           target=GridRange("s", 3, 3, 1, 5),
+                           formula=parse_formula("INDEX(band, box + 4)")))
+    for ident, text in (("last", "INDEX(band, 5)"),
+                        ("next", "INDEX(band, 6) + 1"),
+                        ("far", "INDEX(band, 9)"),
+                        ("cell", "INDEX(band, 6, 1)"),
+                        ("boxed", "INDEX(box, 9)")):
+        wb.define_name(NameDef(ident, None, FORMULA,
+                               formula=parse_formula(text)))
+    store = evaluate(wb)
+    assert store.values == oracle_evaluate(wb)
+    assert store.value("last") == 50.0
+    for ident in ("next", "far", "cell", "boxed"):
+        assert store.value(ident) == REF_ERROR, ident
+    assert store.value("past") == of_rows([[50.0]] + [[REF_ERROR]] * 4)
+
+
 def test_lookups_over_computed_arrays_match_the_oracle():
     # INDEX and MATCH over Arrays rather than references: two Array
     # indices, one Array index into a row, a whole row or column picked
@@ -237,11 +265,11 @@ def test_lookups_over_computed_arrays_match_the_oracle():
                                formula=parse_formula(text)))
     store = evaluate(wb)
     assert store.values == oracle_evaluate(wb)
-    assert store.value("pairs") == Array([[4.0], [9.0]])
-    assert store.value("along") == Array([[9.0], [7.0]])
-    assert store.value("across") == Array([[4.0, 5.0, 6.0]])
-    assert store.value("down") == Array([[3.0], [6.0], [9.0]])
-    assert store.value("found") == Array([[VALUE_ERROR], [2.0]])
+    assert store.value("pairs") == of_rows([[4.0], [9.0]])
+    assert store.value("along") == of_rows([[9.0], [7.0]])
+    assert store.value("across") == of_rows([[4.0, 5.0, 6.0]])
+    assert store.value("down") == of_rows([[3.0], [6.0], [9.0]])
+    assert store.value("found") == of_rows([[VALUE_ERROR], [2.0]])
 
 
 def _reprs(values):
@@ -409,7 +437,7 @@ def _band(direction):
 
 def test_recurrence_sweeps_left_to_right():
     store = evaluate(_band("right"))
-    assert store.value("roll") == Array([[3.0, 6.0, 12.0, 24.0, 48.0]])
+    assert store.value("roll") == of_rows([[3.0, 6.0, 12.0, 24.0, 48.0]])
 
 
 def test_recurrence_sweeps_top_to_bottom():
@@ -419,7 +447,7 @@ def test_recurrence_sweeps_top_to_bottom():
 
 def test_recurrence_sweeps_right_to_left_when_the_twin_points_right():
     store = evaluate(_band("reversed"))
-    assert store.value("roll") == Array([[48.0, 24.0, 12.0, 6.0, 3.0]])
+    assert store.value("roll") == of_rows([[48.0, 24.0, 12.0, 6.0, 3.0]])
 
 
 def test_lazy_condition_guards_the_out_of_band_read():
@@ -455,8 +483,8 @@ def test_co_swept_members_sharing_one_formula_read_their_own_scope():
     wb.define_name(NameDef("other", "aux", RANGE,
                            target=GridRange("s", 2, 5, 1, 1)))
     store = evaluate(wb)
-    assert store.value("acc") == Array([[10.0, 101.0, 12.0, 103.0]])
-    assert store.value("acc", "aux") == Array([[100.0, 11.0, 102.0, 13.0]])
+    assert store.value("acc") == of_rows([[10.0, 101.0, 12.0, 103.0]])
+    assert store.value("acc", "aux") == of_rows([[100.0, 11.0, 102.0, 13.0]])
     assert store.values == oracle_evaluate(wb)
 
 
@@ -494,7 +522,7 @@ def test_hidden_self_read_through_an_alias_fills_cycle_errors():
                            target=GridRange("s", 2, 4, 1, 1),
                            formula=parse_formula("cover + 1"), array=True))
     store = evaluate(wb)
-    assert store.value("outp") == Array([[CYCLE_ERROR] * 3])
+    assert store.value("outp") == of_rows([[CYCLE_ERROR] * 3])
     assert store.has_errors()
 
 
@@ -552,7 +580,7 @@ def test_store_scalar_collapses_single_cells_only():
     wb.define_name(NameDef("pair", target=GridRange("s", 1, 1, 1, 2)))
     store = evaluate(wb)
     assert isinstance(store.value("pair"), Array)
-    assert store.scalar("pair") == Array([[5.0], [6.0]])
+    assert store.scalar("pair") == of_rows([[5.0], [6.0]])
     wb2 = Workbook().add_sheet("s", 2, 2)
     wb2.set_cell("s", 1, 1, 7.0)
     wb2.define_name(NameDef("one", target=GridRange("s", 1, 1, 1, 1)))

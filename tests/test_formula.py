@@ -114,27 +114,27 @@ def test_identifier_and_cellref_never_overlap_exhaustive():
 
 
 def test_lexer_classification_is_max_munch():
-    assert tokenize("A1")[0].kind is TokenKind.CELLREF
-    assert tokenize("AA11")[0].kind is TokenKind.CELLREF
-    assert tokenize("ZZZ123")[0].kind is TokenKind.CELLREF
-    assert tokenize("in2")[0].kind is TokenKind.CELLREF
-    assert tokenize("A1B")[0].kind is TokenKind.IDENT
-    assert tokenize("item4")[0].kind is TokenKind.IDENT
-    assert tokenize("F:X")[0].kind is TokenKind.CELLREF
-    assert tokenize("TRUE")[0].kind is TokenKind.BOOL
-    assert tokenize("truE")[0].kind is TokenKind.BOOL
+    assert tokenize("A1")[0][0] is TokenKind.CELLREF
+    assert tokenize("AA11")[0][0] is TokenKind.CELLREF
+    assert tokenize("ZZZ123")[0][0] is TokenKind.CELLREF
+    assert tokenize("in2")[0][0] is TokenKind.CELLREF
+    assert tokenize("A1B")[0][0] is TokenKind.IDENT
+    assert tokenize("item4")[0][0] is TokenKind.IDENT
+    assert tokenize("F:X")[0][0] is TokenKind.CELLREF
+    assert tokenize("TRUE")[0][0] is TokenKind.BOOL
+    assert tokenize("truE")[0][0] is TokenKind.BOOL
 
 
 def test_intersection_token_needs_reference_shaped_sides():
-    kinds = [t.kind for t in tokenize("a b")]
+    kinds = [t[0] for t in tokenize("a b")]
     assert TokenKind.INTERSECT in kinds
-    kinds = [t.kind for t in tokenize("A1 B2")]
+    kinds = [t[0] for t in tokenize("A1 B2")]
     assert TokenKind.INTERSECT in kinds
-    kinds = [t.kind for t in tokenize("(a) b")]
+    kinds = [t[0] for t in tokenize("(a) b")]
     assert TokenKind.INTERSECT in kinds
-    assert TokenKind.INTERSECT not in [t.kind for t in tokenize("1 x")]
-    assert TokenKind.INTERSECT not in [t.kind for t in tokenize('"s" x')]
-    assert TokenKind.INTERSECT not in [t.kind for t in tokenize("SUM (a)")]
+    assert TokenKind.INTERSECT not in [t[0] for t in tokenize("1 x")]
+    assert TokenKind.INTERSECT not in [t[0] for t in tokenize('"s" x')]
+    assert TokenKind.INTERSECT not in [t[0] for t in tokenize("SUM (a)")]
 
 
 def test_intersection_parses_tightest():

@@ -26,8 +26,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 def _outcome(mod, text):
     """Tokens, tree and canonical text, or the error where they stop."""
     try:
-        tokens = [(t.kind, t.lexeme, t.start, t.end)
-                  for t in mod.tokenize(text)]
+        tokens = mod.tokenize(text)
+        if mod is ref:  # its tokens are dataclasses; the lexer's are tuples
+            tokens = [(t.kind, t.lexeme, t.start, t.end) for t in tokens]
         tree = mod.parse_formula(text)
     except Exception as exc:  # noqa: BLE001 - the error is the outcome
         return (type(exc), str(exc), getattr(exc, "offset", None))

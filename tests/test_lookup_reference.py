@@ -15,6 +15,7 @@ from namebook.values import (Array, CellError, DIV0_ERROR, REF_ERROR,
                              VALUE_ERROR)
 
 import lookup_reference as ref
+from arrays import of_rows
 
 _POOL = (None, None, DIV0_ERROR, VALUE_ERROR, REF_ERROR,
          0.0, -0.0, 1.0, 1.0, 2.0, 2.5, 3.0, -1.0, 7.0, 100.0,
@@ -52,8 +53,8 @@ def _shaped(rng, slots):
     if len(slots) == 1 and rng.random() < 0.3:
         return slots[0]
     if rng.random() < 0.5:
-        return Array([[s] for s in slots])
-    return Array([list(slots)])
+        return of_rows([[s] for s in slots])
+    return of_rows([list(slots)])
 
 
 def _keys(rng):
@@ -64,7 +65,7 @@ def _keys(rng):
 def _indices(rng, n):
     """An Array of two or more indices, as a column or a row."""
     idx = [rng.choice(_INDICES) for _ in range(max(2, n))]
-    return Array([[i] for i in idx]) if rng.random() < 0.5 else Array([idx])
+    return of_rows([[i] for i in idx] if rng.random() < 0.5 else [idx])
 
 
 def test_match_and_lookup_agree_with_the_scan():
@@ -83,9 +84,9 @@ def test_match_and_lookup_agree_with_the_scan():
 
 
 def test_match_over_a_grid_is_a_value_error():
-    grid = Array([[1.0, 2.0], [3.0, 4.0]])
+    grid = of_rows([[1.0, 2.0], [3.0, 4.0]])
     assert engine._builtin_match([1.0, grid]) == VALUE_ERROR
-    assert engine._builtin_lookup([1.0, Array([[1.0]]), grid]) == VALUE_ERROR
+    assert engine._builtin_lookup([1.0, of_rows([[1.0]]), grid]) == VALUE_ERROR
 
 
 def test_index_by_arrays_agrees_with_the_gather():
@@ -94,8 +95,8 @@ def test_index_by_arrays_agrees_with_the_gather():
         slots = _vector(rng)
         if rng.random() < 0.25:
             width = rng.randint(2, 3)
-            src = Array([[_scalar(rng, True) for _ in range(width)]
-                         for _ in range(rng.randint(2, 3))])
+            src = of_rows([[_scalar(rng, True) for _ in range(width)]
+                           for _ in range(rng.randint(2, 3))])
         else:
             src = _shaped(rng, slots)
         n = rng.randint(2, 6)
@@ -113,10 +114,10 @@ def test_index_by_arrays_agrees_with_the_gather():
 
 
 def test_a_non_finite_index_is_a_value_error():
-    xs = Array([[1.0], [2.0]])
+    xs = of_rows([[1.0], [2.0]])
     for bad in (math.inf, -math.inf, math.nan):
         assert engine._builtin_index(None, [xs, bad]) == VALUE_ERROR
-        assert engine._builtin_index(None, [xs, Array([[bad], [1.0]])]) == \
-            Array([[VALUE_ERROR], [1.0]])
-    assert engine._builtin_index(None, [xs, Array([[3.0], [2.0]])]) == \
-        Array([[REF_ERROR], [2.0]])
+        assert engine._builtin_index(None, [xs, of_rows([[bad], [1.0]])]) == \
+            of_rows([[VALUE_ERROR], [1.0]])
+    assert engine._builtin_index(None, [xs, of_rows([[3.0], [2.0]])]) == \
+        of_rows([[REF_ERROR], [2.0]])

@@ -21,6 +21,7 @@ from namebook.formula import (Binary, BoolLit, Call, CellRef, Intersect,
 from namebook.values import CYCLE_ERROR, Array, CellError
 from namebook.workbook import FORMULA, GridRange, NameDef, Sheet
 
+from arrays import of_rows
 from corpus import fixture_a, fixture_c
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -149,8 +150,22 @@ def test_cell_errors_refuse_unknown_kinds_and_keep_their_repr():
         CellError("#BAD")
     assert repr(CellError("#CYCLE!")) == "CellError(kind='#CYCLE!')"
     assert str(CYCLE_ERROR) == "#CYCLE!"
-    assert (repr(Array([[1.0, CYCLE_ERROR], [None, "t"]]))
+    assert (repr(of_rows([[1.0, CYCLE_ERROR], [None, "t"]]))
             == "Array([[1.0, CellError(kind='#CYCLE!')], [None, 't']])")
+
+
+def test_an_array_is_one_row_major_list_and_its_shape():
+    a = Array([1.0, CYCLE_ERROR, None, "t", 5.0, True], (2, 3))
+    assert a.get(0, 1) is CYCLE_ERROR and a.get(1, 0) == "t"
+    assert a.get(1, 2) is True
+    assert a.cells == [[1.0, CYCLE_ERROR, None], ["t", 5.0, True]]
+    assert a.cells is not a.cells  # built on each access
+    assert (repr(a) == "Array([[1.0, CellError(kind='#CYCLE!'), None], "
+            "['t', 5.0, True]])")
+    # The same list in another shape is another array.
+    assert Array([1.0, 2.0], (1, 2)) != Array([1.0, 2.0], (2, 1))
+    assert Array([1.0, 2.0], (2, 1)) == of_rows([[1.0], [2.0]])
+    assert repr(Array([1.0, 2.0], (2, 1))) == "Array([[1.0], [2.0]])"
 
 
 def test_record_reprs_name_every_field():

@@ -54,7 +54,8 @@ def test_generated_books_round_trip(build):
 
 
 @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
-def test_bench_books_round_trip(workload):
+def test_bench_books_round_trip(workload, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the fixtures workload reads fixtures/ from here
     for seed in (403, 431):
         for doc in workloads.WORKLOADS[workload](seed):
             assert _round_trip(doc.text) == doc.text, (seed, doc.name)
@@ -69,7 +70,8 @@ def _texts():
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_mutants_round_trip_or_are_refused(seed):
+def test_mutants_round_trip_or_are_refused(seed, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the fixtures workload reads fixtures/ from here
     rng = random.Random(seed)
     texts = _texts()
     outcomes = {"kept": 0, "refused": 0}

@@ -9,12 +9,14 @@ import pytest
 
 from namebook.docio import export_doc, rebuild
 from namebook.formula import parse_formula
-from namebook.values import DIV0_ERROR, Array
+from namebook.values import DIV0_ERROR
 from namebook.workbook import (FORMULA, RANGE, BadIdentifierError,
                                DuplicateNameError, GridRange, NameDef,
                                OverlappingFormulaRangeError, RefError, Sheet,
                                UnknownSheetError, Workbook, parse_a1,
                                shift_name)
+
+from arrays import of_rows
 
 
 def _rect(rng):
@@ -420,7 +422,7 @@ def test_non_finite_cells_are_refused_so_documents_rebuild(bad):
     assert export_doc(rebuild(text)) == text
 
 
-@pytest.mark.parametrize("bad", [[1.0], Array([[1.0]]), object()],
+@pytest.mark.parametrize("bad", [[1.0], of_rows([[1.0]]), object()],
                          ids=["list", "array", "object"])
 def test_cells_hold_only_literals(bad):
     # Sheet.set is where data enters, so evaluation can trust every cell.
