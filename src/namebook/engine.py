@@ -17,20 +17,20 @@ that owner's computed value, so it copies no cells.  The programs are
 compiled on first use and kept with the plan, so after a cell edit
 evaluate() resolves names only for the sweeps it reruns.  A sweep
 (_run_sweep) compiles each member's formula once into a closure over
-the cell position: a read of a member indexes its rows, padded with the
-cells one step past it, and every part constant across the sweep runs
-as a program once and is indexed.  A formula name that reads a member
-is filled into rows of its own just before its reader at each step, so
-chains and diamonds of such names cost one closure call per name per
-cell.  Programs and closures apply the same operator kernels
-(values.BINARY); on a result of at least _TWIN_MIN_CELLS cells whose
-operands are all floats, a program maps the kernel's float twin
-(values.FLOAT_TWIN), the plain operator the kernel applies to two floats,
-so the loop runs in C and the values are the same.  A whole value is a
-scalar or an Array(flat, shape), one row-major list and its shape, so a
-step over operands of one shape is one map over their lists, and a
-one-column read is the slice the sheet gives.  Only a sweep keeps rows,
-its padded per-cell ones, and it flattens each member when it is done.
+(step, place), a cell's position along the sweep and across it: a read
+of a member indexes its step lists, one per step and one more holding
+the cells one step past it, and every part constant across the sweep
+runs as a program once and is laid out by step.  A formula name that
+reads a member is filled into step lists of its own just before its
+reader at each step, so chains and diamonds of such names cost one
+closure call per name per cell.  Programs and closures apply the same
+operator kernels (values.BINARY); on a result of at least
+_TWIN_MIN_CELLS cells whose operands are all floats, a program maps the
+kernel's float twin (values.FLOAT_TWIN), the plain operator the kernel
+applies to two floats, so the loop runs in C and the values are the
+same.  A whole value is a scalar or an Array(flat, shape), one row-major
+list and its shape, so a step over operands of one shape is one map
+over their lists, and a one-column read is the slice the sheet gives.
 
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
@@ -1092,73 +1092,74 @@ def _eval_whole_name(state: _EvalState, nd: NameDef):
 # --- per-cell recurrence sweeps ----------------------------------------------
 
 def _run_sweep(state: _EvalState, group: _Group):
-    """Sweep a valid group cell by cell in its step order, and store each
-    member's value.
+    """Sweep a valid group one step at a time in its step order, and
+    store each member's value.
 
-    Each member's rows hold one cell more along the sweep axis, the
-    padding: a column at the end of each row (a sweep across) or a row
-    at the end (a sweep down).  Once the closures are compiled, one
-    materialize of the twin's off-band slice, the cells one step past
-    the member, fills the padding of each member read displaced.  A read
-    at the first step lands there, at index -1 on a forward sweep and at
-    the row length on a backward one, so no read tests bounds.
-    """
+    Each member, and each formula name inlined into one, keeps its cells
+    as n + 1 step lists: step s holds the cells at position s along the
+    sweep axis (a column of a sweep across, a row of a sweep down), and
+    the closures take (s, k), the step and the place in it.  Slot n is
+    the padding: one materialize of the twin's off-band slice, the cells
+    one step past the member, fills it for each member read displaced.
+    A read at the first step lands there, at index -1 on a forward sweep
+    and at n on a backward one, so no read tests bounds."""
     wb, shapes, refmap = state.wb, state.graph.shapes, group.refmap
     dr, dc = group.direction
-    across = dc != 0
-    # (member, member or inlined name) -> its rows, padded
-    partial = {(m, k): [[None] * (shapes[m][1] + across)
-                        for _ in range(shapes[m][0] + (not across))]
+    axis = 1 if dc else 0  # the sweep axis; the places run along the other
+    n = shapes[group.order[0]][axis]
+    # (member, member or inlined name) -> its step lists and the padding
+    partial = {(m, k): [None] * (n + 1)
                for m in group.members for k in group.inlined[m] + [m]}
     twins = {}  # member read displaced -> its twin, clamped to its sheet
 
     def reader(hit, shape):
-        """Closure reading a refmap name at a cell of a member of shape."""
+        """Closure reading a refmap name at a place of a member of shape."""
         w, hr, hc, vrng = hit
         vshape = shapes[w]  # a refmap name has its owner's shape
         if V.broadcast_shapes(vshape, shape) != shape:
-            return lambda i, j: V.VALUE_ERROR
-        # Cell (i, j) reads the owner's (i * si + hr, j * sj + hc): along an
-        # axis it does not share with the member, the read repeats itself.
-        si, sj = vshape[0] == shape[0], vshape[1] == shape[1]
-        if hr or hc:
+            return lambda s, k: V.VALUE_ERROR
+        # Place k of step s reads the owner's place k * sk of step s + d:
+        # an owner one cell wide across the sweep repeats its one place.
+        d, sk = hr + hc, vshape[1 - axis] == shape[1 - axis]
+        if d:
             twins.setdefault(w, vrng)
         part = partial[w, w]
-        return lambda i, j: part[i * si + hr][j * sj + hc]
+        return lambda s, k: part[s + d][k * sk]
 
     def cell(e, member, ctx_sheet):
-        """Closure (i, j) -> the scalar e takes at cell (i, j) of member.
-        Names are resolved here, once per sweep; IF stays lazy per cell."""
+        """Closure (s, k) -> the scalar e takes at place k of step s of
+        member.  Names are resolved here, once per sweep; IF stays lazy
+        per cell."""
         shape = shapes[member]
         if isinstance(e, NameRef):
             nd = wb.resolve(e.name, context=ctx_sheet, qualifier=e.sheet)
             key = None if nd is None else nd.key()
             part = partial.get((member, key))  # an inlined formula name
             if part is not None:
-                return lambda i, j: part[i][j]
+                return lambda s, k: part[s][k]
             hit = refmap.get(key)
             if hit is not None:
                 return reader(hit, shape)
         elif isinstance(e, (Unary, Percent)):
             fn = V.negate if isinstance(e, Unary) else V.percent
             operand = cell(e.operand, member, ctx_sheet)
-            return lambda i, j: fn(operand(i, j))
+            return lambda s, k: fn(operand(s, k))
         elif isinstance(e, Binary):
             lhs = cell(e.lhs, member, ctx_sheet)
             rhs = cell(e.rhs, member, ctx_sheet)
             kernel = V.BINARY[e.op]
-            return lambda i, j: kernel(lhs(i, j), rhs(i, j))
+            return lambda s, k: kernel(lhs(s, k), rhs(s, k))
         elif isinstance(e, Call) and e.func == "IF" and len(e.args) in (2, 3):
             cond, yes, *no = [cell(a, member, ctx_sheet) for a in e.args]
-            no = no[0] if no else (lambda i, j: False)
+            no = no[0] if no else (lambda s, k: False)
 
-            def pick(i, j):
-                t = cond(i, j)
+            def pick(s, k):
+                t = cond(s, k)
                 if type(t) is not bool:
                     t = V.to_bool(t)
                     if isinstance(t, CellError):
                         return t
-                return yes(i, j) if t else no(i, j)
+                return yes(s, k) if t else no(s, k)
             return pick
         # Literals, other names, aggregations, gathers and intersections are
         # constant across the sweep, so compute them whole once and index in.
@@ -1169,45 +1170,42 @@ def _run_sweep(state: _EvalState, group: _Group):
             if V.broadcast_shapes(value.shape, shape) != shape:
                 value = V.VALUE_ERROR
             else:
-                # As rows; a single row repeats its one row object.
-                laid = (value.cells if value.shape[1] == shape[1]
-                        else [[s] * shape[1] for s in value.flat])
-                laid *= shape[0] // len(laid)
-                return lambda i, j: laid[i][j]
-        return lambda i, j: value
+                # By step.  A value one place wide lists one cell per
+                # step; one step long, it repeats its one step object.
+                flat, cols, m = value.flat, value.shape[1], shape[1 - axis]
+                if value.shape[1 - axis] < m:
+                    laid = [[x] * m for x in flat]
+                else:  # its columns, or its rows
+                    laid = ([flat[t::cols] for t in range(cols)] if axis
+                            else value.cells)
+                laid *= n // len(laid)
+                return lambda s, k: laid[s][k]
+        return lambda s, k: value
 
     plan = []
     for m in group.order:
         for k in group.inlined[m] + [m]:
             nd = wb.names[k]
             plan.append((cell(nd.formula, m, wb.context_sheet(nd)),
-                         partial[m, k], shapes[m]))
+                         partial[m, k], range(shapes[m][1 - axis])))
     del cell  # it holds itself in its closure; free it now, not at a gc run
     for w, vrng in twins.items():
         # The twin's first column or row on a forward sweep, else its last.
-        k = 1 if dr + dc < 0 else shapes[w][across]
-        edge = vrng.index_slice(*((0, k) if across else (k, 0)))
-        laid = _flat_of(_deref(state, RangeValue(edge)), edge.shape())
-        if across:
-            for row, x in zip(partial[w, w], laid):
-                row[-1] = x
-        else:
-            partial[w, w][-1] = laid
-    n = shapes[group.order[0]][across]
+        t = 1 if dr + dc < 0 else n
+        edge = vrng.index_slice(*((0, t) if axis else (t, 0)))
+        partial[w, w][n] = _flat_of(_deref(state, RangeValue(edge)),
+                                    edge.shape())
     for s in (range(n) if dr + dc < 0 else range(n - 1, -1, -1)):
-        for fill, part, (rows, cols) in plan:
-            if across:
-                for i in range(rows):
-                    part[i][s] = fill(i, s)
-            else:
-                row = part[s]
-                for j in range(cols):
-                    row[j] = fill(s, j)
+        for fill, part, places in plan:
+            step = [None] * len(places)
+            for k in places:
+                step[k] = fill(s, k)
+            part[s] = step
     for m in group.members:
-        part = partial[m, m]
-        for row in part if across else [part]:
-            del row[-1]  # the padding: each row's last cell, or the last row
-        state.computed[m] = Array(list(chain.from_iterable(part)), shapes[m])
+        steps = partial[m, m]
+        del steps[n]  # the padding
+        state.computed[m] = Array(list(chain.from_iterable(
+            zip(*steps) if axis else steps)), shapes[m])
 
 
 def _stale(wb: Workbook, graph: DepGraph) -> set:

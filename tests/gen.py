@@ -459,8 +459,90 @@ def recurrence_workbook(seed):
     return wb
 
 
-def off_band_slice(wb):
-    """The (row, col) cells of a recurrence book's twin that lie outside
-    its band, in row-major order."""
-    band, twin = (wb.names[None, ident].target for ident in ("roll", "←roll"))
+def off_band_slice(wb, ident="roll"):
+    """The (row, col) cells of a recurrence band's twin that lie outside
+    the band, in row-major order."""
+    band, twin = (wb.names[None, i].target for i in (ident, "←" + ident))
     return [rc for rc in twin.cells() if not band.contains(*rc)]
+
+
+def sweep_group_workbook(seed):
+    """Two co-swept recurrence bands, "a" and "b", and the formula names
+    between them, fully determined by the seed.
+
+    Both bands are 2-4 cells along the sweep, in one of the four
+    directions.  "a" is 1-3 cells across it, and "b" as wide or, now and
+    then, one cell wide, so that a's reads of b repeat one place.  "a"
+    reads ←b, directly or through a chain (g, h) or a diamond (k) of
+    formula names, which the sweep inlines; "b" reads "a", ←a or the
+    name "ga" over "a", often inside a lazy IF, the only way a narrow
+    "b" can read a wider "a" without an error.  Either band may be
+    guarded by IF(first, seed, ...), and sometimes the formula range
+    "edge" owns a's off-band slice."""
+    rng = random.Random(seed)
+    dr, dc = rng.choice(_STEPS)
+    n, width = rng.randint(2, 4), rng.randint(1, 3)
+    thin = width if rng.random() < 0.6 else 1
+
+    def rect(sheet, s0, p0, places, steps=n):
+        """The rectangle of `steps` steps from step s0 and `places`
+        places from place p0, both counted from 1."""
+        rows, cols = (p0, p0 + places - 1), (s0, s0 + steps - 1)
+        if not dc:
+            rows, cols = cols, rows
+        return GridRange(sheet, *cols, *rows)
+
+    places = 7 + width + thin
+    wb = Workbook()
+    for sheet, steps, across in (("s", n + 4, places),
+                                 ("g", n, 2 * width + 2)):
+        wb.add_sheet(sheet, *((across, steps) if dc else (steps, across)))
+    _fill(wb, rect("s", 1, 1, places, n + 4), rng, rng.random() < 0.7)
+    first = 1 if dr + dc < 0 else n
+    for step in range(1, n + 1):
+        wb.set_cell("g", *((1, step) if dc else (step, 1)), step == first)
+    consts = {"first": rect("g", 1, 1, 1), "aside": rect("g", 1, 2, width),
+              "line": rect("g", 1, 2 + width, width, 1),
+              "seed": rect("g", 1, 2 * width + 2, 1, 1)}
+    for ident, target in consts.items():
+        if ident != "first":
+            _fill(wb, target, rng, numeric=True)
+        wb.define_name(NameDef(ident, None, RANGE, target))
+    scalars = ["seed", "2", "0.5", "SUM(line)"]
+    blocks = scalars + ["aside", "line"]
+
+    def expr(*pools):
+        text = " ".join(rng.choice(pool) + rng.choice((" +", " -", " *"))
+                        for pool in pools)
+        return text + " " + rng.choice(scalars)
+
+    formulas = {"g": expr(["←b"], ["←a"] + scalars),
+                "h": rng.choice(("g * 2 + ←a", "g - 1", "-g + seed")),
+                "k": rng.choice(("g + h", "IF(g > h, g, h)", "h / g")),
+                "ga": rng.choice(("a * 0.5 + ←b", "a + 1"))}
+    a_body = expr(["←b", "g", "h", "k"], ["←a"] + blocks)
+    reach = rng.choice(("a", "←a", "ga"))
+    own = expr(["←b", "g", "←b * ←b"],
+               blocks if thin == width else scalars)
+    if thin < width or rng.random() < 0.5:
+        b_body = "IF(←b > %d, %s, %s)" % (rng.randrange(0, 40), reach, own)
+    else:
+        b_body = "%s + %s" % (reach, own)
+    for ident, p0, w, body in (("a", 3, width, a_body),
+                               ("b", 5 + width, thin, b_body)):
+        if rng.random() < 0.5:
+            body = "IF(first, seed, %s)" % body
+        nd = NameDef(ident, None, RANGE, rect("s", 3, p0, w),
+                     parse_formula(body), array=True)
+        wb.define_name(nd)
+        wb.define_name(shift_name(nd, "←" + ident, dr, dc))
+    for ident, text in formulas.items():
+        wb.define_name(NameDef(ident, None, FORMULA,
+                               formula=parse_formula(text)))
+    if rng.random() < 0.25:
+        step = 2 if dr + dc < 0 else n + 3
+        wb.define_name(NameDef("edge", None, RANGE,
+                               rect("s", step, 3, width, 1),
+                               parse_formula(rng.choice(("7", "seed * 2"))),
+                               array=True))
+    return wb

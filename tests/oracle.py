@@ -493,10 +493,7 @@ class Oracle:
             if hit is None:
                 return NAME_ERROR
             if hit.kind == FORMULA:
-                v = self.whole_of(hit)
-                if isinstance(v, GridRange):
-                    v = self.deref(v)
-                return _at(v, i, j, rect.shape())
+                return self._at_cell(hit.formula, hit, rect, i, j)
             if hit.target is None:
                 return REF_ERROR
             t = self._clamped(hit.target)

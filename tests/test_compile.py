@@ -256,10 +256,10 @@ def test_operands_of_one_shape_are_never_laid_out():
     # or a scalar, so none needs a shape fold or a layout.
     assert _layout_calls(*_chain()) == [0, 0]
     # The sweep book's recurrences run per-cell closures, which keep
-    # their own shape checks and lay their constant parts out as rows.
+    # their own shape checks and lay their constant parts out by step.
     # The flat layout runs twice: on the off-band slice of ←balance, the
-    # padding of balance's rows, and on balance's block as it is laid
-    # into the value of ←balance.
+    # padding after balance's step lists, and on balance's block as it
+    # is laid into the value of ←balance.
     doc = workloads.sweep(403)[0]
     assert _layout_calls(doc, rebuild(doc.text)) == [11, 2]
 

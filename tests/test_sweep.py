@@ -2,12 +2,13 @@
 
 A band that reads its twin, its own range shifted one cell, is swept one
 step at a time.  At the first step the read reaches past the band, into
-the twin's off-band slice, which the sweep reads once, as the padding of
-the band's rows.  The fuzz checks books of tests/gen.py's
-recurrence_workbook against the independent interpreter in oracle.py,
-then writes a cell of the off-band slice and checks the incremental
-evaluation against a full one.  The gate counts the range reads of one
-sweep in each direction."""
+the twin's off-band slice, which the sweep reads once, as the padding
+after the band's step lists.  The fuzz checks books of tests/gen.py's
+recurrence_workbook, and its sweep_group_workbook of two co-swept bands
+and the formula names between them, against the independent interpreter
+in oracle.py, then writes a cell of an off-band slice and checks the
+incremental evaluation against a full one.  The gate counts the range
+reads of one sweep in each direction."""
 
 import cProfile
 import collections
@@ -20,7 +21,8 @@ from namebook.engine import build_dep_graph, evaluate
 from namebook.formula import names_referenced, parse_formula
 from namebook.workbook import RANGE, GridRange, NameDef, Workbook, shift_name
 
-from gen import _literal, off_band_slice, recurrence_workbook
+from gen import (_literal, off_band_slice, recurrence_workbook,
+                 sweep_group_workbook)
 from oracle import oracle_evaluate
 
 
@@ -45,6 +47,27 @@ def test_four_direction_recurrences_match_the_oracle_and_a_full_evaluation():
         assert _reprs(evaluate(wb)) == _reprs(evaluate(wb.copy())), seed
     # Each direction, guarded or not, with the slice plain or owned.
     assert len(seen) == 16 and min(seen.values()) >= 5, seen
+
+
+def test_co_swept_bands_and_their_inlined_names_match_the_oracle():
+    seen = collections.Counter()
+    for seed in range(600):
+        wb = sweep_group_workbook(seed)
+        store = evaluate(wb)
+        assert store.values == oracle_evaluate(wb), seed
+        [group] = [g for g in build_dep_graph(wb).plan
+                   if (None, "a") in g.members]
+        assert group.failed is None and len(group.members) == 2, seed
+        a, b = (wb.names[None, m].target.shape() for m in ("a", "b"))
+        seen[group.direction, a != b] += 1
+        seen[bool(group.inlined[None, "a"] or group.inlined[None, "b"])] += 1
+        rng = random.Random(seed)
+        cell = rng.choice(off_band_slice(wb, rng.choice("ab")))
+        wb.set_cell("s", *cell, _literal(rng))
+        assert _reprs(evaluate(wb)) == _reprs(evaluate(wb.copy())), seed
+    # Each direction, with "b" narrower than "a" or not; inlined formula
+    # names or none.
+    assert len(seen) == 10 and min(seen.values()) >= 10, seen
 
 
 def _roll(step):
@@ -77,8 +100,9 @@ def test_a_sweep_reads_its_off_band_slice_once():
 
 
 def test_a_sweep_leaves_nothing_for_the_cycle_collector():
-    # Its closures hold its rows and the evaluation state; a reference
-    # cycle among them would keep each sweep's state until a gc run.
+    # Its closures hold its step lists and the evaluation state; a
+    # reference cycle among them would keep each sweep's state until a
+    # gc run.
     wb = _roll((0, -1))
     evaluate(wb)
     gc.collect()
