@@ -24,13 +24,12 @@ runs as a program once and is laid out by step.  A formula name that
 reads a member is filled into step lists of its own just before its
 reader at each step, so chains and diamonds of such names cost one
 closure call per name per cell.  Programs and closures apply the same
-operator kernels (values.BINARY); on a result of at least
-_TWIN_MIN_CELLS cells whose operands are all floats, a program maps the
-kernel's float twin (values.FLOAT_TWIN), the plain operator the kernel
-applies to two floats, so the loop runs in C and the values are the
-same.  A whole value is a scalar or an Array(flat, shape), one row-major
-list and its shape, so a step over operands of one shape is one map
-over their lists, and a one-column read is the slice the sheet gives.
+operator kernels (values.BINARY).  A whole value is a scalar or an
+Array(flat, shape), one row-major list and its shape, so a step over
+operands of one shape is one map over their lists, and a one-column
+read is the slice the sheet gives.  An Array knows its kind (all floats,
+all bools, or neither), so such a map runs in C where it can: a kernel's
+float twin (values.FLOAT_TWIN) over floats, IF's pick over bools.
 
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
@@ -475,12 +474,9 @@ def _scalars(v):
     return v.flat if isinstance(v, Array) else (v,)
 
 
-def _all_floats(v):
-    """True when v is a float, or an Array whose cells are all floats;
-    an Array's cells are tested in C."""
-    if isinstance(v, Array):
-        return all(map(isinstance, v.flat, repeat(float)))
-    return type(v) is float
+def _all_of(v, t):
+    """True when v is exactly of type t, or an Array of kind t."""
+    return v.kind is t if isinstance(v, Array) else type(v) is t
 
 
 def _flat_of(v, shape):
@@ -496,15 +492,6 @@ def _flat_of(v, shape):
     return flat if v.shape[0] == rows else flat * rows
 
 
-# The fewest result cells for which _broadcast tests its operands for a
-# float twin.  The test walks every operand cell, so on a small result it
-# costs more than the twin saves: with no floor, the 1x8 results of the
-# bench's chain book made its recalc 13% slower (in-process, CPython
-# 3.11, 2-core Xeon VM), while on its bands book (800x1) the twin made
-# recalc 5% faster.
-_TWIN_MIN_CELLS = 32
-
-
 def _broadcast(fn, *args):
     """fn applied across args broadcast to one shape; #VALUE! when the
     shapes do not conform, a scalar when they are all 1x1.
@@ -512,9 +499,10 @@ def _broadcast(fn, *args):
     Operands that need no layout go straight to fn: all scalars, or
     scalars and Arrays of one shape other than 1x1, whose result is one
     map of fn over the Arrays' lists with each scalar repeated in place.
-    On that path a result of at least _TWIN_MIN_CELLS cells whose
-    operands are all floats maps fn's float twin (values.FLOAT_TWIN), if
-    it has one, in fn's place.  Any other mix (a 1x1 Array, which
+    On that path, operands that are floats alone (by kind) map fn's
+    float twin (values.FLOAT_TWIN) if it has one, unless fn is / and a
+    divisor is 0, and IF over a condition of bools alone picks each cell
+    from its branches in C.  Any other mix (a 1x1 Array, which
     collapses, a row against a column, shapes that do not conform) takes
     the fold over the shapes below."""
     shape = None
@@ -528,12 +516,19 @@ def _broadcast(fn, *args):
         if shape is None:
             return fn(*args)
         if shape != (1, 1):
-            if (shape[0] * shape[1] >= _TWIN_MIN_CELLS
-                    and fn in V.FLOAT_TWIN and all(map(_all_floats, args))):
-                fn = V.FLOAT_TWIN[fn]
-            return Array(list(map(fn, *[
-                a.flat if isinstance(a, Array) else repeat(a)
-                for a in args])), shape)
+            flats = [a.flat if isinstance(a, Array) else repeat(a)
+                     for a in args]
+            twin, kind = V.FLOAT_TWIN.get(fn, (None, None))
+            if twin and all(map(_all_of, args, repeat(float))) and (
+                    twin is not operator.truediv
+                    or 0.0 not in _scalars(args[1])):
+                return Array(list(map(twin, *flats)), shape, kind)
+            if fn is _if and _all_of(args[0], bool):  # no defaults to False
+                picks = zip((*flats, repeat(False))[2], flats[1])
+                floats = all(map(_all_of, (*args, False)[1:3], repeat(float)))
+                return Array(list(map(operator.getitem, picks, flats[0])),
+                             shape, float if floats else None)
+            return Array(list(map(fn, *flats)), shape)
     shape = (1, 1)
     for a in args:
         shape = V.broadcast_shapes(shape, V.value_shape(a))
@@ -551,7 +546,7 @@ def _builtin_sum(args):
     per cell."""
     total = 0.0
     for v in args:
-        if isinstance(v, Array) and _all_floats(v):
+        if isinstance(v, Array) and v.kind is float:
             total = reduce(operator.add, v.flat, total)
             continue
         for s in _scalars(v):
@@ -571,7 +566,7 @@ def _builtin_minmax(args, pick):
     first stays, a later one is passed over."""
     best = None
     for v in args:
-        if isinstance(v, Array) and _all_floats(v):
+        if isinstance(v, Array) and v.kind is float:
             best = pick(v.flat) if best is None else pick(best, *v.flat)
             continue
         for s in _scalars(v):

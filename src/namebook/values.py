@@ -2,11 +2,12 @@
 
 A scalar is one of: None (blank), float, bool, str, or CellError.  Array wraps
 a rectangular, non-empty grid of scalars as one row-major list and its
-shape; arrays never nest.  The kernels here define coercion and error
-propagation once, one kernel per operator in BINARY, so the array
-evaluator and the compiled sweep closures cannot drift apart.  A
-kernel's float twin (FLOAT_TWIN), which the array evaluator maps over
-floats alone, is the very function the kernel applies to two floats.
+shape, and knows its kind (float or bool when every cell is one), found
+by one scan on first use and kept; arrays never nest.  The kernels here
+define coercion and error propagation once, one kernel per operator in
+BINARY, so the array evaluator and the compiled sweep closures cannot
+drift apart.  A kernel's float twin (FLOAT_TWIN), which the array
+evaluator maps over floats alone, gives what the kernel gives two floats.
 """
 
 from __future__ import annotations
@@ -70,11 +71,22 @@ class Array:
     arrays (a value of the right shape is passed on as it is), so an
     Array and its list are never mutated after construction.  cells,
     the rows, is built on each access.
+
+    kind is float or bool when every cell is exactly that type, else
+    False: one scan in C on first use, kept since flat never changes.  A
+    constructor that knows it may pass it; a wrong kind is a wrong result.
     """
 
-    __slots__ = ("flat", "shape")
-    def __init__(self, flat, shape):
-        self.flat, self.shape = flat, shape
+    __slots__ = ("flat", "shape", "_kind")
+    def __init__(self, flat, shape, kind=None):
+        self.flat, self.shape, self._kind = flat, shape, kind
+
+    @property
+    def kind(self):
+        if self._kind is None:
+            t = set(map(type, self.flat))
+            self._kind = t.pop() if t == {float} or t == {bool} else False
+        return self._kind
 
     @property
     def cells(self):
@@ -312,9 +324,10 @@ BINARY = {
     ">=": _comparison(operator.ge),
 }
 
-# Kernel -> its float twin: for + - * and the six comparisons, the plain
-# operator the kernel applies when both operands are floats.  Mapped over
-# floats alone, the twin gives the kernel's values without a Python call
-# per cell.  / and ^ check their result and & is text: no twin.
-FLOAT_TWIN = {BINARY[op]: BINARY[op].fn
-              for op in ("+", "-", "*", "=", "<>", "<", "<=", ">", ">=")}
+# Kernel -> (float twin, the type of its values): the plain operator that
+# + - * / (to a divisor not 0) and the comparisons apply to two floats, to
+# map over floats alone in C.  ^ checks its result and & is text: no twin.
+FLOAT_TWIN = {BINARY[op]: (BINARY[op].fn, float) for op in ("+", "-", "*")}
+FLOAT_TWIN[BINARY["/"]] = (operator.truediv, float)
+FLOAT_TWIN.update((BINARY[op], (BINARY[op].fn, bool))
+                  for op in ("=", "<>", "<", "<=", ">", ">="))

@@ -47,7 +47,7 @@ def test_acceptance_1_revenue_is_one_array_formula_over_228_cells(plan_store):
     started = time.perf_counter()
     store = evaluate(wb)
     elapsed = time.perf_counter() - started
-    assert elapsed < 0.05
+    assert elapsed < 0.02
 
     revenue = store.value("revenue")
     price = store.value("product.price")

@@ -2,26 +2,27 @@
 short cut past.
 
 _broadcast hands operands that already agree in shape (scalars, and
-Arrays of one shape other than 1x1) straight to the kernel, and maps a
-kernel's float twin in its place when a large enough result has float
-operands alone.  The reference below is the fold every call used to
-take: combine the shapes, lay each operand out over the result, zip the
-rows, and apply the kernel to every cell.  The two must give the same
-scalar, or an Array whose one row-major list holds the reference's
-rows, over random operand lists mixing every kind of
-scalar with Arrays that conform and Arrays that do not, and over lists
-of floats alone, with and without one cell of another kind.  SUM, MIN
-and MAX fold an Array of floats in C; the reference is their loop over
-each scalar."""
+Arrays of one shape other than 1x1) straight to the kernel, maps a
+kernel's float twin in its place when the operands are floats alone
+(for /, with no divisor of 0), and picks IF's cells in C when its
+condition is bools alone.  The reference below is the fold every call
+used to take: combine the shapes, lay each operand out over the result,
+zip the rows, and apply the kernel to every cell.  The two must give
+the same scalar, or an Array whose one row-major list holds the
+reference's rows and whose kind holds for every cell, over random
+operand lists mixing every kind of scalar with Arrays that conform and
+Arrays that do not, and over lists of floats (or, for IF's condition,
+bools) alone, with and without one cell of another kind.  SUM, MIN and
+MAX fold an Array of floats in C; the reference is their loop over each
+scalar."""
 
-import math
 import random
 
 from namebook import engine
 from namebook import values as V
 from namebook.values import Array
 
-from arrays import of_rows
+from arrays import kind_of, of_rows
 
 
 def _rows_of(v, shape):
@@ -73,6 +74,10 @@ def _float(rng):
     return rng.choice(FLOATS)
 
 
+def _bool(rng):
+    return rng.random() < 0.5
+
+
 def _array(rng, shape, draw=_scalar):
     return of_rows([[draw(rng) for _ in range(shape[1])]
                     for _ in range(shape[0])])
@@ -103,57 +108,81 @@ def _spoil(rng, args):
     return args[:i] + [of_rows(cells)] + args[i + 1:]
 
 
-def _all_floats(v):
+def _all_of(v, t):
     if isinstance(v, Array):
-        return all(type(s) is float for row in v.cells for s in row)
-    return type(v) is float
+        return all(type(s) is t for row in v.cells for s in row)
+    return type(v) is t
+
+
+def _no_zero(v):
+    return all(s != 0 for s in (v.flat if isinstance(v, Array) else [v]))
 
 
 def test_the_direct_path_agrees_with_the_generic_fold(monkeypatch):
-    # Each float twin is wrapped so a call shows when _broadcast took it.
-    twin_calls = []
-    for kernel, twin in list(V.FLOAT_TWIN.items()):
-        monkeypatch.setitem(V.FLOAT_TWIN, kernel, lambda a, b, twin=twin:
-                            twin_calls.append(None) or twin(a, b))
-    floor = engine._TWIN_MIN_CELLS
+    # Each kernel with a twin, and _if, is wrapped in one that counts its
+    # calls: a call of _broadcast that gives an Array without calling the
+    # kernel took the twin, or IF's select.
+    calls = []
+    wrapped = {k: lambda *a, k=k: calls.append(None) or k(*a)
+               for k in (*V.FLOAT_TWIN, engine._if)}
+    unwrap = {w: k for k, w in wrapped.items()}
+    for kernel, entry in list(V.FLOAT_TWIN.items()):
+        monkeypatch.delitem(V.FLOAT_TWIN, kernel)
+        monkeypatch.setitem(V.FLOAT_TWIN, wrapped[kernel], entry)
+    monkeypatch.setattr(engine, "_if", wrapped[engine._if])
+    divide = wrapped[V.BINARY["/"]]
+    # IF is drawn three times as often as another kernel, so that enough
+    # of its calls meet a condition of bools alone in one shape.
+    kernels = [(wrapped.get(k, k), n) for k, n in KERNELS]
+    kernels += [(engine._if, (2, 3))] * 2
     rng = random.Random(12)
-    direct = twinned = spoiled = taken = 0
+    direct = twinned = spoiled = taken = picked = selected = 0
     for _ in range(8000):
-        fn, arities = rng.choice(KERNELS)
+        fn, arities = rng.choice(kernels)
         shape = rng.choice(((1, 1), (1, 4), (3, 1), (2, 3), (3, 3),
-                            (40, 1), (1, 40), (8, 8), (floor - 1, 1)))
+                            (40, 1), (1, 40), (8, 8)))
         mode = rng.choice(("mixed", "floats", "spoiled"))
         draw = _scalar if mode == "mixed" else _float
         args = [_operand(rng, shape, draw)
                 for _ in range(rng.choice(arities))]
+        if fn is engine._if and mode != "mixed":
+            args[0] = _operand(rng, shape, _bool)
         if mode == "spoiled":
             args = _spoil(rng, args)
         arrays = {a.shape for a in args if isinstance(a, Array)}
         is_direct = len(arrays) < 2 and (1, 1) not in arrays
         direct += is_direct
-        cells = math.prod(arrays.pop()) if len(arrays) == 1 else 0
-        eligible = is_direct and cells >= floor and fn in V.FLOAT_TWIN
-        floats = all(map(_all_floats, args))
+        # Scalars alone go to fn itself: a map needs an Array.
+        mapped = is_direct and len(arrays) == 1
+        eligible = mapped and fn in V.FLOAT_TWIN and (
+            fn is not divide or _no_zero(args[1]))
+        floats = all(_all_of(a, float) for a in args)
         twinned += eligible and floats
         spoiled += eligible and mode == "spoiled" and not floats
-        before = len(twin_calls)
+        picked += mapped and fn is engine._if and _all_of(args[0], bool)
+        before = len(calls)
         got = engine._broadcast(fn, *args)
-        want = _reference(fn, *args)
-        taken += len(twin_calls) > before
+        want = _reference(unwrap.get(fn, fn), *args)
+        short_cut = type(got) is Array and len(calls) == before
+        taken += short_cut and fn in V.FLOAT_TWIN
+        selected += short_cut and fn is engine._if
         if isinstance(want, list):
             # One row-major list of rows * cols cells, whose rows are
-            # the reference's.
+            # the reference's, and a kind that holds for each of them.
             rows, cols = len(want), len(want[0])
             assert type(got) is Array and got.shape == (rows, cols)
             assert len(got.flat) == rows * cols
             assert repr(got.cells) == repr(want), (fn, args)
+            assert got.kind is kind_of(got.flat), (fn, args)
         else:
             assert repr(got) == repr(want), (fn, args)
     assert direct > 2000  # the direct path is well exercised
-    # The twin is taken exactly when it may, and refused for every large
-    # enough list of floats that holds one cell of another kind.
-    assert taken == twinned == 116
-    assert spoiled == 133
+    # The twin is taken exactly when it may, and refused for every list
+    # of floats that holds one cell of another kind; IF selects exactly
+    # when its condition is bools alone, spoiled ones included.
+    assert taken == twinned == 410
+    assert spoiled == 400
+    assert selected == picked >= 100
 
 
 def _sum_reference(args):
@@ -207,7 +236,7 @@ def test_sum_min_and_max_agree_with_the_per_scalar_loop():
         cases.append(args)
     floats_alone = 0
     for args in cases:
-        floats_alone += any(isinstance(a, Array) and _all_floats(a)
+        floats_alone += any(isinstance(a, Array) and _all_of(a, float)
                             for a in args)
         assert repr(engine._builtin_sum(args)) == \
             repr(_sum_reference(args)), args

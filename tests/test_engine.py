@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from namebook import engine
 from namebook.docio import UndeclaredName, export_doc, rebuild
 from namebook.engine import CycleError, build_dep_graph, evaluate
 from namebook.formula import parse_formula
@@ -291,13 +290,11 @@ def test_lookup_books_match_the_oracle_and_a_full_evaluation():
 
 
 def test_a_whole_column_band_matches_the_oracle():
-    # The bench's bands module over 800-row columns, large enough that
-    # the operators map their float twins and SUM, MIN and MAX fold in C
-    # (gen.py's rectangles stay under engine._TWIN_MIN_CELLS).  `over`
-    # makes inf and nan by overflow, which a comparison and the folds
-    # then read.
+    # The bench's bands module over 800-row columns, where the operators
+    # map their float twins, IF selects over a bool condition and SUM,
+    # MIN and MAX fold in C.  `over` makes inf and nan by overflow, which
+    # a comparison and the folds then read.
     n = 800
-    assert n >= engine._TWIN_MIN_CELLS
     rng = random.Random(19)
     wb = Workbook().add_sheet("s", n, 5)
     wb.fill_block(GridRange("s", 1, 1, 1, n),
