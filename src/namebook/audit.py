@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 
 from .docio import stray_formula_cells
-from .engine import build_dep_graph, topo_order
+from .engine import _sort_key, build_dep_graph, topo_order
 from .formula import cell_refs, render
 from .values import Record
 from .workbook import FORMULA, RANGE, UnknownNameError, Workbook
@@ -122,7 +122,9 @@ def _within(start, step, radius):
     seen = {start}
     hops = set()
     frontier = [start]
-    for _ in range(max(radius, 0)):
+    for _ in range(radius):
+        if not frontier:
+            break
         nxt = []
         for u in frontier:
             for v in step.get(u, ()):
@@ -193,11 +195,7 @@ def lint(wb: Workbook, outputs=()) -> list:
         findings.append(Finding("N1", ERROR, addr,
                                 "formula cell outside any named formula"))
 
-    def by_name(d):
-        return (d.identifier, d.scope or "")
-
-    sorted_names = sorted(wb.names.values(), key=by_name)
-    for nd in sorted_names:
+    for nd in wb.names.values():
         if nd.formula is None:
             continue
         refs = cell_refs(nd.formula)
@@ -214,20 +212,20 @@ def lint(wb: Workbook, outputs=()) -> list:
                 "multi-cell range repeats a formula whose relative "
                 "addresses drift cell to cell; mark it as an array formula"))
 
-    inputs = sorted(wb.input_ranges(), key=by_name)
+    inputs = sorted(wb.input_ranges(), key=lambda d: _sort_key(d.key()))
     for i, j in _overlapping_pairs(wb, inputs):
         a, b = inputs[i].display(), inputs[j].display()
         findings.append(Finding("N3", WARNING, a,
                                 "input ranges %s and %s overlap" % (a, b)))
 
     referenced = set(build_dep_graph(wb).readers())
-    for nd in sorted_names:
+    for nd in wb.names.values():
         if nd.derive is not None:
             base = wb.resolve(nd.derive[0], context=nd.scope)
             if base is not None:
                 referenced.add(base.key())
     exempt = set(outputs)
-    for nd in sorted_names:
+    for nd in wb.names.values():
         if nd.key() in referenced:
             continue
         if nd.identifier in exempt or nd.display() in exempt:

@@ -26,11 +26,11 @@ blocks sort by address.  Within a name block the field order is fixed.
 
 Data blocks move a block at a time.  rebuild reads a block of plain
 numbers whole (one character check, a tab count per line, one float
-conversion and one finiteness check) and stores it one column slice at
-a time; any other block is read field by field through decode_field,
-the one path that refuses a malformed block.  export_doc reads each
-column of a block as one slice and encodes each cell through a table
-keyed by its exact type.
+conversion and one finiteness check), any other field by field through
+decode_field, the one path that refuses a malformed block, and stores
+either one column slice at a time.  export_doc reads each column of a
+block as one slice and encodes each cell through a table keyed by its
+exact type.
 """
 
 from __future__ import annotations
@@ -347,30 +347,31 @@ def rebuild(text: str) -> Workbook:
         i += 1
         bounded = wb.bounded(rng)
         height, width = bounded.shape()
-        numbers = _plain_numbers(lines[i:i + height], height, width)
-        if numbers is not None:
-            # define_name checked that the rectangle lies inside its sheet,
-            # and nothing is recorded for a workbook with no kept values.
-            sheet = wb.sheet(rng.sheet)
-            for k in range(width):
-                sheet.store(bounded.col_start + k, bounded.row_start,
-                            numbers[k::width])
+        cells = _plain_numbers(lines[i:i + height], height, width)
+        if cells is not None:
             i += height
-            continue
-        rows = []
-        for k in range(height):
-            if i >= n or lines[i].startswith(("[SHEET]", "[NAME]", "[DATA]")):
-                raise DocSyntaxError(block_line,
-                                     "data block %s needs %d rows, found %d" %
-                                     (addr, height, k))
-            fields = lines[i].split("\t")
-            if len(fields) != width:
-                raise DocSyntaxError(i + 1,
-                                     "data row has %d fields, range %s is %d "
-                                     "wide" % (len(fields), addr, width))
-            rows.append([decode_field(f, i + 1) for f in fields])
-            i += 1
-        wb.fill_block(bounded, rows)
+        else:
+            cells = []
+            for k in range(height):
+                if i >= n or lines[i].startswith(("[SHEET]", "[NAME]",
+                                                  "[DATA]")):
+                    raise DocSyntaxError(block_line,
+                                         "data block %s needs %d rows, found "
+                                         "%d" % (addr, height, k))
+                fields = lines[i].split("\t")
+                if len(fields) != width:
+                    raise DocSyntaxError(i + 1,
+                                         "data row has %d fields, range %s is "
+                                         "%d wide" % (len(fields), addr, width))
+                cells += [decode_field(f, i + 1) for f in fields]
+                i += 1
+        # decode_field gives only literals Sheet.set stores as they stand,
+        # define_name checked that the rectangle lies inside its sheet, and
+        # nothing is recorded for a workbook with no kept values.
+        sheet = wb.sheet(rng.sheet)
+        for k in range(width):
+            sheet.store(bounded.col_start + k, bounded.row_start,
+                        cells[k::width])
 
     if i < n:
         raise DocSyntaxError(i + 1, "unexpected line %r" % lines[i])

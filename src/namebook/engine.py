@@ -74,7 +74,7 @@ from . import values as V
 from .formula import (Binary, Call, CellRef, Expr, Intersect, NameRef,
                       Percent, Unary, names_referenced)
 from .values import Array, CellError, Record
-from .workbook import FORMULA, GridRange, NameDef, RefError, Workbook
+from .workbook import FORMULA, GridRange, NameDef, Workbook
 
 NameKey = tuple  # (scope | None, identifier)
 
@@ -234,11 +234,10 @@ def _kahn(nodes, deps, key):
 def _cycle_component(stuck, deps):
     """Smallest strongly connected knot among the unordered names."""
     stuck_set = set(stuck)
-    adj = {k: sorted((v for v in deps[k] if v in stuck_set), key=_sort_key)
-           for k in stuck}
-    comps = _tarjan(sorted(stuck, key=_sort_key), adj)
+    adj = {k: deps[k] & stuck_set for k in stuck}
+    comps = _tarjan(stuck, adj)
     cyclic = [c for c in comps if len(c) > 1 or c[0] in adj[c[0]]]
-    return min(cyclic, key=lambda c: min(_sort_key(k) for k in c))
+    return min(cyclic, key=lambda c: _sort_key(c[0]))
 
 
 def _tarjan(nodes, adj):
@@ -255,7 +254,7 @@ def _tarjan(nodes, adj):
         counter[0] += 1
         stack.append(root)
         on_stack[root] = True
-        work = [(root, iter(sorted(adj[root], key=_sort_key)))]
+        work = [(root, iter(adj[root]))]
         while work:
             node, it = work[-1]
             advanced = False
@@ -265,7 +264,7 @@ def _tarjan(nodes, adj):
                     counter[0] += 1
                     stack.append(w)
                     on_stack[w] = True
-                    work.append((w, iter(sorted(adj[w], key=_sort_key))))
+                    work.append((w, iter(adj[w])))
                     advanced = True
                     break
                 elif on_stack.get(w):
@@ -500,9 +499,9 @@ def _broadcast(fn, *args):
     scalars and Arrays of one shape other than 1x1, whose result is one
     map of fn over the Arrays' lists with each scalar repeated in place.
     On that path, operands that are floats alone (by kind) map fn's
-    float twin (values.FLOAT_TWIN) if it has one, unless fn is / and a
-    divisor is 0, and IF over a condition of bools alone picks each cell
-    from its branches in C.  Any other mix (a 1x1 Array, which
+    float twin (values.FLOAT_TWIN) if it has one, and fn itself when the
+    twin raises (/ by 0), and IF over a condition of bools alone picks
+    each cell from its branches in C.  Any other mix (a 1x1 Array, which
     collapses, a row against a column, shapes that do not conform) takes
     the fold over the shapes below."""
     shape = None
@@ -519,10 +518,11 @@ def _broadcast(fn, *args):
             flats = [a.flat if isinstance(a, Array) else repeat(a)
                      for a in args]
             twin, kind = V.FLOAT_TWIN.get(fn, (None, None))
-            if twin and all(map(_all_of, args, repeat(float))) and (
-                    twin is not operator.truediv
-                    or 0.0 not in _scalars(args[1])):
-                return Array(list(map(twin, *flats)), shape, kind)
+            if twin and all(map(_all_of, args, repeat(float))):
+                try:
+                    return Array(list(map(twin, *flats)), shape, kind)
+                except ZeroDivisionError:  # where _divide gives #DIV/0!
+                    pass
             if fn is _if and _all_of(args[0], bool):  # no defaults to False
                 picks = zip((*flats, repeat(False))[2], flats[1])
                 floats = all(map(_all_of, (*args, False)[1:3], repeat(float)))
@@ -761,24 +761,19 @@ def _builtin_index(state, args):
             rng = source.rng
             rows_decl = (state.wb.sheet(rng.sheet).rows
                          if rng.sheet in state.wb.sheets else 1)
-            shape = rng.clamp(rows_decl).shape()
-            pair = _index_pair(nums, shape)
-            if pair is None:
-                return V.VALUE_ERROR
-            if pair[0] > shape[0]:  # past a whole-column band's last row
-                return V.REF_ERROR
-            try:
-                return RangeValue(rng.index_slice(*pair))
-            except RefError:
-                return V.REF_ERROR
-        src = source if isinstance(source, Array) else Array([source], (1, 1))
-        r, c = src.shape
+            r, c = rng.clamp(rows_decl).shape()
+        else:
+            src = (source if isinstance(source, Array)
+                   else Array([source], (1, 1)))
+            r, c = src.shape
         pair = _index_pair(nums, (r, c))
         if pair is None:
             return V.VALUE_ERROR
         row, col = pair
         if row > r or col > c:
             return V.REF_ERROR
+        if isinstance(source, RangeValue):
+            return RangeValue(rng.index_slice(row, col))
         flat = src.flat
         if row:
             flat, r = flat[(row - 1) * c:row * c], 1

@@ -324,9 +324,9 @@ BINARY = {
     ">=": _comparison(operator.ge),
 }
 
-# Kernel -> (float twin, the type of its values): the plain operator that
-# + - * / (to a divisor not 0) and the comparisons apply to two floats, to
-# map over floats alone in C.  ^ checks its result and & is text: no twin.
+# Kernel -> (float twin, type of its values): the plain operator that + - *
+# / (raising where _divide gives #DIV/0!) and the comparisons apply to two
+# floats, mapped over floats alone in C.  ^ checks its result, & is text.
 FLOAT_TWIN = {BINARY[op]: (BINARY[op].fn, float) for op in ("+", "-", "*")}
 FLOAT_TWIN[BINARY["/"]] = (operator.truediv, float)
 FLOAT_TWIN.update((BINARY[op], (BINARY[op].fn, bool))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from itertools import chain
 from types import MappingProxyType
 
 from .formula import Expr, col_to_index, is_identifier
@@ -51,9 +50,6 @@ class RefError(WorkbookError):
 WORKBOOK_SCOPE = None  # scope value for workbook-scoped names
 
 _SHEET_NAME_RE = re.compile(r"^[^\W\d][\w.]*$")
-# The literal types a cell stores as given (a float only when finite),
-# and the blank.
-_STORED = frozenset((float, bool, str, CellError, type(None)))
 
 
 def index_to_col(n: int) -> str:
@@ -62,17 +58,6 @@ def index_to_col(n: int) -> str:
         n, rem = divmod(n - 1, 26)
         out.append(chr(65 + rem))
     return "".join(reversed(out))
-
-
-def _stored_as_given(rows) -> bool:
-    """Whether Sheet.set would store every cell of rows as it stands."""
-    cells = list(chain.from_iterable(rows))
-    kinds = set(map(type, cells))
-    if not kinds <= _STORED:
-        return False
-    if kinds != {float}:
-        cells = [v for v in cells if type(v) is float]
-    return all(map(math.isfinite, cells))
 
 
 class GridRange(Record):
@@ -409,13 +394,10 @@ class Workbook:
         return self
 
     def fill_block(self, rng: GridRange, rows) -> "Workbook":
-        """Write a rectangle of literals covering rng, row-major.
-
-        A block of finite floats, bools, text, error values and blanks
-        inside the sheet is stored as it stands, a column slice at a
-        time; any other goes cell by cell through Sheet.set, which
-        converts or refuses each.  Cells are written in order, so a
-        refused cell leaves the ones before it written."""
+        """Write a rectangle of literals covering rng, row-major, cell by
+        cell through Sheet.set, which converts or refuses each.  Cells
+        are written in order, so a refused cell leaves the ones before it
+        written."""
         sh = self.sheet(rng.sheet)
         bounded = rng.clamp(sh.rows)
         data = [list(r) for r in rows]
@@ -427,11 +409,6 @@ class Workbook:
             self._written.append((bounded.sheet, bounded.row_start,
                                   bounded.row_end, bounded.col_start,
                                   bounded.col_end))
-        if (bounded.row_end <= sh.rows and bounded.col_end <= sh.cols
-                and _stored_as_given(data)):
-            for col, values in enumerate(zip(*data), bounded.col_start):
-                sh.store(col, bounded.row_start, values)
-            return self
         cols = range(bounded.col_start, bounded.col_end + 1)
         for row, values in zip(range(bounded.row_start, bounded.row_end + 1),
                                data):

@@ -5,6 +5,7 @@ and each lint rule fires exactly where it should."""
 import cProfile
 import pstats
 import random
+import time
 
 import pytest
 
@@ -18,6 +19,7 @@ from namebook.formula import names_referenced, parse_formula, render
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef,
                                UnknownNameError, Workbook, shift_name)
 
+from corpus import fixture_a, fixture_c
 from gen import random_workbook
 
 
@@ -102,6 +104,17 @@ def test_focus_graph_respects_the_radius():
     assert s_all.focus == "base"
     assert s_all.labels["base"] == "s!A1"
     assert s_all.labels["top"] == "mid + 1"
+
+
+def test_a_huge_radius_costs_what_the_graph_does():
+    # Past the farthest name the frontier is empty and the walk stops,
+    # so the radius itself costs nothing.
+    for wb, name in ((_chain(), "mid"), (fixture_a(), "revenue"),
+                     (fixture_c(), "debt.balance")):
+        start = time.perf_counter()
+        far = focus_graph(wb, name, radius=10**7)
+        assert time.perf_counter() - start < 0.5
+        assert far == focus_graph(wb, name, radius=len(wb.names))
 
 
 def test_focus_graph_rejects_unknown_names():

@@ -1,14 +1,13 @@
 """The cell codecs against the per-cell code they replaced.
 
-rebuild reads a data block of plain numbers whole, export_doc and the
-eval TSV encode cells through a table keyed by exact type, and
-fill_block stores checked literals without a Sheet.set call per cell.
-The references below are the per-cell versions: each field through
-decode_field and Sheet.set, encode_field's character loop, and the
-isinstance chain of the TSV renderer.  Over seeded random books and
-Arrays the two must give the same bytes and the same typed cells, and
-every malformed block must raise the same error, on the same line, with
-the same message."""
+rebuild reads a data block of plain numbers whole and stores every
+block a column slice at a time, and export_doc and the eval TSV encode
+cells through a table keyed by exact type.  The references below are
+the per-cell versions: each field through decode_field and Sheet.set,
+encode_field's character loop, and the isinstance chain of the TSV
+renderer.  Over seeded random books and Arrays the two must give the
+same bytes and the same typed cells, and every malformed block must
+raise the same error, on the same line, with the same message."""
 
 import math
 import random

@@ -301,6 +301,27 @@ def test_rebuild_reads_plain_number_blocks_whole():
     assert sum(len(sheet.cells) for sheet in wb.sheets.values()) == 3200
 
 
+def test_rebuild_stores_decoded_blocks_without_setting_cells():
+    # The fixtures' and the sweep book's blocks hold bools and blanks as
+    # well as numbers, so they are decoded field by field, and the cells
+    # decoded are stored as they stand: no cell goes through fill_block's
+    # or Sheet.set's checks a second time.
+    texts = [workloads.sweep(403)[0].text]
+    for name in ("fixtureA", "fixtureB", "fixtureC"):
+        with open(os.path.join(ROOT, "fixtures", name + ".nsdoc"),
+                  encoding="utf-8") as fh:
+            texts.append(fh.read())
+    for text in texts:
+        prof = cProfile.Profile()
+        prof.enable()
+        rebuild(text)
+        prof.disable()
+        stats = pstats.Stats(prof).stats
+        calls = [stats.get(cProfile.label(f.__code__), (0, 0))[1]
+                 for f in (docio.decode_field, Workbook.fill_block, Sheet.set)]
+        assert calls[0] > 0 and calls[1:] == [0, 0], calls
+
+
 # --- load cost ----------------------------------------------------------------
 
 def _rebuild_calls_per_name(text):

@@ -208,10 +208,18 @@ def test_index_needs_both_axes_on_a_rectangle():
                            formula=parse_formula("INDEX(grid, 2)")))
     wb.define_name(NameDef("row", None, FORMULA,
                            formula=parse_formula("SUM(INDEX(grid, 2, 0))")))
+    # A column past the width, of the reference and of a computed value.
+    for ident, text in (("wide", "INDEX(grid, 1, 3)"),
+                        ("wide.value", "INDEX(grid * 1, 1, 3)")):
+        wb.define_name(NameDef(ident, None, FORMULA,
+                               formula=parse_formula(text)))
     store = evaluate(wb)
+    assert store.values == oracle_evaluate(wb)
     assert store.value("one") == 3.0
     assert store.value("flat") == VALUE_ERROR
     assert store.value("row") == 7.0
+    assert store.value("wide") == REF_ERROR
+    assert store.value("wide.value") == REF_ERROR
 
 
 def test_an_index_past_a_whole_column_band_is_a_ref_error():
