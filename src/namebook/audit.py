@@ -42,22 +42,14 @@ def linear_listing(wb: Workbook):
     formula-bearing name in dependency order.  Raises CycleError when no
     such order exists.
     """
-    g = build_dep_graph(wb)
-    order = topo_order(g)
+    order = topo_order(build_dep_graph(wb))
     entries = []
-    for key in order:
+    for key in sorted(order, key=lambda k: wb.names[k].formula is not None):
         nd = wb.names[key]
-        if nd.formula is not None:
-            continue
-        address, shape = _address_and_shape(wb, nd)
-        entries.append(ListingEntry(nd.display(), "input", None, address, shape))
-    for key in order:
-        nd = wb.names[key]
-        if nd.formula is None:
-            continue
-        address, shape = _address_and_shape(wb, nd)
-        entries.append(ListingEntry(nd.display(), "formula",
-                                    render(nd.formula), address, shape))
+        text = None if nd.formula is None else render(nd.formula)
+        kind = "input" if text is None else "formula"
+        entries.append(ListingEntry(nd.display(), kind, text,
+                                    *_address_and_shape(wb, nd)))
     return entries
 
 

@@ -84,6 +84,9 @@ _BLOCK_CHARS = _NUMBER_CHARS | {"\t", "\n"}
 _ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\t": "\\t",
                           "\n": "\\n", "\r": "\\r"})
 _UNESCAPES = {"\\": "\\", '"': '"', "t": "\t", "n": "\n", "r": "\r"}
+# A quoted field's body: plain characters and the escapes above.
+_ESCAPE_SEQ = re.compile(r"\\([%s])" % re.escape("".join(_UNESCAPES)))
+_TEXT_BODY = re.compile(r'(?:[^"\\]|%s)*' % _ESCAPE_SEQ.pattern)
 
 
 # The encoder of each literal type; export_doc looks a cell's exact type
@@ -122,24 +125,15 @@ def decode_field(text: str, line: int):
     if text.startswith('"'):
         if len(text) < 2 or not text.endswith('"'):
             raise DocSyntaxError(line, "unterminated text literal %r" % text)
-        out = []
-        i = 1
-        while i < len(text) - 1:
-            ch = text[i]
-            if ch == "\\":
-                i += 1
-                if i >= len(text) - 1:
-                    raise DocSyntaxError(line, "dangling escape in %r" % text)
-                esc = _UNESCAPES.get(text[i])
-                if esc is None:
-                    raise DocSyntaxError(line, "unknown escape \\%s" % text[i])
-                out.append(esc)
-            elif ch == '"':
-                raise DocSyntaxError(line, "unescaped quote inside %r" % text)
-            else:
-                out.append(ch)
-            i += 1
-        return "".join(out)
+        last = len(text) - 1
+        stop = _TEXT_BODY.match(text, 1, last).end()
+        if stop == last:
+            return _ESCAPE_SEQ.sub(lambda m: _UNESCAPES[m[1]], text[1:last])
+        if text[stop] == '"':
+            raise DocSyntaxError(line, "unescaped quote inside %r" % text)
+        if stop + 1 == last:
+            raise DocSyntaxError(line, "dangling escape in %r" % text)
+        raise DocSyntaxError(line, "unknown escape \\%s" % text[stop + 1])
     raise DocSyntaxError(line, "unreadable literal %r" % text)
 
 
@@ -259,7 +253,9 @@ def rebuild(text: str) -> Workbook:
         raise DocSyntaxError(1, "empty document")
     if lines[0] != HEADER:
         if lines[0].startswith("#%NAMESDOC"):
-            raise UnknownVersion(lines[0][len("#%NAMESDOC"):].strip())
+            raise UnknownVersion(
+                "unknown document version %r; this reader reads %s"
+                % (lines[0][len("#%NAMESDOC"):], HEADER))
         raise DocSyntaxError(1, "missing %s header" % HEADER)
 
     wb = Workbook()

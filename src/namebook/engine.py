@@ -241,53 +241,39 @@ def _cycle_component(stuck, deps):
 
 
 def _tarjan(nodes, adj):
-    """Strongly connected components, iterative so deep chains don't recurse."""
+    """Strongly connected components (Tarjan, 1972), each sorted, in the
+    order they close.  A work stack of (node, iterator) pairs replaces the
+    recursion; an iterator of None marks a first visit, which opens it."""
     index = {}
     low = {}
-    on_stack = {}
+    on_stack = set()
     stack = []
-    counter = [0]
     comps = []
-
-    def connect(root):
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(adj[root]))]
+    for v in nodes:
+        work = [] if v in index else [(v, None)]
         while work:
-            node, it = work[-1]
-            advanced = False
+            node, it = work.pop()
+            if it is None:
+                index[node] = low[node] = len(index)
+                stack.append(node)
+                on_stack.add(node)
+                it = iter(adj[node])
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(adj[w])))
-                    advanced = True
+                    work += (node, it), (w, None)
                     break
-                elif on_stack.get(w):
+                if w in on_stack:
                     low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(sorted(comp, key=_sort_key))
-
-    for v in nodes:
-        if v not in index:
-            connect(v)
+            else:
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    comp = [stack.pop()]
+                    while comp[-1] != node:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    comps.append(sorted(comp, key=_sort_key))
     return comps
 
 

@@ -100,6 +100,9 @@ _IDENT_PATTERN = r"(?:[^\W\d_]|" + ARROW + r")[\w.]*\??"
 _IDENT_RE = re.compile(_IDENT_PATTERN)
 # Whole-lexeme form, used to reject candidate defined names that read as refs.
 _CELLREF_FULL = re.compile(r"^(?:%s)$" % _CELLREF_PATTERN)
+# A reference whose every corner is absolute (CellRef.is_relative).
+_ABSOLUTE = re.compile(r"\$[A-Z]{1,3}(?:\$[0-9]{1,7})?"
+                       r"(?::\$[A-Z]{1,3}(?:\$[0-9]{1,7})?)*")
 
 # One alternative per token class.  A letter starts a cell reference when
 # the reference holds a "$" or ":" (an identifier stops there) or when no
@@ -126,6 +129,8 @@ _TOKEN = re.compile(r"""[ \t]*(?:
 _GROUP_KIND = {number: TokenKind.__members__.get(name)
                for name, number in _TOKEN.groupindex.items()}
 _NAME_GROUP = _TOKEN.groupindex["name"]
+# What tokenize skips before the first token: blanks, "{" and "=".
+_PREFIX = re.compile(r"[ \t]*(?:(\{)[ \t]*)?=?")
 _BOOLS = ("TRUE", "FALSE")
 _REF_LEFT = (_IDENT, _CELLREF, _RPAREN)
 _REF_RIGHT = (_IDENT, _CELLREF)
@@ -160,21 +165,15 @@ def tokenize(text: str) -> list[tuple]:
     """Lex a formula into (kind, lexeme, start, end) tuples.  A leading "="
     or surrounding "{=...}" is tolerated."""
     pos = 0
-    end_limit = n = len(text)
+    end_limit = len(text)
     if text[:1] in " \t{=":
-        # Tolerate array-entry braces and the leading equals sign.
-        while pos < n and text[pos] in " \t":
-            pos += 1
-        if pos < n and text[pos] == "{":
+        m = _PREFIX.match(text)
+        if m.group(1):
             close = text.rstrip()
             if not close.endswith("}"):
-                raise LexError(pos, "unmatched '{'")
+                raise LexError(m.start(1), "unmatched '{'")
             end_limit = len(close) - 1
-            pos += 1
-        while pos < end_limit and text[pos] in " \t":
-            pos += 1
-        if pos < end_limit and text[pos] == "=":
-            pos += 1
+        pos = m.end()
     tokens = []
     append = tokens.append
     prev_end, prev_kind = pos, None
@@ -240,14 +239,7 @@ class CellRef(Expr):
     @property
     def is_relative(self) -> bool:
         """True when any row or column component lacks an absolute marker."""
-        parts = self.ref.split(":")
-        for p in parts:
-            m = re.match(r"^(\$?)[A-Z]{1,3}(?:(\$?)[0-9]{1,7})?$", p)
-            if m is None:
-                return True
-            if m.group(1) != "$" or (m.group(2) is not None and m.group(2) != "$"):
-                return True
-        return False
+        return _ABSOLUTE.fullmatch(self.ref) is None
 
 
 class Unary(Expr):

@@ -324,16 +324,13 @@ class Sheet(Record):
         was."""
         if not (1 <= row <= self.rows and 1 <= col <= self.cols):
             raise RefError("cell (%d, %d) outside sheet %s" % (row, col, self.name))
-        if value is None:
-            if self.get(row, col) is None:
-                return
-        elif isinstance(value, float):
+        if isinstance(value, float):
             if not math.isfinite(value):
                 raise ValueError("cell (%d, %d) of sheet %s: %r is not finite"
                                  % (row, col, self.name, value))
         elif isinstance(value, int) and not isinstance(value, bool):
             value = float(value)
-        elif not isinstance(value, (bool, str, CellError)):
+        elif not (value is None or isinstance(value, (bool, str, CellError))):
             raise ValueError("cell (%d, %d) of sheet %s: %r is not a literal"
                              % (row, col, self.name, value))
         self.store(col, row, (value,))

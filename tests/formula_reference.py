@@ -1,6 +1,7 @@
 """The character-at-a-time lexer, recursive-descent parser and renderer
 that namebook.formula used before its one-pattern lexer and
-precedence-climbing parser, unchanged apart from imports.  Tests compare
+precedence-climbing parser, unchanged apart from imports, and the
+corner loop of CellRef.is_relative before its one pattern.  Tests compare
 `namebook.formula` against it.
 
 It builds the package's own AST nodes and raises the package's LexError
@@ -188,6 +189,19 @@ def _normalize_cellref(lexeme: str) -> str:
     if key(a) > key(b):
         a, b = b, a
     return a + ":" + b
+
+
+def is_relative(ref: str) -> bool:
+    """CellRef.is_relative as a loop over the corners: True when any row
+    or column component lacks an absolute marker."""
+    parts = ref.split(":")
+    for p in parts:
+        m = re.match(r"^(\$?)[A-Z]{1,3}(?:(\$?)[0-9]{1,7})?$", p)
+        if m is None:
+            return True
+        if m.group(1) != "$" or (m.group(2) is not None and m.group(2) != "$"):
+            return True
+    return False
 
 
 class _Parser:

@@ -288,6 +288,17 @@ def _one_line_failure(capsys, argv):
     return out.err
 
 
+@pytest.mark.parametrize("header", ["#%NAMESDOC v2", "#%NAMESDOC",
+                                    "#%NAMESDOC v1 ", "#%NAMESDOCv1"])
+def test_a_refused_header_says_why(tmp_path, capsys, header):
+    # The header's tail is quoted as written, so a stray blank shows, and
+    # the line ends with the header this reader reads.
+    doc = _write(tmp_path, header + "\n[SHEET] s rows=1 cols=1\n")
+    err = _one_line_failure(capsys, ["eval", doc])
+    assert "version" in err and repr(header[len("#%NAMESDOC"):]) in err
+    assert err.endswith(" #%NAMESDOC v1\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", LOAN_DOC, "--out"],
     ["audit", "graph", LOAN_DOC, "--focus", "debt.balance", "--dot"],

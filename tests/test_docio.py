@@ -2,6 +2,7 @@
 malformed document is refused with a line-numbered complaint."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from namebook.formula import NUMBER_RE, parse_formula, render
 from namebook.values import CellError
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook)
 
+import docio_reference
 from arrays import of_rows
 from gen import random_workbook
 
@@ -115,6 +117,35 @@ def test_number_fields_are_exactly_signed_formula_numbers():
             else:
                 with pytest.raises(DocSyntaxError):
                     decode_field(text, 1)
+
+
+def _decoded(decode, field, line):
+    """decode's value for field, or its error's class, line and message."""
+    try:
+        return repr(decode(field, line))
+    except DocSyntaxError as exc:
+        return (type(exc), exc.line, str(exc))
+
+
+def test_decode_field_agrees_with_the_character_loop():
+    # Bodies of quotes, backslashes, the escape letters and one unknown
+    # ("q"), blanks, digits and one non-ASCII letter; most quoted, some
+    # left open, some bare.
+    rng = random.Random(2502)
+    chars = '"\\tnrq\t\n é01.e-'
+    outcomes = set()
+    for _ in range(60_000):
+        body = "".join(rng.choice(chars) for _ in range(rng.randint(0, 8)))
+        roll = rng.random()
+        field = ('"%s"' % body if roll < 0.8 else
+                 '"' + body if roll < 0.9 else body)
+        line = rng.randint(1, 99)
+        got = _decoded(decode_field, field, line)
+        assert got == _decoded(docio_reference.decode_field, field, line), (
+            field)
+        outcomes.add(got[2].split()[2] if type(got) is tuple else "value")
+    assert outcomes == {"value", "unescaped", "dangling", "unknown",
+                        "unterminated", "unreadable"}
 
 
 def test_syntax_errors_carry_the_line_number():

@@ -148,3 +148,30 @@ def test_non_ascii_digits_are_lex_errors():
             formula.parse_formula(text)
         assert (err.value.offset, err.value.reason) == (
             offset, "unexpected character %r" % char)
+
+
+def _corner(rng):
+    """A corner that is sometimes no corner: each "$" optional, columns
+    and rows of zero to four letters and zero to eight digits, now and
+    then a stray character."""
+    text = "$" * (rng.random() < 0.6)
+    text += "".join(rng.choice("ABZaz1") for _ in range(rng.choice(
+        (0, 1, 1, 2, 3, 4))))
+    if rng.random() < 0.7:
+        text += "$" * (rng.random() < 0.6)
+        text += "".join(rng.choice("0123456789a") for _ in range(rng.choice(
+            (0, 1, 2, 7, 8))))
+    if rng.random() < 0.05:
+        text += rng.choice(("$", ":", " ", "٣"))
+    return text
+
+
+def test_is_relative_agrees_with_the_corner_loop():
+    rng = random.Random(7101)
+    seen = set()
+    for _ in range(60_000):
+        ref_text = ":".join(_corner(rng) for _ in range(rng.randint(1, 3)))
+        got = formula.CellRef(ref_text).is_relative
+        assert got == ref.is_relative(ref_text), ref_text
+        seen.add(got)
+    assert seen == {True, False}

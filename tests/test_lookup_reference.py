@@ -22,8 +22,8 @@ _POOL = (None, None, DIV0_ERROR, VALUE_ERROR, REF_ERROR,
          math.inf, -math.inf, math.nan,
          "", "a", "A", "b", "B", "abc", "ABC", "zz",
          True, False)
-_INDICES = (0.0, -0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 1.5, 2.99, -1.0, 9.0,
-            math.inf, -math.inf, math.nan, None, True, False, "2",
+_INDICES = (0.0, -0.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 1.5, 2.99, 0.5, 3.5,
+            -1.0, 9.0, math.inf, -math.inf, math.nan, None, True, False, "2",
             VALUE_ERROR)
 
 
@@ -121,3 +121,23 @@ def test_a_non_finite_index_is_a_value_error():
             of_rows([[VALUE_ERROR], [1.0]])
     assert engine._builtin_index(None, [xs, of_rows([[3.0], [2.0]])]) == \
         of_rows([[REF_ERROR], [2.0]])
+
+
+def test_an_in_range_float_index_down_a_column_skips_index_int(monkeypatch):
+    # Floats inside the column are read in place; only the others go
+    # through _index_int's checks.
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return index_int(s)
+
+    index_int = engine._index_int
+    monkeypatch.setattr(engine, "_index_int", counted)
+    column = of_rows([[10.0], [20.0], [30.0]])
+    assert engine._builtin_index(None, [column, of_rows(
+        [[3.5], [1.0], [2.99]])]) == of_rows([[30.0], [10.0], [20.0]])
+    assert calls == []
+    assert engine._builtin_index(None, [column, of_rows(
+        [[4.0], [True]])]) == of_rows([[REF_ERROR], [10.0]])
+    assert calls == [4.0, True]

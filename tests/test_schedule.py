@@ -611,3 +611,46 @@ def test_a_diamond_of_names_inlined_into_a_sweep_costs_linear_calls():
     small = _python_calls(_diamond_into_the_sweep(8))
     large = _python_calls(_diamond_into_the_sweep(16))
     assert large / small <= 2.3
+
+
+def _reachable(adj, v):
+    seen, todo = {v}, [v]
+    while todo:
+        for w in adj[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def test_tarjan_finds_the_mutually_reachable_sets():
+    # Components closed by the brute force: u and v share one when each
+    # reaches the other.  Each component comes sorted, and none before a
+    # component it reaches (Tarjan closes sinks first).
+    rng = random.Random(2501)
+    for case in range(400):
+        nodes = [(None, "n%02d" % i) for i in range(rng.randint(1, 14))]
+        p = rng.random() * 0.4
+        adj = {u: {w for w in nodes if rng.random() < p} for u in nodes}
+        lone = [(None, "z%d" % i) for i in range(rng.randint(0, 2))]
+        adj.update((u, set()) for u in lone)
+        nodes += lone
+        rng.shuffle(nodes)
+        comps = _tarjan(nodes, adj)
+        reach = {u: _reachable(adj, u) for u in nodes}
+        want = {frozenset(w for w in reach[u] if u in reach[w])
+                for u in nodes}
+        assert {frozenset(c) for c in comps} == want, case
+        assert sorted(map(len, comps)) == sorted(map(len, want)), case
+        assert all(c == sorted(c, key=_sort_key) for c in comps), case
+        closed = set()
+        for c in comps:
+            assert reach[c[0]] - set(c) <= closed, case
+            closed.update(c)
+
+
+def test_tarjan_closes_a_long_cycle_without_recursing():
+    n = 100_000
+    nodes = [(None, "n%06d" % i) for i in range(n)]
+    adj = {u: {nodes[(i + 1) % n]} for i, u in enumerate(nodes)}
+    assert _tarjan(nodes, adj) == [nodes]
