@@ -25,8 +25,8 @@ reads a member is filled into step lists of its own just before its
 reader at each step, so chains and diamonds of such names cost one
 closure call per name per cell.  Programs and closures apply the same
 operator kernels (values.BINARY).  A whole value is a scalar or an
-Array(flat, shape), one row-major list and its shape, so a step over
-operands of one shape is one map over their lists, and a one-column
+Array(flat, shape), one row-major list and its shape, so a step is one
+map over its operands' lists laid out to one shape, and a one-column
 read is the slice the sheet gives.  An Array knows its kind (all floats,
 all bools, or neither), so such a map runs in C where it can: a kernel's
 float twin (values.FLOAT_TWIN) over floats, IF's pick over bools.
@@ -459,9 +459,12 @@ def _scalars(v):
     return v.flat if isinstance(v, Array) else (v,)
 
 
-def _all_of(v, t):
-    """True when v is exactly of type t, or an Array of kind t."""
-    return v.kind is t if isinstance(v, Array) else type(v) is t
+def _all_of(vs, t):
+    """True when each of vs is exactly of type t or an Array of kind t."""
+    for v in vs:
+        if (v.kind if isinstance(v, Array) else type(v)) is not t:
+            return False
+    return True
 
 
 def _flat_of(v, shape):
@@ -481,48 +484,40 @@ def _broadcast(fn, *args):
     """fn applied across args broadcast to one shape; #VALUE! when the
     shapes do not conform, a scalar when they are all 1x1.
 
-    Operands that need no layout go straight to fn: all scalars, or
-    scalars and Arrays of one shape other than 1x1, whose result is one
-    map of fn over the Arrays' lists with each scalar repeated in place.
-    On that path, operands that are floats alone (by kind) map fn's
-    float twin (values.FLOAT_TWIN) if it has one, and fn itself when the
-    twin raises (/ by 0), and IF over a condition of bools alone picks
-    each cell from its branches in C.  Any other mix (a 1x1 Array, which
-    collapses, a row against a column, shapes that do not conform) takes
-    the fold over the shapes below."""
+    The first Array gives the shape, and each later Array of another
+    shape is combined with it.  Every operand is then laid out over that
+    shape in one pass: an Array of the shape is its own list, a scalar
+    repeats in place, and any other Array (a row, a column, a 1x1) is
+    laid out by _flat_of.  The result is one map over those lists.  When
+    the operands are floats alone (by kind), fn's float twin
+    (values.FLOAT_TWIN) is mapped in fn's place if it has one, and fn
+    itself when the twin raises (/ by 0); IF over a condition of bools
+    alone picks each cell from its branches in C."""
     shape = None
     for a in args:
-        if isinstance(a, Array):
+        if isinstance(a, Array) and a.shape != shape:
+            shape = (a.shape if shape is None
+                     else V.broadcast_shapes(shape, a.shape))
             if shape is None:
-                shape = a.shape
-            elif a.shape != shape:
-                break
-    else:
-        if shape is None:
-            return fn(*args)
-        if shape != (1, 1):
-            flats = [a.flat if isinstance(a, Array) else repeat(a)
-                     for a in args]
-            twin, kind = V.FLOAT_TWIN.get(fn, (None, None))
-            if twin and all(map(_all_of, args, repeat(float))):
-                try:
-                    return Array(list(map(twin, *flats)), shape, kind)
-                except ZeroDivisionError:  # where _divide gives #DIV/0!
-                    pass
-            if fn is _if and _all_of(args[0], bool):  # no defaults to False
-                picks = zip((*flats, repeat(False))[2], flats[1])
-                floats = all(map(_all_of, (*args, False)[1:3], repeat(float)))
-                return Array(list(map(operator.getitem, picks, flats[0])),
-                             shape, float if floats else None)
-            return Array(list(map(fn, *flats)), shape)
-    shape = (1, 1)
-    for a in args:
-        shape = V.broadcast_shapes(shape, V.value_shape(a))
-        if shape is None:
-            return V.VALUE_ERROR
+                return V.VALUE_ERROR
+    if shape is None:
+        return fn(*args)
     if shape == (1, 1):
         return fn(*map(V.collapse, args))
-    return Array(list(map(fn, *[_flat_of(a, shape) for a in args])), shape)
+    flats = [(a.flat if a.shape == shape else _flat_of(a, shape))
+             if isinstance(a, Array) else repeat(a) for a in args]
+    twin, kind = V.FLOAT_TWIN.get(fn, (None, None))
+    if twin and _all_of(args, float):
+        try:
+            return Array(list(map(twin, *flats)), shape, kind)
+        except ZeroDivisionError:  # where _divide gives #DIV/0!
+            pass
+    if fn is _if and _all_of(args[:1], bool):  # no defaults to False
+        picks = zip((*flats, repeat(False))[2], flats[1])
+        floats = _all_of((*args, False)[1:3], float)
+        return Array(list(map(operator.getitem, picks, flats[0])),
+                     shape, float if floats else None)
+    return Array(list(map(fn, *flats)), shape)
 
 
 def _builtin_sum(args):
@@ -716,18 +711,6 @@ def _index_int(s):
     return int(n)
 
 
-def _index_pair(nums, shape):
-    """INDEX's (row, col) into a value of shape: a lone index selects along
-    a single column or row; None when the value is wider."""
-    if len(nums) == 2:
-        return nums
-    if shape[1] == 1:
-        return nums[0], 0
-    if shape[0] == 1:
-        return 0, nums[0]
-    return None
-
-
 def _builtin_index(state, args):
     if len(args) not in (2, 3):
         return V.VALUE_ERROR
@@ -745,17 +728,20 @@ def _builtin_index(state, args):
                 return n
         if isinstance(source, RangeValue):
             rng = source.rng
-            rows_decl = (state.wb.sheet(rng.sheet).rows
-                         if rng.sheet in state.wb.sheets else 1)
-            r, c = rng.clamp(rows_decl).shape()
+            r, c = state.wb.bounded(rng).shape()
         else:
             src = (source if isinstance(source, Array)
                    else Array([source], (1, 1)))
             r, c = src.shape
-        pair = _index_pair(nums, (r, c))
-        if pair is None:
+        # A lone index selects along a single column or row.
+        if len(nums) == 2:
+            row, col = nums
+        elif c == 1:
+            row, col = nums[0], 0
+        elif r == 1:
+            row, col = 0, nums[0]
+        else:
             return V.VALUE_ERROR
-        row, col = pair
         if row > r or col > c:
             return V.REF_ERROR
         if isinstance(source, RangeValue):
@@ -1011,9 +997,7 @@ class _EvalState:
             value = self.plain.get(rv.rng)
             if value is not None:
                 return value
-        sh = self.wb.sheets.get(rv.rng.sheet)
-        if sh is None:
-            return V.REF_ERROR
+        sh = self.wb.sheets[rv.rng.sheet]
         rng = rv.rng.clamp(sh.rows)
         r0, r1, c0 = rng.row_start, rng.row_end, rng.col_start
         rows, cols = r1 - r0 + 1, rng.col_end - c0 + 1

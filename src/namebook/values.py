@@ -162,8 +162,6 @@ def to_number(s):
 
 
 def to_text(s):
-    if isinstance(s, CellError):
-        return s
     if s is None:
         return ""
     if isinstance(s, bool):
@@ -283,8 +281,6 @@ def _comparison(fn):
 
 
 def negate(a):
-    if isinstance(a, CellError):
-        return a
     x = to_number(a)
     if isinstance(x, CellError):
         return x
@@ -292,8 +288,6 @@ def negate(a):
 
 
 def percent(a):
-    if isinstance(a, CellError):
-        return a
     x = to_number(a)
     if isinstance(x, CellError):
         return x

@@ -122,6 +122,15 @@ def test_focus_graph_rejects_unknown_names():
         focus_graph(_chain(), "nothing.here")
 
 
+def test_focus_graph_labels_a_dangling_name_ref():
+    wb = _chain().add_sheet("gone", 2, 2)
+    wb.define_name(NameDef("lost", target=GridRange("gone", 1, 1, 1, 1)))
+    wb.define_name(NameDef("user", None, FORMULA,
+                           formula=parse_formula("lost + 1")))
+    wb.delete_sheet("gone")
+    assert focus_graph(wb, "user").labels["lost"] == "#REF!"
+
+
 def test_focus_graph_finds_scoped_names_by_bare_identifier():
     wb = Workbook().add_sheet("s", 2, 2)
     wb.set_cell("s", 1, 1, 1.0)

@@ -1,20 +1,20 @@
 """engine._broadcast and SUM/MIN/MAX against the loops they take a
 short cut past.
 
-_broadcast hands operands that already agree in shape (scalars, and
-Arrays of one shape other than 1x1) straight to the kernel, maps a
-kernel's float twin in its place when the operands are floats alone
-(for /, with no divisor of 0), and picks IF's cells in C when its
-condition is bools alone.  The reference below is the fold every call
-used to take: combine the shapes, lay each operand out over the result,
-zip the rows, and apply the kernel to every cell.  The two must give
-the same scalar, or an Array whose one row-major list holds the
-reference's rows and whose kind holds for every cell, over random
-operand lists mixing every kind of scalar with Arrays that conform and
-Arrays that do not, and over lists of floats (or, for IF's condition,
-bools) alone, with and without one cell of another kind.  SUM, MIN and
-MAX fold an Array of floats in C; the reference is their loop over each
-scalar."""
+_broadcast lays every operand out over the result's shape in one pass
+(an Array of that shape is its own list, a scalar repeats, any other
+Array is laid out), maps a kernel's float twin in its place when the
+operands are floats alone (for /, with no divisor of 0), and picks IF's
+cells in C when its condition is bools alone, whatever mix of shapes
+the operands have.  The reference below walks the cells instead:
+combine the shapes, lay each operand out as rows over the result, zip
+the rows, and apply the kernel to every cell.  The two must give the
+same scalar, or an Array whose one row-major list holds the reference's
+rows and whose kind holds for every cell, over random operand lists
+mixing every kind of scalar with Arrays that conform and Arrays that do
+not, and over lists of floats (or, for IF's condition, bools) alone,
+with and without one cell of another kind.  SUM, MIN and MAX fold an
+Array of floats in C; the reference is their loop over each scalar."""
 
 import random
 
@@ -118,7 +118,7 @@ def _no_zero(v):
     return all(s != 0 for s in (v.flat if isinstance(v, Array) else [v]))
 
 
-def test_the_direct_path_agrees_with_the_generic_fold(monkeypatch):
+def test_the_one_pass_agrees_with_the_cell_by_cell_fold(monkeypatch):
     # Each kernel with a twin, and _if, is wrapped in one that counts its
     # calls: a call of _broadcast that gives an Array without calling the
     # kernel took the twin, or IF's select.
@@ -132,11 +132,11 @@ def test_the_direct_path_agrees_with_the_generic_fold(monkeypatch):
     monkeypatch.setattr(engine, "_if", wrapped[engine._if])
     divide = wrapped[V.BINARY["/"]]
     # IF is drawn three times as often as another kernel, so that enough
-    # of its calls meet a condition of bools alone in one shape.
+    # of its calls meet a condition of bools alone.
     kernels = [(wrapped.get(k, k), n) for k, n in KERNELS]
     kernels += [(engine._if, (2, 3))] * 2
     rng = random.Random(12)
-    direct = twinned = spoiled = taken = picked = selected = 0
+    laid_out = twinned = spoiled = taken = picked = selected = 0
     for _ in range(8000):
         fn, arities = rng.choice(kernels)
         shape = rng.choice(((1, 1), (1, 4), (3, 1), (2, 3), (3, 3),
@@ -149,11 +149,11 @@ def test_the_direct_path_agrees_with_the_generic_fold(monkeypatch):
             args[0] = _operand(rng, shape, _bool)
         if mode == "spoiled":
             args = _spoil(rng, args)
-        arrays = {a.shape for a in args if isinstance(a, Array)}
-        is_direct = len(arrays) < 2 and (1, 1) not in arrays
-        direct += is_direct
-        # Scalars alone go to fn itself: a map needs an Array.
-        mapped = is_direct and len(arrays) == 1
+        want = _reference(unwrap.get(fn, fn), *args)
+        # The short cuts may serve any call whose result is an Array.
+        mapped = isinstance(want, list)
+        laid_out += mapped and len({a.shape for a in args
+                                    if isinstance(a, Array)}) > 1
         eligible = mapped and fn in V.FLOAT_TWIN and (
             fn is not divide or _no_zero(args[1]))
         floats = all(_all_of(a, float) for a in args)
@@ -162,11 +162,10 @@ def test_the_direct_path_agrees_with_the_generic_fold(monkeypatch):
         picked += mapped and fn is engine._if and _all_of(args[0], bool)
         before = len(calls)
         got = engine._broadcast(fn, *args)
-        want = _reference(unwrap.get(fn, fn), *args)
         short_cut = type(got) is Array and len(calls) == before
         taken += short_cut and fn in V.FLOAT_TWIN
         selected += short_cut and fn is engine._if
-        if isinstance(want, list):
+        if mapped:
             # One row-major list of rows * cols cells, whose rows are
             # the reference's, and a kind that holds for each of them.
             rows, cols = len(want), len(want[0])
@@ -176,12 +175,12 @@ def test_the_direct_path_agrees_with_the_generic_fold(monkeypatch):
             assert got.kind is kind_of(got.flat), (fn, args)
         else:
             assert repr(got) == repr(want), (fn, args)
-    assert direct > 2000  # the direct path is well exercised
+    assert laid_out > 2000  # Arrays of mixed shapes are well exercised
     # The twin is taken exactly when it may, and refused for every list
     # of floats that holds one cell of another kind; IF selects exactly
     # when its condition is bools alone, spoiled ones included.
-    assert taken == twinned == 410
-    assert spoiled == 400
+    assert taken == twinned == 976
+    assert spoiled == 977
     assert selected == picked >= 100
 
 

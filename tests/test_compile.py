@@ -5,9 +5,10 @@ range's block is bound to that owner's value.
 The reads are checked against the independent interpreter in
 oracle.py, before and after cell edits.  The gates count what a second
 evaluate of the chain book does (no name lookups, a range copy only for
-reads that are not an owner's exact block, and no operand layout), what
-a first one asks of the owner index, what its programs keep in memory,
-and how many calls a rebuild makes per name."""
+reads that are not an owner's exact block, and no operand layout), how
+often two recalcs test operand kinds, what a first one asks of the
+owner index, what its programs keep in memory, and how many calls a
+rebuild makes per name."""
 
 import cProfile
 import os
@@ -262,6 +263,24 @@ def test_operands_of_one_shape_are_never_laid_out():
     # is laid into the value of ←balance.
     doc = workloads.sweep(403)[0]
     assert _layout_calls(doc, rebuild(doc.text)) == [11, 2]
+
+
+def test_broadcast_tests_the_kinds_of_its_operands_in_one_call():
+    # _all_of takes a whole operand list, so a step other than IF (which
+    # the chain book does not use) asks it at most once: over the book's
+    # two recalc edits it makes no more calls than _broadcast.
+    doc, wb = _chain()
+    evaluate(wb)
+    prof = cProfile.Profile()
+    prof.enable()
+    for steps in doc.edits:
+        workloads.apply_edit(wb, steps)
+        evaluate(wb)
+    prof.disable()
+    stats = pstats.Stats(prof).stats
+    kinds, steps = [stats.get(cProfile.label(f.__code__), (0, 0))[1]
+                    for f in (engine._all_of, engine._broadcast)]
+    assert 0 < kinds <= steps, (kinds, steps)
 
 
 def test_the_kept_programs_of_the_chain_book_are_small():

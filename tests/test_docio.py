@@ -296,13 +296,18 @@ def test_derive_base_must_be_a_declared_range():
     with pytest.raises(UndeclaredName):
         rebuild(DERIVE_DOC.replace("derive=shift(band,0,-1)",
                                    "derive=shift(ghost,0,-1)"))
+    # start made a formula name, without the data block that would be
+    # refused first: the derive is refused at its [NAME] line.
     bad = DERIVE_DOC.replace("""[NAME] scope=workbook id=start kind=range array=0
   target=s!B1:E1
 """, """[NAME] scope=workbook id=start kind=formula array=0
   formula=1
 """).replace("derive=shift(band,0,-1)", "derive=shift(start,0,-1)")
-    with pytest.raises(DocSyntaxError):
+    bad = bad[:bad.index("[DATA]")]
+    with pytest.raises(DocSyntaxError) as err:
         rebuild(bad)
+    assert (err.value.line, err.value.reason) == (
+        8, "derive base start is not a range name")
 
 
 def test_derive_rectangle_must_match_the_shift():
@@ -329,6 +334,8 @@ _TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: "
      "offset 4: expected a value or reference, found '*'"),
     (DOC, "  target=s!A1:A3", "  target=s!A1:A9", 6,
      "s!A1:A9 exceeds sheet rows"),
+    (DOC, "id=total kind=formula array=0", "id=total kind=formula array=1",
+     10, "formula name total cannot be an array range"),
     (DERIVE_DOC, "derive=shift(band,0,-1)", "derive=shift(band,0,-9)", 8,
      "shift moves B2:E2 off the sheet"),
     (DOC, "[SHEET] s rows=4 cols=4", "[SHEET] s rows=%s cols=4" % _LONG, 2,
@@ -336,7 +343,8 @@ _TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: "
     (DERIVE_DOC, "derive=shift(band,0,-1)", "derive=shift(band,0,-%s)" % _LONG,
      10, _TOO_LONG),
 ], ids=["no rows", "no columns", "bad rectangle", "bad formula",
-        "target off the sheet", "derive off the sheet", "long extent",
+        "target off the sheet", "formula name as array",
+        "derive off the sheet", "long extent",
         "long offset"])
 def test_refusals_name_their_line_and_reason(doc, old, new, line, reason):
     # A sheet, a target, a formula, a definition and a derive each
@@ -355,6 +363,15 @@ def test_export_refuses_dangling_names():
     wb.define_name(NameDef("lost", target=GridRange("gone", 1, 1, 1, 1)))
     wb.delete_sheet("gone")
     with pytest.raises(ExportError):
+        export_doc(wb)
+
+
+def test_export_refuses_a_line_break_in_formula_text():
+    # A text literal may hold one; a document line cannot.
+    wb = Workbook().add_sheet("s", 2, 2)
+    wb.define_name(NameDef("t", None, FORMULA,
+                           formula=parse_formula('"a\nb" & "c"')))
+    with pytest.raises(ExportError, match="line break"):
         export_doc(wb)
 
 

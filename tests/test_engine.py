@@ -151,6 +151,10 @@ def test_and_or():
     assert _calc("AND(xs)", xs=["t", None]) == VALUE_ERROR
     assert _calc("OR(FALSE)") is False
     assert _calc("NOT(0)") is True
+    assert _calc("AND()") == VALUE_ERROR           # at least one argument
+    assert _calc("NOT(1, 2)") == VALUE_ERROR       # exactly one
+    assert _calc("AND(TRUE, 1/0)") == DIV0_ERROR
+    assert _calc("OR(xs / 0)", xs=[1.0, 2.0]) == DIV0_ERROR
 
 
 def test_if_forms():
@@ -159,6 +163,7 @@ def test_if_forms():
     v = _calc("IF(xs > 1, xs, 0)", xs=[1.0, 2.0, 3.0])
     assert _col(v) == [0.0, 2.0, 3.0]
     assert _calc("IF(1/0, 1, 2)") == DIV0_ERROR
+    assert _calc("IF(1)") == VALUE_ERROR          # two or three arguments
 
 
 def test_match():
@@ -170,6 +175,8 @@ def test_match():
     assert _calc("MATCH(5, xs, 1)", xs=keys) == VALUE_ERROR
     assert _calc('MATCH("x", xs, 1)', xs=keys) == VALUE_ERROR  # wrong class
     assert _calc('MATCH("b", xs, 0)', xs=["A", "B"]) == 2.0    # case folded
+    assert _calc("MATCH(1)") == VALUE_ERROR
+    assert _calc("MATCH(1, xs, 1/0)", xs=keys) == DIV0_ERROR  # match type
 
 
 def test_lookup():
@@ -182,6 +189,7 @@ def test_lookup():
     v = _calc("LOOKUP(xs, keys, vals)", xs=[10.0, 30.0],
               keys=[10.0, 20.0, 30.0], vals=[1.0, 2.0, 3.0])
     assert _col(v) == [1.0, 3.0]                  # vectorizes over the key
+    assert _calc("LOOKUP(1, xs)", xs=[1.0]) == VALUE_ERROR  # no result vector
 
 
 def test_index():
@@ -195,6 +203,8 @@ def test_index():
     assert _col(_calc("INDEX(xs, ks)", xs=xs, ks=[0.0, 5.0])) == [VALUE_ERROR,
                                                                   REF_ERROR]
     assert _calc("SUM(INDEX(xs, 0) * 2)", xs=xs) == 120.0
+    assert _calc("INDEX(xs)", xs=xs) == VALUE_ERROR
+    assert _calc("INDEX(1/0, xs)", xs=xs) == DIV0_ERROR  # the source's error
 
 
 def test_index_needs_both_axes_on_a_rectangle():

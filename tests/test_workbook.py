@@ -202,6 +202,11 @@ def test_define_name_validation():
                                target=GridRange("main", 1, 1, 1, 1)))
     with pytest.raises(ValueError):
         wb.define_name(NameDef("x"))  # range name without a target
+    with pytest.raises(ValueError, match="needs a formula"):
+        wb.define_name(NameDef("x", None, FORMULA))
+    with pytest.raises(ValueError, match="unknown name kind"):
+        wb.define_name(NameDef("x", None, "table",
+                               target=GridRange("main", 1, 1, 1, 1)))
     with pytest.raises(ValueError):
         wb.define_name(NameDef("x", None, FORMULA,
                                target=GridRange("main", 1, 1, 1, 1),
@@ -377,6 +382,8 @@ def test_rebind_name_switches_kind_with_the_payload():
     assert nd.kind == RANGE and nd.formula is None
     with pytest.raises(Exception):
         wb.rebind_name("ghost", None, GridRange("main", 1, 1, 1, 1))
+    with pytest.raises(TypeError):
+        wb.rebind_name("n", None, 5)  # neither a GridRange nor an Expr
 
 
 def test_shift_name_records_its_derivation():
