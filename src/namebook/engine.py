@@ -15,15 +15,21 @@ postfix order, run on one stack by _run.  Names are resolved when it is
 compiled, and a read of exactly one formula range's block is bound to
 that owner's computed value, so it copies no cells.  The programs are
 compiled on first use and kept with the plan, so after a cell edit
-evaluate() resolves names only for the sweeps it reruns.  A sweep
-(_run_sweep) compiles each member's formula once into a closure over
-(step, place), a cell's position along the sweep and across it: a read
-of a member indexes its step lists, one per step and one more holding
-the cells one step past it, and every part constant across the sweep
-runs as a program once and is laid out by step.  A formula name that
+evaluate() compiles nothing and resolves names only for the sweeps it
+reruns.  A sweep (_run_sweep) goes one step at a time, a cell's position
+along the sweep, and turns each node of a member's formula into one
+closure s -> the node's values at every place of step s: a read of a
+member indexes its step lists, one per step and one more holding the
+cells one step past it, and an operator maps its kernel over its
+operands' steps.  Every part constant across the sweep is a program
+kept with the plan, run once per sweep and laid out by step.  IF runs a
+branch at a step only if some place of that step takes it, and each
+place keeps its own branch's value, discarding the other's, so every
+value equals the one IF gives cell by cell, and the first column of a
+guarded band never depends on the cell to its left.  A formula name that
 reads a member is filled into step lists of its own just before its
 reader at each step, so chains and diamonds of such names cost one
-closure call per name per cell.  Programs and closures apply the same
+closure call per name per step.  Programs and closures apply the same
 operator kernels (values.BINARY).  A whole value is a scalar or an
 Array(flat, shape), one row-major list and its shape, so a step is one
 map over its operands' lists laid out to one shape, and a one-column
@@ -101,7 +107,9 @@ class DepGraph(Record):
         self.plan = None     # the ordered _Groups, once planned
         self.shapes = None   # formula range -> its bounded shape, once planned
         self.owners = None   # range name -> its owners, sorted, once planned
-        self.programs = {}   # NameKey -> its formula's compiled steps
+        # NameKey -> its formula's compiled steps, and (context sheet,
+        # node) -> those of a part of a swept formula constant across it
+        self.programs = {}
         self._readers = None  # readers(), once built
         self.overlays = None  # formula range -> the input names laid over it
         self.kept = None     # the last evaluate's (values, formula names' values)
@@ -1049,21 +1057,86 @@ def _eval_whole_name(state: _EvalState, nd: NameDef):
                             state.graph.shapes[nd.key()])
 
 
-# --- per-cell recurrence sweeps ----------------------------------------------
+# --- recurrence sweeps, a step at a time ------------------------------------
+
+def _step_of(part):
+    """A node of a sweep (see _run_sweep) as a closure s -> step s."""
+    return part if callable(part) else part.__getitem__
+
+
+def _hoisted(fn, kids):
+    """fn mapped over each step of kids, parts constant across a sweep
+    given as lists of their steps; when each kid repeats one step object,
+    that step is mapped once."""
+    if all([all(map(operator.is_, k, repeat(k[0]))) for k in kids]):
+        return [list(map(fn, *[k[0] for k in kids]))] * len(kids[0])
+    return [list(map(fn, *at)) for at in zip(*kids)]
+
+
+def _taken(t):
+    """What IF does at a step whose condition takes the values t: True or
+    False when every place takes that branch, else each place's pick as
+    _if makes it, a bool or the error value the place gives.  Only True
+    and 1.0 equal True, and only False, 0.0 and -0.0 equal False."""
+    m = len(t)
+    if t.count(True) == m:
+        return True
+    if t.count(False) == m:
+        return False
+    return [c if type(c) is bool else V.to_bool(c) for c in t]
+
+
+def _decided(cond):
+    """_taken at each step of an IF condition constant across a sweep,
+    given as the list of its steps; a run of one step object is decided
+    once."""
+    taken, last = [], None
+    for c in cond:
+        if c is not last:
+            t, last = _taken(c), c
+        taken.append(t)
+    return taken
+
+
+def _laid(value, shape, axis):
+    """A value constant across a sweep of members of shape, as the list
+    of its steps along axis (see _run_sweep).  A value one place wide
+    lists one step per cell, shared by each occurrence of that cell
+    object (a bool always); one step long, it repeats its one step; a
+    value that does not conform is #VALUE! at every place."""
+    n, m = shape[axis], shape[1 - axis]
+    if isinstance(value, Array):
+        if V.broadcast_shapes(value.shape, shape) != shape:
+            value = V.VALUE_ERROR
+        else:
+            flat, cols = value.flat, value.shape[1]
+            if value.shape[1 - axis] < m:
+                laid = {id(x): [x] * m for x in flat}
+                laid = [laid[id(x)] for x in flat]
+            else:  # its columns, or its rows
+                laid = ([flat[t::cols] for t in range(cols)] if axis
+                        else value.cells)
+            return laid * (n // len(laid))
+    return [[value] * m] * n
+
 
 def _run_sweep(state: _EvalState, group: _Group):
     """Sweep a valid group one step at a time in its step order, and
     store each member's value.
 
     Each member, and each formula name inlined into one, keeps its cells
-    as n + 1 step lists: step s holds the cells at position s along the
-    sweep axis (a column of a sweep across, a row of a sweep down), and
-    the closures take (s, k), the step and the place in it.  Slot n is
-    the padding: one materialize of the twin's off-band slice, the cells
-    one step past the member, fills it for each member read displaced.
-    A read at the first step lands there, at index -1 on a forward sweep
-    and at n on a backward one, so no read tests bounds."""
-    wb, shapes, refmap = state.wb, state.graph.shapes, group.refmap
+    as n + 1 step lists: step s holds the cells at the m places of
+    position s along the sweep axis (a column of a sweep across, a row
+    of a sweep down).  Each node of their formulas that reads a member
+    is one closure s -> the list of its values at the places of step s,
+    so a step costs one call per node, not one per cell; a node constant
+    across the sweep is the list of its n steps, made before the first.
+    Slot n is the padding: one materialize of the twin's off-band slice,
+    the cells one step past the member, fills it for each member read
+    displaced.  A read at the first step lands there, at index -1 on a
+    forward sweep and at n on a backward one, so no read tests bounds."""
+    wb, graph = state.wb, state.graph
+    shapes, refmap = graph.shapes, group.refmap
     dr, dc = group.direction
     axis = 1 if dc else 0  # the sweep axis; the places run along the other
     n = shapes[group.order[0]][axis]
@@ -1071,84 +1144,89 @@ def _run_sweep(state: _EvalState, group: _Group):
     partial = {(m, k): [None] * (n + 1)
                for m in group.members for k in group.inlined[m] + [m]}
     twins = {}  # member read displaced -> its twin, clamped to its sheet
+    laid_of = {}  # (id of a program kept in graph.programs, places) -> steps
 
-    def reader(hit, shape):
-        """Closure reading a refmap name at a place of a member of shape."""
-        w, hr, hc, vrng = hit
-        vshape = shapes[w]  # a refmap name has its owner's shape
-        if V.broadcast_shapes(vshape, shape) != shape:
-            return lambda s, k: V.VALUE_ERROR
-        # Place k of step s reads the owner's place k * sk of step s + d:
-        # an owner one cell wide across the sweep repeats its one place.
-        d, sk = hr + hc, vshape[1 - axis] == shape[1 - axis]
-        if d:
-            twins.setdefault(w, vrng)
-        part = partial[w, w]
-        return lambda s, k: part[s + d][k * sk]
-
-    def cell(e, member, ctx_sheet):
-        """Closure (s, k) -> the scalar e takes at place k of step s of
-        member.  Names are resolved here, once per sweep; IF stays lazy
-        per cell."""
+    def node(e, member, ctx_sheet):
+        """The values e takes at the places of each step of member: the
+        list of its n steps when e is constant across the sweep, else a
+        closure s -> step s.  Names are resolved here, once per sweep; a
+        constant part is compiled once per plan (graph.programs) and runs
+        once per sweep."""
         shape = shapes[member]
-        if isinstance(e, NameRef):
+        m = shape[1 - axis]
+        t = type(e)
+        if t is NameRef:
             nd = wb.resolve(e.name, context=ctx_sheet, qualifier=e.sheet)
             key = None if nd is None else nd.key()
             part = partial.get((member, key))  # an inlined formula name
             if part is not None:
-                return lambda s, k: part[s][k]
+                return part.__getitem__
             hit = refmap.get(key)
             if hit is not None:
-                return reader(hit, shape)
-        elif isinstance(e, (Unary, Percent)):
-            fn = V.negate if isinstance(e, Unary) else V.percent
-            operand = cell(e.operand, member, ctx_sheet)
-            return lambda s, k: fn(operand(s, k))
-        elif isinstance(e, Binary):
-            lhs = cell(e.lhs, member, ctx_sheet)
-            rhs = cell(e.rhs, member, ctx_sheet)
-            kernel = V.BINARY[e.op]
-            return lambda s, k: kernel(lhs(s, k), rhs(s, k))
-        elif isinstance(e, Call) and e.func == "IF" and len(e.args) in (2, 3):
-            cond, yes, *no = [cell(a, member, ctx_sheet) for a in e.args]
-            no = no[0] if no else (lambda s, k: False)
+                w, hr, hc, vrng = hit
+                vshape = shapes[w]  # a refmap name has its owner's shape
+                if V.broadcast_shapes(vshape, shape) != shape:
+                    return [[V.VALUE_ERROR] * m] * n
+                # Step s reads the owner's step s + d; an owner one
+                # place wide repeats its one place.
+                d, part = hr + hc, partial[w, w]
+                if d:
+                    twins.setdefault(w, vrng)
+                if vshape[1 - axis] < m:
+                    return lambda s: part[s + d] * m
+                return (lambda s: part[s + d]) if d else part.__getitem__
+        elif t is Binary or t in _UNARY_STEPS:
+            fn = V.BINARY[e.op] if t is Binary else _UNARY_STEPS[t][1]
+            kids = [node(a, member, ctx_sheet)
+                    for a in ((e.lhs, e.rhs) if t is Binary else (e.operand,))]
+            if not any(map(callable, kids)):
+                return _hoisted(fn, kids)
+            if t is not Binary:
+                operand = _step_of(kids[0])
+                return lambda s: list(map(fn, operand(s)))
+            lhs, rhs = map(_step_of, kids)
+            return lambda s: list(map(fn, lhs(s), rhs(s)))
+        elif t is Call and e.func == "IF" and len(e.args) in (2, 3):
+            cond, yes, *no = [node(a, member, ctx_sheet) for a in e.args]
+            yes, no = _step_of(yes), _step_of(no[0] if no else
+                                              [[False] * m] * n)
+            # A condition constant across the sweep is decided for every
+            # step before the first.
+            taken = None if callable(cond) else _decided(cond)
 
-            def pick(s, k):
-                t = cond(s, k)
-                if type(t) is not bool:
-                    t = V.to_bool(t)
-                    if isinstance(t, CellError):
-                        return t
-                return yes(s, k) if t else no(s, k)
+            def pick(s):
+                # A branch runs for the whole step if some place takes
+                # it; each place keeps its own branch's value.
+                t = taken[s] if taken else _taken(cond(s))
+                if t is True:
+                    return yes(s)
+                if t is False:
+                    return no(s)
+                a = yes(s) if True in t else t
+                b = no(s) if False in t else t
+                return [(y if c else x) if type(c) is bool else c
+                        for c, y, x in zip(t, a, b)]
             return pick
         # Literals, other names, aggregations, gathers and intersections are
         # constant across the sweep, so compute them whole once and index in.
-        steps = []
-        _compile(wb, e, ctx_sheet, steps)
-        value = _run(state, steps)
-        if isinstance(value, Array):
-            if V.broadcast_shapes(value.shape, shape) != shape:
-                value = V.VALUE_ERROR
-            else:
-                # By step.  A value one place wide lists one cell per
-                # step; one step long, it repeats its one step object.
-                flat, cols, m = value.flat, value.shape[1], shape[1 - axis]
-                if value.shape[1 - axis] < m:
-                    laid = [[x] * m for x in flat]
-                else:  # its columns, or its rows
-                    laid = ([flat[t::cols] for t in range(cols)] if axis
-                            else value.cells)
-                laid *= n // len(laid)
-                return lambda s, k: laid[s][k]
-        return lambda s, k: value
+        steps = graph.programs.get((ctx_sheet, e))
+        if steps is None:
+            steps = []
+            _compile(wb, e, ctx_sheet, steps)
+            steps = graph.programs[ctx_sheet, e] = tuple(steps)
+        laid = laid_of.get((id(steps), m))
+        if laid is None:
+            laid = laid_of[id(steps), m] = _laid(_run(state, steps), shape,
+                                                 axis)
+        return laid
 
     plan = []
     for m in group.order:
         for k in group.inlined[m] + [m]:
             nd = wb.names[k]
-            plan.append((cell(nd.formula, m, wb.context_sheet(nd)),
-                         partial[m, k], range(shapes[m][1 - axis])))
-    del cell  # it holds itself in its closure; free it now, not at a gc run
+            fill = node(nd.formula, m, wb.context_sheet(nd))
+            plan.append((_step_of(fill), partial[m, k]))
+    del node  # it holds itself in its closure; free it now, not at a gc run
     for w, vrng in twins.items():
         # The twin's first column or row on a forward sweep, else its last.
         t = 1 if dr + dc < 0 else n
@@ -1156,11 +1234,8 @@ def _run_sweep(state: _EvalState, group: _Group):
         partial[w, w][n] = _flat_of(_deref(state, RangeValue(edge)),
                                     edge.shape())
     for s in (range(n) if dr + dc < 0 else range(n - 1, -1, -1)):
-        for fill, part, places in plan:
-            step = [None] * len(places)
-            for k in places:
-                step[k] = fill(s, k)
-            part[s] = step
+        for fill, part in plan:
+            part[s] = fill(s)
     for m in group.members:
         steps = partial[m, m]
         del steps[n]  # the padding

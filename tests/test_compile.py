@@ -8,7 +8,8 @@ evaluate of the chain book does (no name lookups, a range copy only for
 reads that are not an owner's exact block, and no operand layout), how
 often two recalcs test operand kinds, what a first one asks of the
 owner index, what its programs keep in memory, and how many calls a
-rebuild makes per name."""
+rebuild makes per name; and, on the sweep book, how many calls a recalc
+makes inside its sweep and that it compiles nothing."""
 
 import cProfile
 import os
@@ -256,13 +257,60 @@ def test_operands_of_one_shape_are_never_laid_out():
     # Every kernel step of the chain book is a 1x8 row against a 1x8 row
     # or a scalar, so none needs a shape fold or a layout.
     assert _layout_calls(*_chain()) == [0, 0]
-    # The sweep book's recurrences run per-cell closures, which keep
-    # their own shape checks and lay their constant parts out by step.
-    # The flat layout runs twice: on the off-band slice of ←balance, the
-    # padding after balance's step lists, and on balance's block as it
-    # is laid into the value of ←balance.
+    # The sweep book's recurrences run per-step closures, which keep
+    # their own shape checks and lay each distinct constant part out by
+    # step once per sweep (first.period?, read by all three members,
+    # once, where it was laid out three times).  The flat layout runs
+    # twice: on the off-band slice of ←balance, the padding after
+    # balance's step lists, and on balance's block as it is laid into
+    # the value of ←balance.
     doc = workloads.sweep(403)[0]
-    assert _layout_calls(doc, rebuild(doc.text)) == [11, 2]
+    assert _layout_calls(doc, rebuild(doc.text)) == [9, 2]
+
+
+def _sweep_recalc_profile(monkeypatch):
+    """The sweep book after its first recorded edit, and a profile of
+    what its recalc runs inside _run_sweep."""
+    doc = workloads.sweep(403)[0]
+    wb = rebuild(doc.text)
+    evaluate(wb)
+    workloads.apply_edit(wb, doc.edits[0])
+    prof = cProfile.Profile()
+    sweep = engine._run_sweep
+
+    def profiled(state, group):
+        prof.enable()
+        try:
+            sweep(state, group)
+        finally:
+            prof.disable()
+    monkeypatch.setattr(engine, "_run_sweep", profiled)
+    evaluate(wb)
+    return wb, pstats.Stats(prof).stats
+
+
+def test_a_sweep_makes_one_call_per_formula_node_per_step(monkeypatch):
+    # Each node of a swept formula that reads a member is one closure
+    # called once per step with all its places, so the engine's Python
+    # calls under the sweep are far fewer than its cells; closures over
+    # one cell each made 8131 calls for these 1440 cells.
+    wb, stats = _sweep_recalc_profile(monkeypatch)
+    graph = build_dep_graph(wb)
+    swept = sum(graph.shapes[m][0] * graph.shapes[m][1] for g in graph.plan
+                if g.direction is not None and g.failed is None
+                for m in g.members)
+    calls = sum(count for (path, _, fn), (_, count, *_) in stats.items()
+                if path == engine.__file__ and fn != "_run_sweep")
+    assert swept == 1440
+    assert calls < swept / 2, calls
+
+
+def test_a_rerun_sweep_compiles_nothing(monkeypatch):
+    # The constant parts of swept formulas are compiled once per plan,
+    # so a recalc that reruns the sweep only runs their programs.
+    _, stats = _sweep_recalc_profile(monkeypatch)
+    assert cProfile.label(engine._run.__code__) in stats
+    assert cProfile.label(engine._compile.__code__) not in stats
 
 
 def test_broadcast_tests_the_kinds_of_its_operands_in_one_call():

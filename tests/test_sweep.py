@@ -8,7 +8,10 @@ recurrence_workbook, and its sweep_group_workbook of two co-swept bands
 and the formula names between them, against the independent interpreter
 in oracle.py, then writes a cell of an off-band slice and checks the
 incremental evaluation against a full one.  The gate counts the range
-reads of one sweep in each direction."""
+reads of one sweep in each direction.  A step runs an IF branch for all
+its places only if some place takes it; the mixed-condition book checks
+that every untaken value is discarded and counts the kernel calls of
+each branch."""
 
 import cProfile
 import collections
@@ -16,9 +19,10 @@ import gc
 import pstats
 import random
 
-from namebook import engine
+from namebook import engine, values
 from namebook.engine import build_dep_graph, evaluate
 from namebook.formula import names_referenced, parse_formula
+from namebook.values import DIV0_ERROR, NULL_ERROR, VALUE_ERROR
 from namebook.workbook import RANGE, GridRange, NameDef, Workbook, shift_name
 
 from gen import (_literal, off_band_slice, recurrence_workbook,
@@ -114,3 +118,92 @@ def test_a_sweep_leaves_nothing_for_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# IF's condition at each of the five steps of "w", one value per place:
+# mixed (bools, a number, a blank, text, an error), all TRUE, all FALSE,
+# mixed again with an empty text and another error, then mixed numbers.
+_CONDS = ([True, False, 2.0, None, "x", NULL_ERROR],
+          [True] * 6,
+          [False] * 6,
+          [0.0, 1.0, -0.0, "", DIV0_ERROR, True],
+          [False, True, True, False, 3.5, None])
+
+
+def _mixed_book(step):
+    """w = IF(cond, ←w + nw * add, ←w / den), six places wide, and the
+    narrow nw = IF(flag, ←nw + 1, ←w), one place wide, swept together in
+    the direction of step.  Where a place takes one branch, the other
+    would give an error there: den is 0 where cond is true and add is
+    text where it is not, and nw's read of the wider ←w is #VALUE!, the
+    branch it takes at the all-FALSE step alone."""
+    n, across = len(_CONDS), step[1] != 0
+
+    def at(s, p):  # (row, col) of place p of step s, both from 1
+        return (p, s) if across else (s, p)
+
+    def rect(sheet, p0, places, s0=1):
+        (r1, c1), (r2, c2) = at(s0, p0), at(s0 + n - 1, p0 + places - 1)
+        return GridRange(sheet, c1, c2, r1, r2)
+
+    wb = Workbook()
+    wb.add_sheet("s", *at(n + 2, 8)).add_sheet("c", *at(n, 19))
+    for s in (1, n + 2):  # the off-band slices, either side of the bands
+        for p in range(1, 7):
+            wb.set_cell("s", *at(s, p), 10.0 * s + p)
+        wb.set_cell("s", *at(s, 8), 1.0)
+    for s, conds in enumerate(_CONDS, 1):
+        wb.set_cell("c", *at(s, 7), s != 3)  # flag: FALSE at all-FALSE
+        for p, c in enumerate(conds, 1):
+            if c is not None:
+                wb.set_cell("c", *at(s, p), c)
+            yes = c is True or type(c) is float and c != 0
+            wb.set_cell("c", *at(s, p + 7), 0.0 if yes else 2.0)
+            wb.set_cell("c", *at(s, p + 13), 1.0 if yes else "x")
+    for ident, p0, places in (("cond", 1, 6), ("flag", 7, 1),
+                              ("den", 8, 6), ("add", 14, 6)):
+        wb.define_name(NameDef(ident, None, RANGE, rect("c", p0, places)))
+    for ident, p0, places, formula in (
+            ("w", 1, 6, "IF(cond, ←w + nw * add, ←w / den)"),
+            ("nw", 8, 1, "IF(flag, ←nw + 1, ←w)")):
+        band = NameDef(ident, None, RANGE, rect("s", p0, places, 2),
+                       parse_formula(formula), array=True)
+        wb.define_name(band)
+        wb.define_name(shift_name(band, "←" + ident, *step))
+    return wb
+
+
+def _counting(monkeypatch, op):
+    """Count the calls of op's kernel, as the sweep looks it up."""
+    calls = []
+    kernel = values.BINARY[op]
+
+    def counted(a, b):
+        calls.append(1)
+        return kernel(a, b)
+    monkeypatch.setitem(values.BINARY, op, counted)
+    return calls
+
+
+def test_a_mixed_condition_runs_each_branch_some_place_takes(monkeypatch):
+    for step in ((0, -1), (0, 1), (-1, 0), (1, 0)):
+        wb = _mixed_book(step)
+        with monkeypatch.context() as m:
+            yes, no = _counting(m, "*"), _counting(m, "/")
+            store = evaluate(wb)
+        [group] = [g for g in build_dep_graph(wb).plan
+                   if (None, "w") in g.members]
+        assert group.failed is None and group.direction == step, step
+        assert store.values == oracle_evaluate(wb), step
+        # Each branch runs for all six places at the four steps some
+        # place takes it: not the no-branch at the all-TRUE step, nor the
+        # yes-branch at the all-FALSE one.
+        assert (len(yes), len(no)) == (24, 24), step
+        # An error condition gives its own error; text and an empty text
+        # give #VALUE!.
+        cells = store.value("w").cells
+        steps = list(zip(*cells)) if step[1] else cells
+        assert steps[0][5] == NULL_ERROR and steps[0][4] == VALUE_ERROR
+        assert steps[3][4] == DIV0_ERROR and steps[3][3] == VALUE_ERROR
+        # nw takes its read of the wider ←w at the all-FALSE step alone.
+        assert store.value("nw").flat[2] == VALUE_ERROR, step
