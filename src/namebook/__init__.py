@@ -23,8 +23,8 @@ _EXPORTS = {
     "workbook": ("GridRange", "NameDef", "RefError", "Sheet",
                  "UnknownNameError", "Workbook", "WorkbookError", "parse_a1",
                  "shift_name"),
-    "engine": ("BUILTIN_FUNCTIONS", "CycleError", "DepGraph", "RangeValue",
-               "ValueStore", "build_dep_graph", "evaluate", "topo_order"),
+    "engine": ("BUILTIN_FUNCTIONS", "CycleError", "DepGraph", "ValueStore",
+               "build_dep_graph", "evaluate", "topo_order"),
     "docio": ("DocSyntaxError", "ExportError", "UndeclaredName",
               "UnknownVersion", "export_doc", "rebuild",
               "stray_formula_cells"),

@@ -15,7 +15,7 @@ from .docio import stray_formula_cells
 from .engine import _sort_key, build_dep_graph, topo_order
 from .formula import cell_refs, render
 from .values import Record
-from .workbook import FORMULA, RANGE, UnknownNameError, Workbook
+from .workbook import RANGE, UnknownNameError, Workbook
 
 
 class ListingEntry(Record):

@@ -26,7 +26,7 @@ import sys
 from .docio import (DocSyntaxError, ExportError, UndeclaredName,
                     UnknownVersion, export_doc, rebuild)
 from .engine import CycleError, evaluate
-from .values import Array, CellError, format_number, tab_rows
+from .values import TEXT, Array, CellError, tab_rows
 from .workbook import UnknownNameError, WorkbookError
 
 
@@ -68,9 +68,7 @@ def _load(path: str):
 # The TSV text of each scalar type, looked up by the scalar's exact type:
 # every value evaluate makes from a document is one of these.
 _SHOW = {
-    type(None): lambda s: "",
-    bool: lambda s: "TRUE" if s else "FALSE",
-    float: format_number,
+    **TEXT,
     CellError: str,
     str: lambda s: (s.replace("\\", "\\\\").replace("\t", "\\t")
                      .replace("\n", "\\n").replace("\r", "\\r")),

@@ -41,9 +41,9 @@ from itertools import chain, repeat
 
 from . import engine
 from .formula import parse_formula, render
-from .values import format_number, tab_rows
-from .workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
-                       WorkbookError, parse_a1)
+from .values import TEXT, tab_rows
+from .workbook import (RANGE, GridRange, NameDef, Workbook, WorkbookError,
+                       parse_a1)
 
 HEADER = "#%NAMESDOC v1"
 
@@ -92,9 +92,7 @@ _TEXT_BODY = re.compile(r'(?:[^"\\]|%s)*' % _ESCAPE_SEQ.pattern)
 # The encoder of each literal type; export_doc looks a cell's exact type
 # up here and hands any other to encode_field.
 _ENCODERS = {
-    type(None): lambda v: "",
-    bool: lambda v: "TRUE" if v else "FALSE",
-    float: format_number,
+    **TEXT,
     str: lambda v: '"%s"' % v.translate(_ESCAPES),
 }
 
@@ -280,13 +278,8 @@ def rebuild(text: str) -> Workbook:
         header_line = i + 1
         scope_text, ident, kind, array = m.groups()
         scope = None if scope_text == "workbook" else scope_text
-        if scope is not None and scope not in wb.sheets:
-            raise DocSyntaxError(header_line,
-                                 "scope %s is not a declared sheet" % scope)
         i += 1
-        target = None
-        derive = None
-        formula = None
+        target = derive = formula = None
         if i < n and lines[i].startswith("  target="):
             spec = lines[i][len("  target="):]
             if "!" not in spec:
@@ -302,23 +295,7 @@ def rebuild(text: str) -> Workbook:
         if i < n and lines[i].startswith("  formula="):
             formula = _at(i + 1, parse_formula, lines[i][len("  formula="):])
             i += 1
-        if kind == "range" and target is None:
-            raise DocSyntaxError(header_line, "range name %s without target" %
-                                 ident)
-        if kind == "formula" and (target is not None or derive is not None):
-            raise DocSyntaxError(header_line,
-                                 "formula name %s cannot carry a target" %
-                                 ident)
-        if kind == "formula" and formula is None:
-            raise DocSyntaxError(header_line, "formula name %s without formula"
-                                 % ident)
-        if kind == "formula" and array == "1":
-            raise DocSyntaxError(header_line,
-                                 "formula name %s cannot be an array range" %
-                                 ident)
-        nd = NameDef(ident, scope,
-                     RANGE if kind == "range" else FORMULA,
-                     target=target, formula=formula,
+        nd = NameDef(ident, scope, kind, target=target, formula=formula,
                      array=(array == "1"), derive=derive)
         _at(header_line, wb.define_name, nd)
         pending.append((header_line, nd))

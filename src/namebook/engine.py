@@ -316,14 +316,6 @@ class ValueStore(Record):
         return isinstance(other, ValueStore) and self.values == other.values
 
 
-class RangeValue(Record):
-    """A reference flowing through evaluation before any cells are read."""
-
-    __slots__ = ("rng",)
-    def __init__(self, rng: GridRange):
-        self.rng = rng
-
-
 # --- scheduling --------------------------------------------------------------
 
 def _through_formulas(wb: Workbook, graph: DepGraph, root, skip=()):
@@ -734,9 +726,8 @@ def _builtin_index(state, args):
         for n in nums:
             if isinstance(n, CellError):
                 return n
-        if isinstance(source, RangeValue):
-            rng = source.rng
-            r, c = state.wb.bounded(rng).shape()
+        if isinstance(source, GridRange):
+            r, c = state.wb.bounded(source).shape()
         else:
             src = (source if isinstance(source, Array)
                    else Array([source], (1, 1)))
@@ -752,8 +743,8 @@ def _builtin_index(state, args):
             return V.VALUE_ERROR
         if row > r or col > c:
             return V.REF_ERROR
-        if isinstance(source, RangeValue):
-            return RangeValue(rng.index_slice(row, col))
+        if isinstance(source, GridRange):
+            return source.index_slice(row, col)
         flat = src.flat
         if row:
             flat, r = flat[(row - 1) * c:row * c], 1
@@ -845,10 +836,10 @@ def _meet(state, args):
         if isinstance(v, CellError):
             return v
     a, b = args
-    if not isinstance(a, RangeValue) or not isinstance(b, RangeValue):
+    if not isinstance(a, GridRange) or not isinstance(b, GridRange):
         return V.VALUE_ERROR
-    hit = a.rng.intersect(b.rng)
-    return V.NULL_ERROR if hit is None else RangeValue(hit)
+    hit = a.intersect(b)
+    return V.NULL_ERROR if hit is None else hit
 
 
 # --- whole-array evaluation --------------------------------------------------
@@ -863,10 +854,11 @@ _DEREF_STEP, _MEET_STEP = (_DEREF, None), (_CALL, (_meet, 2))
 
 def _compile(wb: Workbook, e: Expr, ctx_sheet, steps: list, keep_ref=False):
     """Append to steps the program computing e whole, in postfix order,
-    with every name resolved.  A reference (RangeValue) stays unread only
-    where keep_ref is set: INDEX's and intersection's operands and a
-    formula name's result.  Elsewhere a read of exactly one formula
-    range's block is its owner's value, and any other range is read."""
+    with every name resolved.  A reference, the GridRange a range name
+    targets, stays unread only where keep_ref is set: INDEX's and
+    intersection's operands and a formula name's result.  Elsewhere a
+    read of exactly one formula range's block is its owner's value, and
+    any other range is read."""
     t = type(e)
     if t is Binary:
         _compile(wb, e.lhs, ctx_sheet, steps)
@@ -901,7 +893,7 @@ def _compile(wb: Workbook, e: Expr, ctx_sheet, steps: list, keep_ref=False):
     elif nd.target is None:
         steps.append((_CONST, V.REF_ERROR))
     elif keep_ref:
-        steps.append((_CONST, RangeValue(nd.target)))
+        steps.append((_CONST, nd.target))
     else:
         owners = wb._graph.owners[nd.key()]  # as _plan found them
         w = owners[0] if len(owners) == 1 else None
@@ -909,7 +901,7 @@ def _compile(wb: Workbook, e: Expr, ctx_sheet, steps: list, keep_ref=False):
                               == wb.bounded(nd.target)):
             steps.append((_OWNER, w))
         else:
-            steps.append((_READ, (RangeValue(nd.target), owners)))
+            steps.append((_READ, (nd.target, owners)))
 
 
 def _run(state, steps):
@@ -948,7 +940,7 @@ class _EvalState:
         self.wb = wb
         self.graph = graph
         self.computed = computed            # NameKey -> Value, read for formula ranges
-        self.formula_cache = formula_cache  # NameKey -> Value | RangeValue
+        self.formula_cache = formula_cache  # NameKey -> Value | GridRange
         self.in_progress = set()
         self.plain = {}  # GridRange with no owners -> its materialized value
 
@@ -994,19 +986,19 @@ class _EvalState:
                 self.formula_cache[k] = _run(self, self.program(k))
         return self.formula_cache[key]
 
-    def materialize(self, rv: RangeValue, owners):
-        """The cells of a rectangle: plain cells from the sheet, one slice
+    def materialize(self, ref: GridRange, owners):
+        """The cells of a reference: plain cells from the sheet, one slice
         per column (a one-column read is that slice), overlaid with the
         blocks of owners, its formula ranges in _sort_key order, one slice
         per row of each overlap.  Evaluation writes no cell, so a rectangle
         with no owners is copied once per evaluate and its value shared
         (values are read-only)."""
         if not owners:
-            value = self.plain.get(rv.rng)
+            value = self.plain.get(ref)
             if value is not None:
                 return value
-        sh = self.wb.sheets[rv.rng.sheet]
-        rng = rv.rng.clamp(sh.rows)
+        sh = self.wb.sheets[ref.sheet]
+        rng = ref.clamp(sh.rows)
         r0, r1, c0 = rng.row_start, rng.row_end, rng.col_start
         rows, cols = r1 - r0 + 1, rng.col_end - c0 + 1
         if cols == 1:
@@ -1027,13 +1019,13 @@ class _EvalState:
                 flat[at:at + m] = block[of:of + m]
         value = flat[0] if rows == cols == 1 else Array(flat, (rows, cols))
         if not owners:
-            self.plain[rv.rng] = value
+            self.plain[ref] = value
         return value
 
 
 def _deref(state, v):
-    if isinstance(v, RangeValue):
-        return state.materialize(v, sorted(state.wb.formula_owners(v.rng),
+    if isinstance(v, GridRange):
+        return state.materialize(v, sorted(state.wb.formula_owners(v),
                                            key=_sort_key))
     return v
 
@@ -1231,8 +1223,7 @@ def _run_sweep(state: _EvalState, group: _Group):
         # The twin's first column or row on a forward sweep, else its last.
         t = 1 if dr + dc < 0 else n
         edge = vrng.index_slice(*((0, t) if axis else (t, 0)))
-        partial[w, w][n] = _flat_of(_deref(state, RangeValue(edge)),
-                                    edge.shape())
+        partial[w, w][n] = _flat_of(_deref(state, edge), edge.shape())
     for s in (range(n) if dr + dc < 0 else range(n - 1, -1, -1)):
         for fill, part in plan:
             part[s] = fill(s)
@@ -1331,8 +1322,7 @@ def evaluate(wb: Workbook) -> ValueStore:
         elif nd.formula is not None:
             store[key] = state.ensure_computed(key)
         else:
-            store[key] = state.materialize(RangeValue(nd.target),
-                                           graph.owners[key])
+            store[key] = state.materialize(nd.target, graph.owners[key])
     graph.kept = (store, state.formula_cache)
     wb._written = []
     return ValueStore(dict(store), graph.display)

@@ -50,7 +50,7 @@ import math
 import re
 from enum import Enum, auto
 
-from .values import Record, format_number
+from .values import TEXT, Record
 
 
 class LexError(ValueError):
@@ -472,8 +472,8 @@ def render(e: Expr) -> str:
                 + _operand(e.rhs, level + 1))
     if kind is NameRef:
         return (e.sheet + "!" + e.name) if e.sheet else e.name
-    if kind is NumberLit:
-        return format_number(e.value)
+    if kind is NumberLit or kind is BoolLit:
+        return TEXT[type(e.value)](e.value)
     if kind is Call:
         return e.func + "(" + ", ".join(map(render, e.args)) + ")"
     if kind is Unary:
@@ -485,8 +485,6 @@ def render(e: Expr) -> str:
                 + _operand(e.rhs, _LEVEL_INTERSECT + 1))
     if kind is TextLit:
         return '"' + e.value.replace('"', '""') + '"'
-    if kind is BoolLit:
-        return "TRUE" if e.value else "FALSE"
     if kind is CellRef:
         return (e.sheet + "!" + e.ref) if e.sheet else e.ref
     raise TypeError("not an expression: %r" % (e,))

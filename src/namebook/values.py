@@ -139,6 +139,15 @@ def format_number(x: float) -> str:
     return "#VALUE!"  # inf or nan: * and - can make them from finite numbers
 
 
+# A scalar's text by its exact type: & joins it; the CLI and docio extend it.
+TEXT = {
+    type(None): lambda s: "",
+    bool: lambda s: "TRUE" if s else "FALSE",
+    float: format_number,
+    str: str,
+}
+
+
 def tab_rows(fields: list, width: int) -> list:
     """Row-major fields as lines of width tab-separated fields each."""
     if width == 1:
@@ -159,16 +168,6 @@ def to_number(s):
     if isinstance(s, (int, float)):
         return float(s)
     return VALUE_ERROR
-
-
-def to_text(s):
-    if s is None:
-        return ""
-    if isinstance(s, bool):
-        return "TRUE" if s else "FALSE"
-    if isinstance(s, (int, float)):
-        return format_number(float(s))
-    return s
 
 
 def to_bool(s):
@@ -225,9 +224,7 @@ def concat(a, b):
         return a
     if isinstance(b, CellError):
         return b
-    x = to_text(a)
-    y = to_text(b)
-    return x + y
+    return TEXT[type(a)](a) + TEXT[type(b)](b)
 
 
 # Type classes for comparison ordering: numbers < text < bools.

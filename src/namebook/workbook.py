@@ -320,17 +320,19 @@ class Sheet(Record):
         """Store a literal; None clears the cell.  A literal is a finite
         number, a bool, text or an error value, since evaluation trusts
         every cell it reads to be one and no document can hold nan or
-        inf.  Anything else raises ValueError and leaves the cell as it
-        was."""
+        inf.  A number is stored as a float and text as a str, the exact
+        types values.TEXT spells.  Anything else raises ValueError and
+        leaves the cell as it was."""
         if not (1 <= row <= self.rows and 1 <= col <= self.cols):
             raise RefError("cell (%d, %d) outside sheet %s" % (row, col, self.name))
-        if isinstance(value, float):
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError("cell (%d, %d) of sheet %s: %r is not finite"
                                  % (row, col, self.name, value))
-        elif isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
-        elif not (value is None or isinstance(value, (bool, str, CellError))):
+        elif isinstance(value, str):
+            value = str(value)
+        elif not (value is None or isinstance(value, (bool, CellError))):
             raise ValueError("cell (%d, %d) of sheet %s: %r is not a literal"
                              % (row, col, self.name, value))
         self.store(col, row, (value,))
@@ -518,8 +520,11 @@ class Workbook:
         elif nd.kind == FORMULA:
             if nd.formula is None:
                 raise ValueError("formula name %s needs a formula" % nd.display())
-            if nd.target is not None:
+            if nd.target is not None or nd.derive is not None:
                 raise ValueError("formula name %s cannot target cells" % nd.display())
+            if nd.array:
+                raise ValueError("formula name %s cannot be an array range"
+                                 % nd.display())
         else:
             raise ValueError("unknown name kind %r" % nd.kind)
         self.names[key] = nd

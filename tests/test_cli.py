@@ -20,6 +20,9 @@ from gen import random_workbook
 
 FIXDIR = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 LOAN_DOC = os.path.join(FIXDIR, "fixtureC.nsdoc")
+# A child Python finds the checkout's package without an install.
+ENV = dict(os.environ, PYTHONPATH=os.path.abspath(
+    os.path.join(os.path.dirname(__file__), os.pardir, "src")))
 
 CHAIN_DOC = """#%NAMESDOC v1
 [SHEET] s rows=3 cols=3
@@ -526,7 +529,7 @@ def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "namebook.cli", "eval", LOAN_DOC,
          "--name", "interest.rate"],
-        capture_output=True, text=True)
+        env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "# interest.rate 1x1\n0.005\n"
 
@@ -540,7 +543,7 @@ def test_eval_loads_no_audit_module(tmp_path):
               "print('namebook.audit' in sys.modules)")
     proc = subprocess.run(
         [sys.executable, "-c", script, LOAN_DOC, str(tmp_path / "v.tsv")],
-        capture_output=True, text=True)
+        env=ENV, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "False"
     assert proc.stdout.splitlines()[-1] == "True"

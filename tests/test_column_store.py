@@ -14,7 +14,7 @@ import pytest
 from namebook import engine
 from namebook.docio import (ExportError, encode_field, export_doc, rebuild,
                             stray_formula_cells)
-from namebook.engine import RangeValue, build_dep_graph, evaluate
+from namebook.engine import build_dep_graph, evaluate
 from namebook.formula import parse_formula
 from namebook.values import DIV0_ERROR, REF_ERROR, Array
 from namebook.workbook import (FORMULA, GridRange, NameDef, RefError, Sheet,
@@ -155,12 +155,12 @@ def _agree(rng, wb, model):
         want = [[model.get(r, c)
                  for c in range(bounded.col_start, bounded.col_end + 1)]
                 for r in range(bounded.row_start, bounded.row_end + 1)]
-        got = state.materialize(RangeValue(rect), ())
+        got = state.materialize(rect, ())
         if want == [[want[0][0]]]:
             assert repr(got) == repr(want[0][0])
         else:
             assert repr(got) == repr(of_rows(want))
-        assert state.materialize(RangeValue(rect), ()) is got or \
+        assert state.materialize(rect, ()) is got or \
             not isinstance(got, Array)
 
     stray = sorted((r, c) for (r, c), v in model.cells.items()

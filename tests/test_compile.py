@@ -93,7 +93,7 @@ def _owner_reads(wb, ident):
 
 
 def _range_reads(wb, ident):
-    return sorted(arg[0].rng.address(True) for op, arg in _steps(wb, ident)
+    return sorted(arg[0].address(True) for op, arg in _steps(wb, ident)
                   if op == engine._READ)
 
 

@@ -336,6 +336,8 @@ _TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: "
      "s!A1:A9 exceeds sheet rows"),
     (DOC, "id=total kind=formula array=0", "id=total kind=formula array=1",
      10, "formula name total cannot be an array range"),
+    (DOC, "  formula=SUM(dbl)", "  derive=shift(xs,0,1)\n  formula=SUM(dbl)",
+     10, "formula name total cannot target cells"),
     (DERIVE_DOC, "derive=shift(band,0,-1)", "derive=shift(band,0,-9)", 8,
      "shift moves B2:E2 off the sheet"),
     (DOC, "[SHEET] s rows=4 cols=4", "[SHEET] s rows=%s cols=4" % _LONG, 2,
@@ -344,6 +346,7 @@ _TOO_LONG = ("Exceeds the limit (4300 digits) for integer string conversion: "
      10, _TOO_LONG),
 ], ids=["no rows", "no columns", "bad rectangle", "bad formula",
         "target off the sheet", "formula name as array",
+        "formula name with a derive",
         "derive off the sheet", "long extent",
         "long offset"])
 def test_refusals_name_their_line_and_reason(doc, old, new, line, reason):

@@ -7,9 +7,10 @@ comparisons can miss one; the truth test
 records every Array that evaluate constructs, over the fixtures and
 every generated family, after a full evaluation and after an
 incremental one that follows a random edit, and checks each kind
-against the cells.  The call-count gate shows that whole-column IF over
-a comparison of floats runs no Python per cell, and that one text cell
-upstream sends it back to _if."""
+against the cells and that every value returned is a scalar or an
+Array, never a reference (a GridRange).  The call-count gate shows
+that whole-column IF over a comparison of floats runs no Python per
+cell, and that one text cell upstream sends it back to _if."""
 
 import cProfile
 import os
@@ -21,7 +22,7 @@ import pytest
 from namebook.docio import rebuild
 from namebook.engine import CycleError, evaluate
 from namebook.formula import parse_formula
-from namebook.values import Array
+from namebook.values import Array, CellError
 from namebook.workbook import FORMULA, GridRange, NameDef, Workbook
 
 from arrays import kind_of
@@ -29,6 +30,8 @@ from gen import (_literal, lookup_workbook, random_workbook,
                  recurrence_workbook, sweep_group_workbook)
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+# The exact types of the values evaluate may return.
+_VALUE_TYPES = (type(None), bool, float, str, CellError, Array)
 
 
 def _books():
@@ -72,12 +75,14 @@ def test_every_kind_evaluate_makes_holds_for_every_cell(monkeypatch):
                 _edit(rng, wb)
             del made[:]
             try:
-                evaluate(wb)
+                store = evaluate(wb)
             except CycleError:
                 break
             for a in made:
                 assert a.kind is kind_of(a.flat), (label, step, a)
                 kinds[a.kind] += 1
+            for key, v in store.values.items():
+                assert type(v) in _VALUE_TYPES, (label, step, key, v)
     assert min(kinds.values()) > 500, kinds
 
 

@@ -13,8 +13,8 @@ import pytest
 
 from namebook.audit import (Finding, GraphSlice, ListingEntry, focus_graph,
                             linear_listing, lint)
-from namebook.engine import (DepGraph, RangeValue, ValueStore, _Group,
-                             build_dep_graph, evaluate)
+from namebook.engine import (DepGraph, ValueStore, _Group, build_dep_graph,
+                             evaluate)
 from namebook.formula import (Binary, BoolLit, Call, CellRef, Intersect,
                               NameRef, NumberLit, Percent, TextLit, Unary,
                               parse_formula)
@@ -71,8 +71,6 @@ _RECORDS = {
                                 {"a": "a"})),
     ValueStore: (lambda: ValueStore({"a": 1.0}, {}),
                  lambda: ValueStore({"a": 2.0}, {})),
-    RangeValue: (lambda: RangeValue(GridRange("s", 1, 1)),
-                 lambda: RangeValue(GridRange("s", 2, 2))),
     _Group: (lambda: _Group(["a"]), lambda: _Group(["a"], failed="x")),
     ListingEntry: (lambda: ListingEntry("a", "input", None, "s!A1", (1, 1)),
                    lambda: ListingEntry("a", "input", None, "s!A2", (1, 1))),

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from namebook.docio import export_doc, rebuild
+from namebook.engine import evaluate
 from namebook.formula import parse_formula
 from namebook.values import DIV0_ERROR
 from namebook.workbook import (FORMULA, RANGE, BadIdentifierError,
@@ -211,6 +212,16 @@ def test_define_name_validation():
         wb.define_name(NameDef("x", None, FORMULA,
                                target=GridRange("main", 1, 1, 1, 1),
                                formula=parse_formula("1+1")))
+    # A formula name has no cells, so none to lay out as an array or to
+    # derive from another name's (export_doc would write a document that
+    # rebuild refuses).
+    with pytest.raises(ValueError, match="cannot be an array range"):
+        wb.define_name(NameDef("x", None, FORMULA,
+                               formula=parse_formula("1+1"), array=True))
+    with pytest.raises(ValueError, match="cannot target cells"):
+        wb.define_name(NameDef("x", None, FORMULA,
+                               formula=parse_formula("1+1"),
+                               derive=("y", 0, 1)))
     wb.define_name(NameDef("x", target=GridRange("main", 1, 1, 1, 1)))
     with pytest.raises(DuplicateNameError):
         wb.define_name(NameDef("x", target=GridRange("main", 2, 2, 2, 2)))
@@ -443,6 +454,24 @@ def test_cells_hold_only_literals(bad):
     wb.fill_block(GridRange("main", 1, 4, 2, 2), [[3, True, "t", DIV0_ERROR]])
     assert [wb.sheet("main").get(2, c) for c in range(1, 5)] == \
         [3.0, True, "t", DIV0_ERROR]
+
+
+def test_numbers_and_text_are_stored_as_float_and_str():
+    # A subclass (a numpy float, say) is stored as the plain value, so &,
+    # the CLI and the document spell every cell by its exact type.
+    class Number(float):
+        pass
+
+    class Text(str):
+        pass
+    wb = _book()
+    wb.define_name(NameDef("a", target=GridRange("main", 1, 1, 1, 1)))
+    wb.define_name(NameDef("b", target=GridRange("main", 2, 2, 1, 1)))
+    wb.define_name(NameDef("ab", None, FORMULA, formula=parse_formula("a & b")))
+    wb.set_cell("main", 1, 1, Number(2.5)).set_cell("main", 1, 2, Text("x"))
+    assert [type(wb.sheet("main").get(1, c)) for c in (1, 2)] == [float, str]
+    assert evaluate(wb).scalar("ab") == "2.5x"
+    assert "[DATA] main!A1\n2.5\n[DATA] main!B1\n\"x\"\n" in export_doc(wb)
 
 
 def test_fill_block_rejects_shape_mismatch():
