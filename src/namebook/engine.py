@@ -14,15 +14,18 @@ instead of interpreting them: a flat tuple of (step, argument) pairs in
 postfix order, run on one stack by _run.  Names are resolved when it is
 compiled, and a read of exactly one formula range's block is bound to
 that owner's computed value, so it copies no cells.  The programs are
-compiled on first use and kept with the plan, so after a cell edit
-evaluate() compiles nothing and resolves names only for the sweeps it
-reruns.  A sweep (_run_sweep) goes one step at a time, a cell's position
-along the sweep, and turns each node of a member's formula into one
-closure s -> the node's values at every place of step s: a read of a
-member indexes its step lists, one per step and one more holding the
-cells one step past it, and an operator maps its kernel over its
-operands' steps.  Every part constant across the sweep is a program
-kept with the plan, run once per sweep and laid out by step.  IF runs a
+compiled on first use and kept with the plan, and so is the layout of
+each sweep, so after a cell edit evaluate() compiles nothing and
+resolves no name.  A sweep (_run_sweep) goes one step at a time, a
+cell's position along the sweep, and turns each node of a member's
+formula into one closure s -> the node's values at every place of step
+s: a read of a member indexes its step lists, one per step and one more
+holding the cells one step past it, and an operator maps its kernel
+over its operands' steps.  Each part constant across the sweep is a
+slot, which each sweep refills by running its program once and laying
+it out by step.  Past the first step, the one that reads cells past the
+band, an operator over operands that hold floats at every step maps its
+float twin instead, as found once per sweep.  IF runs a
 branch at a step only if some place of that step takes it, and each
 place keeps its own branch's value, discarding the other's, so every
 value equals the one IF gives cell by cell, and the first column of a
@@ -107,8 +110,8 @@ class DepGraph(Record):
         self.plan = None     # the ordered _Groups, once planned
         self.shapes = None   # formula range -> its bounded shape, once planned
         self.owners = None   # range name -> its owners, sorted, once planned
-        # NameKey -> its formula's compiled steps, and (context sheet,
-        # node) -> those of a part of a swept formula constant across it
+        # NameKey -> its formula's compiled steps, and the members of a
+        # sweep, in step order -> the run of its kept layout (_run_sweep)
         self.programs = {}
         self._readers = None  # readers(), once built
         self.overlays = None  # formula range -> the input names laid over it
@@ -1092,9 +1095,9 @@ def _decided(cond):
 
 def _laid(value, shape, axis):
     """A value constant across a sweep of members of shape, as the list
-    of its steps along axis (see _run_sweep).  A value one place wide
-    lists one step per cell, shared by each occurrence of that cell
-    object (a bool always); one step long, it repeats its one step; a
+    of its steps along axis (see _run_sweep), and its kind.  A value one
+    place wide lists one step per cell, shared by each occurrence of that
+    cell object (a bool always); one step long, it repeats its one step; a
     value that does not conform is #VALUE! at every place."""
     n, m = shape[axis], shape[1 - axis]
     if isinstance(value, Array):
@@ -1108,8 +1111,13 @@ def _laid(value, shape, axis):
             else:  # its columns, or its rows
                 laid = ([flat[t::cols] for t in range(cols)] if axis
                         else value.cells)
-            return laid * (n // len(laid))
-    return [[value] * m] * n
+            return laid * (n // len(laid)), value.kind
+    return [[value] * m] * n, type(value)
+
+
+# The operand kinds under which a sweep node gives floats (_run_sweep):
+# of a unary or a binary operator, whose twin then maps, and of IF.
+_FLOATS = {float, (float, float), (bool, float, float), (float, float, float)}
 
 
 def _run_sweep(state: _EvalState, group: _Group):
@@ -1122,28 +1130,58 @@ def _run_sweep(state: _EvalState, group: _Group):
     of a sweep down).  Each node of their formulas that reads a member
     is one closure s -> the list of its values at the places of step s,
     so a step costs one call per node, not one per cell; a node constant
-    across the sweep is the list of its n steps, made before the first.
-    Slot n is the padding: one materialize of the twin's off-band slice,
-    the cells one step past the member, fills it for each member read
+    across the sweep is a slot holding the list of its n steps.  List n
+    is the padding: one materialize of the twin's off-band slice, the
+    cells one step past the member, fills it for each member read
     displaced.  A read at the first step lands there, at index -1 on a
-    forward sweep and at n on a backward one, so no read tests bounds."""
+    forward sweep and at n on a backward one, so no read tests bounds.
+
+    The layout is made on the group's first sweep and kept with the plan.
+    The first step maps the kernels.  Then a node's kind is float if it
+    gives floats at every later step, found from the kinds of the slots
+    and of the members' first steps, dropping each member whose formula
+    may give another value; over floats an operator maps its float twin
+    (values.FLOAT_TWIN), and a member is stored with its kind."""
+    run = state.graph.programs.get(tuple(group.order))
+    (run or _lay_out(state, group))(state)
+
+
+def _lay_out(state: _EvalState, group: _Group):
+    """The run of each sweep of a valid group (see _run_sweep), kept in
+    graph.programs."""
     wb, graph = state.wb, state.graph
-    shapes, refmap = graph.shapes, group.refmap
+    shapes, refmap, members = graph.shapes, group.refmap, group.members
     dr, dc = group.direction
     axis = 1 if dc else 0  # the sweep axis; the places run along the other
     n = shapes[group.order[0]][axis]
+    first, *rest = range(n) if dr + dc < 0 else range(n - 1, -1, -1)
+    past = 1 if dr + dc < 0 else n  # the twin's step off the band
     # (member, member or inlined name) -> its step lists and the padding
     partial = {(m, k): [None] * (n + 1)
-               for m in group.members for k in group.inlined[m] + [m]}
-    twins = {}  # member read displaced -> its twin, clamped to its sheet
-    laid_of = {}  # (id of a program kept in graph.programs, places) -> steps
+               for m in members for k in group.inlined[m] + [m]}
+    twins = {}  # member read displaced -> its twin's off-band slice
+    consts = {}  # (sheet, part, places) -> (slot, program, shape, node)
+    refills = []  # (slot, fn, args): the operators hoisted, IFs decided
+    # Each node's kind, found per sweep, and per operator or IF after the
+    # nodes it reads: (its node, its kind over operands whose kinds are
+    # in _FLOATS, their kinds, [the fn it maps, its kernel], its twin).
+    kinds, rules, roots = [], [], {}  # roots: (member, name) -> node
+
+    def leaf(kind=False):
+        kinds.append(kind)
+        return len(kinds) - 1
+    seeds = {w: leaf() for w in members}  # the kind of a member's reads
+
+    def hoist(fn, *args):
+        """A slot that each sweep fills with fn(*args)."""
+        slot = []
+        refills.append((slot, fn, args))
+        return slot
 
     def node(e, member, ctx_sheet):
-        """The values e takes at the places of each step of member: the
-        list of its n steps when e is constant across the sweep, else a
-        closure s -> step s.  Names are resolved here, once per sweep; a
-        constant part is compiled once per plan (graph.programs) and runs
-        once per sweep."""
+        """The values e takes at the places of each step of member, a
+        slot of its n steps when e is constant across the sweep, else a
+        closure s -> step s, and its node in kinds."""
         shape = shapes[member]
         m = shape[1 - axis]
         t = type(e)
@@ -1152,39 +1190,55 @@ def _run_sweep(state: _EvalState, group: _Group):
             key = None if nd is None else nd.key()
             part = partial.get((member, key))  # an inlined formula name
             if part is not None:
-                return part.__getitem__
+                return part.__getitem__, roots[member, key]
             hit = refmap.get(key)
             if hit is not None:
                 w, hr, hc, vrng = hit
                 vshape = shapes[w]  # a refmap name has its owner's shape
                 if V.broadcast_shapes(vshape, shape) != shape:
-                    return [[V.VALUE_ERROR] * m] * n
+                    return [[V.VALUE_ERROR] * m] * n, leaf()
                 # Step s reads the owner's step s + d; an owner one
                 # place wide repeats its one place.
                 d, part = hr + hc, partial[w, w]
                 if d:
-                    twins.setdefault(w, vrng)
+                    twins[w] = vrng.index_slice(*((0, past) if axis
+                                                  else (past, 0)))
                 if vshape[1 - axis] < m:
-                    return lambda s: part[s + d] * m
-                return (lambda s: part[s + d]) if d else part.__getitem__
+                    return (lambda s: part[s + d] * m), seeds[w]
+                return ((lambda s: part[s + d]) if d
+                        else part.__getitem__), seeds[w]
         elif t is Binary or t in _UNARY_STEPS:
             fn = V.BINARY[e.op] if t is Binary else _UNARY_STEPS[t][1]
-            kids = [node(a, member, ctx_sheet)
-                    for a in ((e.lhs, e.rhs) if t is Binary else (e.operand,))]
+            kids, at = zip(*[node(a, member, ctx_sheet) for a in
+                             ((e.lhs, e.rhs) if t is Binary else (e.operand,))])
+            twin, out = V.FLOAT_TWIN.get(fn, (fn, t is not Binary and float))
+            k, fns = leaf(), [fn, fn]
+            # / gives #DIV/0! where its twin raises: not floats alone.
+            rules.append((k, twin is not operator.truediv and out,
+                          operator.itemgetter(*at), fns, twin))
             if not any(map(callable, kids)):
-                return _hoisted(fn, kids)
+                return hoist(_hoisted, fn, kids), k
             if t is not Binary:
                 operand = _step_of(kids[0])
-                return lambda s: list(map(fn, operand(s)))
+                return (lambda s: list(map(fn, operand(s)))), k
             lhs, rhs = map(_step_of, kids)
-            return lambda s: list(map(fn, lhs(s), rhs(s)))
+
+            def binary(s):
+                a, b = lhs(s), rhs(s)
+                try:
+                    return list(map(fns[0], a, b))
+                except ZeroDivisionError:  # where _divide gives #DIV/0!
+                    return list(map(fn, a, b))
+            return binary, k
         elif t is Call and e.func == "IF" and len(e.args) in (2, 3):
-            cond, yes, *no = [node(a, member, ctx_sheet) for a in e.args]
-            yes, no = _step_of(yes), _step_of(no[0] if no else
-                                              [[False] * m] * n)
+            args = [node(a, member, ctx_sheet) for a in e.args]
+            args.append(([[False] * m] * n, leaf(bool)))  # a missing no
+            (cond, c), (yes, y), (no, f) = args[:3]
+            yes, no, k = _step_of(yes), _step_of(no), leaf()
+            rules.append((k, float, operator.itemgetter(c, y, f), [0, 0], 0))
             # A condition constant across the sweep is decided for every
             # step before the first.
-            taken = None if callable(cond) else _decided(cond)
+            taken = None if callable(cond) else hoist(_decided, cond)
 
             def pick(s):
                 # A branch runs for the whole step if some place takes
@@ -1198,40 +1252,57 @@ def _run_sweep(state: _EvalState, group: _Group):
                 b = no(s) if False in t else t
                 return [(y if c else x) if type(c) is bool else c
                         for c, y, x in zip(t, a, b)]
-            return pick
+            return pick, k
         # Literals, other names, aggregations, gathers and intersections are
         # constant across the sweep, so compute them whole once and index in.
-        steps = graph.programs.get((ctx_sheet, e))
-        if steps is None:
+        slot = consts.get((ctx_sheet, e, m))
+        if slot is None:
             steps = []
             _compile(wb, e, ctx_sheet, steps)
-            steps = graph.programs[ctx_sheet, e] = tuple(steps)
-        laid = laid_of.get((id(steps), m))
-        if laid is None:
-            laid = laid_of[id(steps), m] = _laid(_run(state, steps), shape,
-                                                 axis)
-        return laid
+            slot = consts[ctx_sheet, e, m] = ([], steps, shape, leaf())
+        return slot[0], slot[3]
 
     plan = []
     for m in group.order:
         for k in group.inlined[m] + [m]:
             nd = wb.names[k]
-            fill = node(nd.formula, m, wb.context_sheet(nd))
+            fill, roots[m, k] = node(nd.formula, m, wb.context_sheet(nd))
             plan.append((_step_of(fill), partial[m, k]))
     del node  # it holds itself in its closure; free it now, not at a gc run
-    for w, vrng in twins.items():
-        # The twin's first column or row on a forward sweep, else its last.
-        t = 1 if dr + dc < 0 else n
-        edge = vrng.index_slice(*((0, t) if axis else (t, 0)))
-        partial[w, w][n] = _flat_of(_deref(state, edge), edge.shape())
-    for s in (range(n) if dr + dc < 0 else range(n - 1, -1, -1)):
+
+    def run(state):
+        for slot, steps, shape, k in consts.values():
+            slot[:], kinds[k] = _laid(_run(state, steps), shape, axis)
+        for slot, fn, args in refills:
+            slot[:] = fn(*args)
+        for w, edge in twins.items():
+            partial[w, w][n] = _flat_of(_deref(state, edge), edge.shape())
+        for *_, fns, _ in rules:  # the first step maps the kernels
+            fns[0] = fns[1]
         for fill, part in plan:
-            part[s] = fill(s)
-    for m in group.members:
-        steps = partial[m, m]
-        del steps[n]  # the padding
-        state.computed[m] = Array(list(chain.from_iterable(
-            zip(*steps) if axis else steps)), shapes[m])
+            part[first] = fill(first)
+        for w in members:
+            kinds[seeds[w]] = (set(map(type, partial[w, w][first]))
+                               == {float} and float)
+        lost = True
+        while lost:
+            for k, out, got, fns, twin in rules:
+                floats = got(kinds) in _FLOATS
+                kinds[k], fns[0] = floats and out, twin if floats else fns[1]
+            lost = [w for w in members
+                    if kinds[seeds[w]] and kinds[roots[w, w]] is not float]
+            for w in lost:
+                kinds[seeds[w]] = False
+        for s in rest:
+            for fill, part in plan:
+                part[s] = fill(s)
+        for m in members:
+            steps = partial[m, m][:n]  # without the padding
+            state.computed[m] = Array(list(chain.from_iterable(
+                zip(*steps) if axis else steps)), shapes[m],
+                kinds[seeds[m]] or None)
+    graph.programs[tuple(group.order)] = run
+    return run
 
 
 def _stale(wb: Workbook, graph: DepGraph) -> set:

@@ -9,7 +9,9 @@ reads that are not an owner's exact block, and no operand layout), how
 often two recalcs test operand kinds, what a first one asks of the
 owner index, what its programs keep in memory, and how many calls a
 rebuild makes per name; and, on the sweep book, how many calls a recalc
-makes inside its sweep and that it compiles nothing."""
+makes inside its sweep, that it compiles nothing, resolves no name and
+maps no arithmetic kernel, and that its kept layout follows its inputs
+from floats to text or blanks and back."""
 
 import cProfile
 import os
@@ -17,7 +19,7 @@ import pstats
 import sys
 import tracemalloc
 
-from namebook import docio, engine
+from namebook import docio, engine, values
 from namebook.docio import rebuild
 from namebook.engine import build_dep_graph, evaluate
 from namebook.formula import NameRef, parse_formula, walk
@@ -257,15 +259,16 @@ def test_operands_of_one_shape_are_never_laid_out():
     # Every kernel step of the chain book is a 1x8 row against a 1x8 row
     # or a scalar, so none needs a shape fold or a layout.
     assert _layout_calls(*_chain()) == [0, 0]
-    # The sweep book's recurrences run per-step closures, which keep
-    # their own shape checks and lay each distinct constant part out by
-    # step once per sweep (first.period?, read by all three members,
-    # once, where it was laid out three times).  The flat layout runs
-    # twice: on the off-band slice of ←balance, the padding after
-    # balance's step lists, and on balance's block as it is laid into
-    # the value of ←balance.
+    # The sweep book's recurrences run per-step closures laid out on the
+    # first sweep and kept with the plan, so a recalc checks no member
+    # read's shape again; it only lays each distinct constant part out
+    # by step, checking the shape of its four arrays (first.period?,
+    # read by all three members, once).  The flat layout runs twice: on
+    # the off-band slice of ←balance, the padding after balance's step
+    # lists, and on balance's block as it is laid into the value of
+    # ←balance.
     doc = workloads.sweep(403)[0]
-    assert _layout_calls(doc, rebuild(doc.text)) == [9, 2]
+    assert _layout_calls(doc, rebuild(doc.text)) == [4, 2]
 
 
 def _sweep_recalc_profile(monkeypatch):
@@ -311,6 +314,41 @@ def test_a_rerun_sweep_compiles_nothing(monkeypatch):
     _, stats = _sweep_recalc_profile(monkeypatch)
     assert cProfile.label(engine._run.__code__) in stats
     assert cProfile.label(engine._compile.__code__) not in stats
+
+
+def test_a_rerun_sweep_resolves_no_name_and_maps_only_float_twins(
+        monkeypatch):
+    # The sweep's layout is kept with the plan, so a recalc resolves no
+    # name.  Every + - * of the sweep book reads floats at every step
+    # past the first, so it maps its float twin there; at the first step,
+    # the only one that runs the kernels, each IF takes its constant
+    # branch.  A layout made again on every sweep, mapping the kernels,
+    # made 11 resolve and 1872 kernel calls here.
+    _, stats = _sweep_recalc_profile(monkeypatch)
+    arithmetic = values.BINARY["+"].__code__  # shared by + - * / ^
+    assert [stats.get(cProfile.label(code), (0, 0))[1] for code in
+            (Workbook.resolve.__code__, arithmetic)] == [0, 0]
+
+
+def test_a_kept_sweep_layout_follows_the_kinds_of_its_inputs():
+    # One loan.rate cell set to text, then blank, then a number again:
+    # the operators that read it leave their twins for the kernels and
+    # come back, and the members are stored with their kind only while
+    # every step holds floats.  Each recalc agrees with a fresh
+    # evaluation of a copy and with the oracle.
+    doc = workloads.sweep(403)[0]
+    wb = rebuild(doc.text)
+    members = ("balance", "interest", "service")
+    assert {evaluate(wb).value(m)._kind for m in members} == {float}
+    rate = wb.names[(None, "loan.rate")].target
+    for value, kind in (("x", None), (None, None), (0.05, float)):
+        wb.set_cell(rate.sheet, rate.row_start + 1, rate.col_start, value)
+        store = evaluate(wb)
+        assert store == evaluate(wb.copy())
+        assert store.values == oracle_evaluate(wb)
+        # balance and service have no whole reader to scan their cells.
+        assert [store.value(m)._kind for m in members[::2]] == [kind] * 2
+    assert store.value("interest").kind is float
 
 
 def test_broadcast_tests_the_kinds_of_its_operands_in_one_call():

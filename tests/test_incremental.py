@@ -26,7 +26,7 @@ from namebook.formula import parse_formula
 from namebook.values import DIV0_ERROR, VALUE_ERROR
 from namebook.workbook import FORMULA, GridRange, NameDef, Workbook
 
-from gen import _literal, random_workbook
+from gen import _literal, random_workbook, sweep_group_workbook
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -59,6 +59,8 @@ def _value(rng):
     roll = rng.random()
     if roll < 0.1:
         return rng.choice((DIV0_ERROR, VALUE_ERROR))
+    if roll < 0.13:
+        return 1e200  # its square overflows to inf, and inf - inf is nan
     return _literal(rng)
 
 
@@ -183,6 +185,11 @@ def _books():
             yield "%s %d" % (doc.name, seed), rebuild(doc.text), doc.edits
     for seed in range(200):
         yield "gen %d" % seed, random_workbook(seed), ()
+    # Co-swept bands: text, bool, blank, error and 1e200 edits flip their
+    # constant parts between float and not between two sweeps of one
+    # kept layout.
+    for seed in range(60):
+        yield "sweep group %d" % seed, sweep_group_workbook(seed), ()
     for seed in (403, 431):
         for make in (workloads.sweep, workloads.chain, workloads.bands):
             doc = make(seed)[0]

@@ -8,10 +8,11 @@ recurrence_workbook, and its sweep_group_workbook of two co-swept bands
 and the formula names between them, against the independent interpreter
 in oracle.py, then writes a cell of an off-band slice and checks the
 incremental evaluation against a full one.  The gate counts the range
-reads of one sweep in each direction.  A step runs an IF branch for all
-its places only if some place takes it; the mixed-condition book checks
-that every untaken value is discarded and counts the kernel calls of
-each branch."""
+reads of one sweep in each direction.  A division by zero past the
+first step, where / maps its float twin, must reach the operator that
+reads it.  A step runs an IF branch for all its places only if some
+place takes it; the mixed-condition book checks that every untaken
+value is discarded and counts the kernel calls of each branch."""
 
 import cProfile
 import collections
@@ -101,6 +102,23 @@ def test_a_sweep_reads_its_off_band_slice_once():
             cProfile.label(engine._EvalState.materialize.__code__)][1]
         assert calls == 2, (step, calls)
         assert store.values == oracle_evaluate(wb), step
+
+
+def test_a_division_by_zero_past_the_first_step_reaches_its_reader():
+    # w = ←w / den + 1 over floats alone: / maps its float twin, which
+    # raises where den holds 0, so that step maps the kernel and gives
+    # #DIV/0!; the + reading it must not take / to give floats alone.
+    wb = Workbook().add_sheet("s", 2, 6).set_cell("s", 1, 1, 1.0)
+    for c, den in enumerate((2.0, 4.0, 0.0, 5.0, 1.0), 2):
+        wb.set_cell("s", 2, c, den)
+    wb.define_name(NameDef("den", None, RANGE, GridRange("s", 2, 6, 2, 2)))
+    band = NameDef("w", None, RANGE, GridRange("s", 2, 6, 1, 1),
+                   parse_formula("←w / den + 1"), array=True)
+    wb.define_name(band)
+    wb.define_name(shift_name(band, "←w", 0, -1))
+    store = evaluate(wb)
+    assert store.value("w").flat == [1.5, 1.375] + [DIV0_ERROR] * 3
+    assert store.values == oracle_evaluate(wb)
 
 
 def test_a_sweep_leaves_nothing_for_the_cycle_collector():
