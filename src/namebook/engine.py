@@ -25,20 +25,23 @@ over its operands' steps.  Each part constant across the sweep is a
 slot, which each sweep refills by running its program once and laying
 it out by step.  Past the first step, the one that reads cells past the
 band, an operator over operands that hold floats at every step maps its
-float twin instead, as found once per sweep.  IF runs a
-branch at a step only if some place of that step takes it, and each
-place keeps its own branch's value, discarding the other's, so every
-value equals the one IF gives cell by cell, and the first column of a
-guarded band never depends on the cell to its left.  A formula name that
-reads a member is filled into step lists of its own just before its
-reader at each step, so chains and diamonds of such names cost one
-closure call per name per step.  Programs and closures apply the same
-operator kernels (values.BINARY).  A whole value is a scalar or an
-Array(flat, shape), one row-major list and its shape, so a step is one
-map over its operands' lists laid out to one shape, and a one-column
-read is the slice the sheet gives.  An Array knows its kind (all floats,
-all bools, or neither), so such a map runs in C where it can: a kernel's
-float twin (values.FLOAT_TWIN) over floats, IF's pick over bools.
+float twin instead, as found once per sweep; / does so only by a
+nonzero number literal, so no twin raises.  IF runs a branch at a step
+only if some place of that step takes it, and each place keeps its own
+branch's value, discarding the other's, so every value equals the one
+IF gives cell by cell, and the first column of a guarded band never
+depends on the cell to its left.  A formula name that reads a member is
+filled into step lists of its own just before its reader at each step,
+so chains and diamonds of such names cost one closure call per name per
+step.  Programs and closures apply the same operator kernels
+(values.BINARY): -x runs as 0 - x and x% as x / 100, NOT(x) is
+IF(x, FALSE, TRUE), and SUM, MIN and MAX are one fold (_fold).  A whole
+value is a scalar or an Array(flat, shape), one row-major list and its
+shape, so a step is one map over its operands' lists laid out to one
+shape, and a one-column read is the slice the sheet gives.  An Array
+knows its kind (all floats, all bools, or neither), so such a map runs
+in C where it can: a kernel's float twin (values.FLOAT_TWIN) over
+floats, IF's pick over bools.
 
 There is one dependency graph (build_dep_graph / topo_order), and it is
 syntactic: edges mirror names_referenced over the defining formulas, with
@@ -81,7 +84,7 @@ from itertools import accumulate, chain, repeat
 
 from . import values as V
 from .formula import (Binary, Call, CellRef, Expr, Intersect, NameRef,
-                      Percent, Unary, names_referenced)
+                      NumberLit, Percent, Unary, names_referenced)
 from .values import Array, CellError, Record
 from .workbook import FORMULA, GridRange, NameDef, Workbook
 
@@ -523,44 +526,25 @@ def _broadcast(fn, *args):
     return Array(list(map(fn, *flats)), shape)
 
 
-def _builtin_sum(args):
-    """SUM: numbers added left to right, blanks, bools and text skipped,
-    the first error returned.  An Array of floats alone is folded by
-    reduce, the same additions in the same order without a Python step
-    per cell."""
-    total = 0.0
+def _fold(args, fn, acc=None):
+    """SUM, MIN and MAX: fn folded over the numbers of args left to right,
+    from acc, or from the first number when acc is None; blanks, bools and
+    text are skipped and the first error is returned, and no number at
+    all is 0.  An Array of floats alone is folded by reduce, the same
+    calls in the same order without a Python step per cell, so a nan met
+    first by min or max stays and a later one is passed over."""
     for v in args:
         if isinstance(v, Array) and v.kind is float:
-            total = reduce(operator.add, v.flat, total)
+            acc = (reduce(fn, v.flat) if acc is None
+                   else reduce(fn, v.flat, acc))
             continue
         for s in _scalars(v):
             if isinstance(s, CellError):
                 return s
             if s is None or isinstance(s, (bool, str)):
                 continue
-            total += float(s)
-    return total
-
-
-def _builtin_minmax(args, pick):
-    """MIN or MAX (pick is the builtin min or max): the running best kept
-    against each number left to right, as SUM skips and fails.  An Array
-    of floats alone goes to one call of pick, starting from the best so
-    far, which makes the same comparisons in the same order: a nan met
-    first stays, a later one is passed over."""
-    best = None
-    for v in args:
-        if isinstance(v, Array) and v.kind is float:
-            best = pick(v.flat) if best is None else pick(best, *v.flat)
-            continue
-        for s in _scalars(v):
-            if isinstance(s, CellError):
-                return s
-            if s is None or isinstance(s, (bool, str)):
-                continue
-            s = float(s)
-            best = s if best is None else pick(best, s)
-    return 0.0 if best is None else best
+            acc = float(s) if acc is None else fn(acc, float(s))
+    return 0.0 if acc is None else acc
 
 
 def _if(cond, yes, no=False):
@@ -823,12 +807,12 @@ _BUILTINS = {
     "INDEX": _builtin_index,
     "LOOKUP": lambda st, args: _builtin_lookup(args),
     "MATCH": lambda st, args: _builtin_match(args),
-    "MAX": lambda st, args: _builtin_minmax(args, max),
-    "MIN": lambda st, args: _builtin_minmax(args, min),
-    "NOT": lambda st, args: (_broadcast(V.logical_not, *args)
+    "MAX": lambda st, args: _fold(args, max),
+    "MIN": lambda st, args: _fold(args, min),
+    "NOT": lambda st, args: (_broadcast(_if, *args, False, True)
                              if len(args) == 1 else V.VALUE_ERROR),
     "OR": lambda st, args: _bool_reduce(args, lambda a, b: a or b, False),
-    "SUM": lambda st, args: _builtin_sum(args),
+    "SUM": lambda st, args: _fold(args, operator.add, 0.0),
 }
 BUILTIN_FUNCTIONS = tuple(_BUILTINS)
 
@@ -849,10 +833,12 @@ def _meet(state, args):
 
 # The step kinds of a compiled formula (_compile), run by _run, and the
 # steps that are the same wherever they occur, shared by every program.
-_CONST, _OWNER, _READ, _NAME, _DEREF, _UNARY, _BINARY, _CALL = range(8)
+_CONST, _OWNER, _READ, _NAME, _DEREF, _BINARY, _CALL = range(7)
 _BINARY_STEPS = {op: (_BINARY, kernel) for op, kernel in V.BINARY.items()}
-_UNARY_STEPS = {Unary: (_UNARY, V.negate), Percent: (_UNARY, V.percent)}
 _DEREF_STEP, _MEET_STEP = (_DEREF, None), (_CALL, (_meet, 2))
+# -x runs as 0 - x and x% as x / 100, on the kernels of - and /.
+_AS_BINARY = {Unary: lambda e: Binary("-", NumberLit(0.0), e.operand),
+              Percent: lambda e: Binary("/", e.operand, NumberLit(100.0))}
 
 
 def _compile(wb: Workbook, e: Expr, ctx_sheet, steps: list, keep_ref=False):
@@ -869,8 +855,7 @@ def _compile(wb: Workbook, e: Expr, ctx_sheet, steps: list, keep_ref=False):
         steps.append(_BINARY_STEPS[e.op])
         return
     if t is Unary or t is Percent:
-        _compile(wb, e.operand, ctx_sheet, steps)
-        steps.append(_UNARY_STEPS[t])
+        _compile(wb, _AS_BINARY[t](e), ctx_sheet, steps)
         return
     if t is Intersect or t is Call and e.func in _BUILTINS:
         index = t is Intersect or e.func == "INDEX"
@@ -923,8 +908,6 @@ def _run(state, steps):
             push(_broadcast(arg, pop(), b))
         elif op == _READ:
             push(state.materialize(*arg))
-        elif op == _UNARY:
-            push(_broadcast(arg, pop()))
         elif op == _DEREF:
             push(_deref(state, pop()))
         elif op == _NAME:
@@ -1116,8 +1099,8 @@ def _laid(value, shape, axis):
 
 
 # The operand kinds under which a sweep node gives floats (_run_sweep):
-# of a unary or a binary operator, whose twin then maps, and of IF.
-_FLOATS = {float, (float, float), (bool, float, float), (float, float, float)}
+# of a binary operator, whose twin then maps, and of IF.
+_FLOATS = {(float, float), (bool, float, float), (float, float, float)}
 
 
 def _run_sweep(state: _EvalState, group: _Group):
@@ -1141,7 +1124,8 @@ def _run_sweep(state: _EvalState, group: _Group):
     gives floats at every later step, found from the kinds of the slots
     and of the members' first steps, dropping each member whose formula
     may give another value; over floats an operator maps its float twin
-    (values.FLOAT_TWIN), and a member is stored with its kind."""
+    (values.FLOAT_TWIN), / only by a nonzero number literal, and a member
+    is stored with its kind."""
     run = state.graph.programs.get(tuple(group.order))
     (run or _lay_out(state, group))(state)
 
@@ -1207,29 +1191,24 @@ def _lay_out(state: _EvalState, group: _Group):
                     return (lambda s: part[s + d] * m), seeds[w]
                 return ((lambda s: part[s + d]) if d
                         else part.__getitem__), seeds[w]
-        elif t is Binary or t in _UNARY_STEPS:
-            fn = V.BINARY[e.op] if t is Binary else _UNARY_STEPS[t][1]
-            kids, at = zip(*[node(a, member, ctx_sheet) for a in
-                             ((e.lhs, e.rhs) if t is Binary else (e.operand,))])
-            twin, out = V.FLOAT_TWIN.get(fn, (fn, t is not Binary and float))
+        elif t is Binary or t is Unary or t is Percent:
+            if t is not Binary:
+                e = _AS_BINARY[t](e)
+            fn = V.BINARY[e.op]
+            kids, at = zip(*[node(a, member, ctx_sheet)
+                             for a in (e.lhs, e.rhs)])
+            twin, out = V.FLOAT_TWIN.get(fn, (fn, False))
+            # / maps its twin only by a nonzero number literal, by which
+            # the twin never raises; by anything else it maps its kernel.
+            if e.op == "/" and not (type(e.rhs) is NumberLit
+                                    and e.rhs.value):
+                twin, out = fn, False
             k, fns = leaf(), [fn, fn]
-            # / gives #DIV/0! where its twin raises: not floats alone.
-            rules.append((k, twin is not operator.truediv and out,
-                          operator.itemgetter(*at), fns, twin))
+            rules.append((k, out, operator.itemgetter(*at), fns, twin))
             if not any(map(callable, kids)):
                 return hoist(_hoisted, fn, kids), k
-            if t is not Binary:
-                operand = _step_of(kids[0])
-                return (lambda s: list(map(fn, operand(s)))), k
             lhs, rhs = map(_step_of, kids)
-
-            def binary(s):
-                a, b = lhs(s), rhs(s)
-                try:
-                    return list(map(fns[0], a, b))
-                except ZeroDivisionError:  # where _divide gives #DIV/0!
-                    return list(map(fn, a, b))
-            return binary, k
+            return (lambda s: list(map(fns[0], lhs(s), rhs(s)))), k
         elif t is Call and e.func == "IF" and len(e.args) in (2, 3):
             args = [node(a, member, ctx_sheet) for a in e.args]
             args.append(([[False] * m] * n, leaf(bool)))  # a missing no

@@ -6,8 +6,9 @@ shape, and knows its kind (float or bool when every cell is one), found
 by one scan on first use and kept; arrays never nest.  The kernels here
 define coercion and error propagation once, one kernel per operator in
 BINARY, so the array evaluator and the compiled sweep closures cannot
-drift apart.  A kernel's float twin (FLOAT_TWIN), which the array
-evaluator maps over floats alone, gives what the kernel gives two floats.
+drift apart; -x runs on them as 0 - x, and x% as x / 100.  A kernel's
+float twin (FLOAT_TWIN), which the array evaluator maps over floats
+alone, gives what the kernel gives two floats.
 """
 
 from __future__ import annotations
@@ -235,7 +236,6 @@ def _cmp_class(s):
         return 0
     if isinstance(s, str):
         return 1
-    return None
 
 
 def _coerce_blank_like(other):
@@ -275,27 +275,6 @@ def _comparison(fn):
         return fn(a, b)
     kernel.fn = fn
     return kernel
-
-
-def negate(a):
-    x = to_number(a)
-    if isinstance(x, CellError):
-        return x
-    return 0.0 - x
-
-
-def percent(a):
-    x = to_number(a)
-    if isinstance(x, CellError):
-        return x
-    return x / 100.0
-
-
-def logical_not(a):
-    b = to_bool(a)
-    if isinstance(b, CellError):
-        return b
-    return not b
 
 
 # One kernel per binary operator, for whole arrays and sweeps alike.  An

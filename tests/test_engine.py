@@ -16,8 +16,9 @@ import pytest
 from namebook.docio import UndeclaredName, export_doc, rebuild
 from namebook.engine import CycleError, build_dep_graph, evaluate
 from namebook.formula import parse_formula
-from namebook.values import (CYCLE_ERROR, DIV0_ERROR, NAME_ERROR, NULL_ERROR,
-                             REF_ERROR, VALUE_ERROR, Array, CellError)
+from namebook.values import (CYCLE_ERROR, DIV0_ERROR, ERROR_KINDS, NAME_ERROR,
+                             NULL_ERROR, REF_ERROR, VALUE_ERROR, Array,
+                             CellError)
 from namebook.workbook import (FORMULA, RANGE, GridRange, NameDef, Workbook,
                                shift_name)
 
@@ -96,6 +97,48 @@ def test_arithmetic_coercions():
     assert _calc("1e200 * 1e200") == float("inf")
     assert _calc("50% + 1") == 1.5
     assert _calc("2 ^ 3 ^ 2") == 64.0             # left associative
+
+
+# One of each class of scalar: blank, bools, text (numeric text too),
+# signed zeros, the edge of overflow and every error kind.
+_EVERY_SCALAR = ([None, True, False, "", "x", "2.5", 0.0, -0.0, 1e300, -1e300]
+                 + [CellError(k) for k in ERROR_KINDS])
+
+
+def test_minus_percent_and_not_run_on_the_binary_and_if_kernels():
+    # -x runs as 0 - x, x% as x / 100 and NOT(x) as IF(x, FALSE, TRUE),
+    # whole over a row of every scalar class and in a sweep down a band
+    # whose places each read one class, with the first step reading the
+    # classes again past the band.  The oracle keeps its own unary rules.
+    n = len(_EVERY_SCALAR)
+    wb = Workbook().add_sheet("s", 9, n)
+    for c, s in enumerate(_EVERY_SCALAR, 1):
+        for row in (1, 6):  # x, and the cells one step past the band
+            if s is not None:
+                wb.set_cell("s", row, c, s)
+    wb.define_name(NameDef("x", target=GridRange("s", 1, n, 1, 1)))
+    for row, (ident, text) in enumerate((
+            ("neg", "-x"), ("pct", "x%"), ("nt", "NOT(x)"),
+            ("mix", "-(x%) * 2 + NOT(x)")), 2):
+        wb.define_name(NameDef(ident, None, RANGE,
+                               GridRange("s", 1, n, row, row),
+                               parse_formula(text), array=True))
+    band = NameDef("w", None, RANGE, GridRange("s", 1, n, 7, 9),
+                   parse_formula("-←w% + x / 2"), array=True)
+    wb.define_name(band)
+    wb.define_name(shift_name(band, "←w", -1, 0))
+    store = evaluate(wb)
+    assert store.values == oracle_evaluate(wb)
+    errors = [CellError(k) for k in ERROR_KINDS]
+    assert repr(store.value("neg").flat) == repr(
+        [0.0, -1.0, 0.0] + [VALUE_ERROR] * 3
+        + [0.0, 0.0, -1e300, 1e300] + errors)
+    assert store.value("nt").flat == (
+        [True, False, True] + [VALUE_ERROR] * 3
+        + [True, True, False, False] + errors)
+    assert store.value("pct").flat[8:10] == [1e300 / 100, -1e300 / 100]
+    [group] = [g for g in build_dep_graph(wb).plan if (None, "w") in g.members]
+    assert group.failed is None and group.direction == (-1, 0)
 
 
 def test_error_precedence_is_left_first():
@@ -230,6 +273,28 @@ def test_index_needs_both_axes_on_a_rectangle():
     assert store.value("row") == 7.0
     assert store.value("wide") == REF_ERROR
     assert store.value("wide.value") == REF_ERROR
+
+
+def test_an_error_index_or_an_error_source_is_the_result():
+    # A scalar index that is an error, and array indices into a one-cell
+    # source holding an error, each give that error.
+    wb = Workbook().add_sheet("s", 3, 3)
+    wb.fill_block(GridRange("s", 1, 2, 1, 3),
+                  [[10.0, 1.0], [20.0, 1.0], [30.0, NULL_ERROR]])
+    wb.define_name(NameDef("xs", target=GridRange("s", 1, 1, 1, 3)))
+    wb.define_name(NameDef("ks", target=GridRange("s", 2, 2, 1, 2)))
+    wb.define_name(NameDef("bad", target=GridRange("s", 2, 2, 3, 3)))
+    for ident, text in (("by.error", "INDEX(xs, 1/0)"),
+                        ("by.error.col", "INDEX(xs, 1, nope)"),
+                        ("of.error", "INDEX(bad, ks)"),
+                        ("of.error.grid", "INDEX(bad, ks, ks)")):
+        wb.define_name(NameDef(ident, None, FORMULA,
+                               formula=parse_formula(text)))
+    store = evaluate(wb)
+    assert store.values == oracle_evaluate(wb)
+    assert [store.value(i) for i in ("by.error", "by.error.col", "of.error",
+                                     "of.error.grid")] == [
+        DIV0_ERROR, NAME_ERROR, NULL_ERROR, NULL_ERROR]
 
 
 def test_an_index_past_a_whole_column_band_is_a_ref_error():

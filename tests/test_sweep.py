@@ -9,8 +9,9 @@ and the formula names between them, against the independent interpreter
 in oracle.py, then writes a cell of an off-band slice and checks the
 incremental evaluation against a full one.  The gate counts the range
 reads of one sweep in each direction.  A division by zero past the
-first step, where / maps its float twin, must reach the operator that
-reads it.  A step runs an IF branch for all its places only if some
+first step must reach the operator that reads it, and a band of floats
+over -x, x% and a division by a number literal keeps its float kind.  A
+step runs an IF branch for all its places only if some
 place takes it; the mixed-condition book checks that every untaken
 value is discarded and counts the kernel calls of each branch."""
 
@@ -105,9 +106,9 @@ def test_a_sweep_reads_its_off_band_slice_once():
 
 
 def test_a_division_by_zero_past_the_first_step_reaches_its_reader():
-    # w = ←w / den + 1 over floats alone: / maps its float twin, which
-    # raises where den holds 0, so that step maps the kernel and gives
-    # #DIV/0!; the + reading it must not take / to give floats alone.
+    # w = ←w / den + 1 over floats alone: / by a cell maps its kernel at
+    # every step, and so never counts as floats alone, so where den holds
+    # 0 it gives #DIV/0!, which reaches the + reading it and the reader.
     wb = Workbook().add_sheet("s", 2, 6).set_cell("s", 1, 1, 1.0)
     for c, den in enumerate((2.0, 4.0, 0.0, 5.0, 1.0), 2):
         wb.set_cell("s", 2, c, den)
@@ -119,6 +120,27 @@ def test_a_division_by_zero_past_the_first_step_reaches_its_reader():
     store = evaluate(wb)
     assert store.value("w").flat == [1.5, 1.375] + [DIV0_ERROR] * 3
     assert store.values == oracle_evaluate(wb)
+
+
+def test_minus_percent_and_a_literal_divisor_keep_a_band_of_floats():
+    # -y runs as 0 - y and y% as y / 100, and / by a nonzero number
+    # literal maps its float twin, so a band of floats over them holds
+    # floats at every step and is stored with its kind; / by the literal
+    # 0 maps its kernel and gives #DIV/0!.
+    for text, kind in (("←w% * 50 + x / 2 - -←w", float),
+                       ("←w / 0 + x", None)):
+        wb = Workbook().add_sheet("s", 2, 6).set_cell("s", 1, 1, 1.0)
+        for c in range(2, 7):
+            wb.set_cell("s", 2, c, c / 4)
+        wb.define_name(NameDef("x", None, RANGE, GridRange("s", 2, 6, 2, 2)))
+        band = NameDef("w", None, RANGE, GridRange("s", 2, 6, 1, 1),
+                       parse_formula(text), array=True)
+        wb.define_name(band)
+        wb.define_name(shift_name(band, "←w", 0, -1))
+        store = evaluate(wb)
+        assert store.value("w")._kind is kind, text
+        assert store.values == oracle_evaluate(wb), text
+    assert store.value("w").flat == [DIV0_ERROR] * 5
 
 
 def test_a_sweep_leaves_nothing_for_the_cycle_collector():
