@@ -51,8 +51,11 @@ until its name table changes, so rebuild's closed-world check, evaluate()
 and the audit views share one walk of each formula.  evaluate() refuses
 cycles on it, and there is one read analysis over it, the planner's
 (_plan): one table of who owns the cells each formula reads, seen
-through formula names and the owners of each range name, which the plan
-asks of Workbook.formula_owners once.  Groups, their order, each refusal
+through formula names and the owners of each range name.  A formula
+range owns its own cells alone, so the plan asks Workbook.formula_owners
+only about each input range name, once.  One Kahn sort orders the
+formula ranges; only a book whose reads form a cycle has its components
+found (_tarjan) and sorted.  Groups, their order, each refusal
 or sweep direction, and what each sweep reads of its own members all
 come from that table, which is what makes cross-name recurrences
 (interest on a prior balance feeding the balance itself) come out in the
@@ -212,7 +215,7 @@ def topo_order(g: DepGraph) -> list:
     """
     deps = {u: {v for v in g.edges.get(u, ()) if (u, v) not in g.recurrence}
             for u in g.nodes}
-    order = _kahn(g.nodes, deps, _sort_key)
+    order = _kahn(g.nodes, deps)
     if len(order) != len(g.nodes):
         placed = set(order)
         stuck = [k for k in g.nodes if k not in placed]
@@ -221,27 +224,29 @@ def topo_order(g: DepGraph) -> list:
     return order
 
 
-def _kahn(nodes, deps, key):
-    """Kahn's sort: each node after those of deps[n] that are nodes, the
-    ready node of least key(n) first.  Nodes on or behind a cycle (a
-    self-loop too) are left out, so a short result means a cycle."""
-    waiting = {n: 0 for n in nodes}
-    dependents = {n: [] for n in nodes}
-    for n in nodes:
+def _kahn(nodes, deps):
+    """Kahn's sort: each node after those of deps[n] that are nodes, ties
+    broken by position in nodes, so the heap holds places.  Nodes on or
+    behind a cycle (a self-loop too) are left out, so a short result
+    means a cycle."""
+    place = {n: i for i, n in enumerate(nodes)}
+    waiting = [0] * len(nodes)
+    dependents = [[] for _ in nodes]
+    for i, n in enumerate(nodes):
         for d in deps[n]:
-            if d in waiting:
-                waiting[n] += 1
-                dependents[d].append(n)
-    ready = [(key(n), n) for n in nodes if not waiting[n]]
-    heapq.heapify(ready)
+            j = place.get(d)
+            if j is not None:
+                waiting[i] += 1
+                dependents[j].append(i)
+    ready = [i for i, w in enumerate(waiting) if not w]  # ascending: a heap
     order = []
     while ready:
-        n = heapq.heappop(ready)[1]
-        order.append(n)
-        for u in dependents[n]:
+        i = heapq.heappop(ready)
+        order.append(nodes[i])
+        for u in dependents[i]:
             waiting[u] -= 1
             if not waiting[u]:
-                heapq.heappush(ready, (key(u), u))
+                heapq.heappush(ready, u)
     return order
 
 
@@ -374,19 +379,24 @@ class _Group(Record):
 def _plan(wb: Workbook, graph: DepGraph) -> list:
     """The formula ranges as _Groups, in evaluation order.
 
-    graph.owners gets each range name's owners (Workbook.formula_owners).
-    The read table holds, per formula range u, one (read, owner, shift)
-    entry for each owner of each range name u reads through formula
-    names.  The shift is (0, 0) for an aligned read, the one-cell step
-    of a displaced read a sweep can order, or None for any other read,
-    which needs its owner whole first.  Groups are the strongly connected
-    components of reader -> owner, owners first, the least first member
-    leading among those ready."""
+    graph.owners gets each range name's owners.  Formula ranges never
+    overlap, so one owns its own cells alone, and only an input range
+    asks Workbook.formula_owners.  The read table holds, per formula
+    range u, one (read, owner, shift) entry for each owner of each range
+    name u reads through formula names.  The shift is (0, 0) for an
+    aligned read, the one-cell step of a displaced read a sweep can
+    order, or None for any other read, which needs its owner whole
+    first.  Groups are the strongly connected components of reader ->
+    owner, owners first, ties broken by first member.  One Kahn sort of
+    the ranges, each range's reads of itself dropped, gives that order
+    when every component is a lone range.  Only when it stalls on a cycle
+    does _tarjan find the components, for a second Kahn sort to order."""
     fkeys = sorted((nd.key() for nd in wb.formula_bearing()), key=_sort_key)
     graph.shapes = {u: wb.bounded(wb.names[u].target).shape() for u in fkeys}
-    graph.owners = {nd.key(): sorted(wb.formula_owners(nd.target),
-                                     key=_sort_key)
-                    for nd in wb.names.values() if nd.target is not None}
+    graph.owners = {u: [u] for u in fkeys}
+    for nd in wb.input_ranges():
+        graph.owners[nd.key()] = sorted(wb.formula_owners(nd.target),
+                                        key=_sort_key)
     table = {}
     entered = {}  # formula range -> the formula names it reads, post-order
     for u in fkeys:
@@ -399,12 +409,17 @@ def _plan(wb: Workbook, graph: DepGraph) -> list:
                 d = ((0, 0) if v.target == owner.target
                      else _shift_between(owner, v))
                 row.append((v, w, d if d in _ORDERABLE else None))
-    comps = _tarjan(fkeys, {u: {w for _, w, _ in table[u]} for u in fkeys})
-    index = {m: i for i, c in enumerate(comps) for m in c}
-    gdeps = [{index[w] for u in c for _, w, _ in table[u]} - {i}
-             for i, c in enumerate(comps)]
-    order = _kahn(range(len(comps)), gdeps, lambda i: _sort_key(comps[i][0]))
-    return [_validate(wb, graph, comps[i], table, entered) for i in order]
+    deps = {u: {w for _, w, _ in table[u] if w != u} for u in fkeys}
+    order = _kahn(fkeys, deps)
+    if len(order) == len(fkeys):
+        comps = [[u] for u in order]
+    else:
+        comps = sorted(_tarjan(fkeys, deps), key=lambda c: _sort_key(c[0]))
+        index = {m: i for i, c in enumerate(comps) for m in c}
+        gdeps = [{index[w] for u in c for w in deps[u]} - {i}
+                 for i, c in enumerate(comps)]
+        comps = [comps[i] for i in _kahn(range(len(comps)), gdeps)]
+    return [_validate(wb, graph, c, table, entered) for c in comps]
 
 
 def _validate(wb: Workbook, graph: DepGraph, members, table, entered):
@@ -415,6 +430,9 @@ def _validate(wb: Workbook, graph: DepGraph, members, table, entered):
     gives a sweep direction, a member's read of itself that is no step
     cannot be ordered, and any other read orders its reader after its
     owner within a step."""
+    if len(members) == 1 and all(w != members[0]
+                                  for _, w, _ in table[members[0]]):
+        return _Group(members)  # a lone range that reads none of its cells
     deps = {m: set() for m in members}
     dirs = set()
     swept = []  # (read, member, shift) a valid sweep reads at each cell
@@ -444,7 +462,7 @@ def _validate(wb: Workbook, graph: DepGraph, members, table, entered):
     if len(extents) > 1:
         return _Group(members, direction, failed="recurrence ranges "
                       "disagree on sweep extent")
-    order = _kahn(members, deps, _sort_key)
+    order = _kahn(members, deps)
     if len(order) != len(members):
         return _Group(members, direction, failed="mutual reference")
     refmap = {v.key(): (w, *d, wb.bounded(v.target)) for v, w, d in swept}
@@ -885,8 +903,8 @@ def _compile(wb: Workbook, e: Expr, ctx_sheet, steps: list, keep_ref=False):
     else:
         owners = wb._graph.owners[nd.key()]  # as _plan found them
         w = owners[0] if len(owners) == 1 else None
-        if w is not None and (wb.bounded(wb.names[w].target)
-                              == wb.bounded(nd.target)):
+        if w is not None and (w == nd.key() or wb.bounded(
+                wb.names[w].target) == wb.bounded(nd.target)):
             steps.append((_OWNER, w))
         else:
             steps.append((_READ, (nd.target, owners)))

@@ -221,9 +221,12 @@ def test_n2_grid_address_inside_a_formula():
     wb = _clean_book()
     wb.define_name(NameDef("bad", None, FORMULA,
                            formula=parse_formula("$A$1 + base")))
-    findings = lint(wb, outputs=("twice", "bad"))
-    assert [(f.rule, f.locus) for f in findings] == [("N2", "bad")]
-    assert "$A$1" in findings[0].message
+    wb.define_name(NameDef("bad.sheet", None, FORMULA,
+                           formula=parse_formula("s!A1 + 1")))
+    findings = lint(wb, outputs=("twice", "bad", "bad.sheet"))
+    assert [(f.rule, f.locus, f.message) for f in findings] == [
+        ("N2", "bad", "grid address $A$1 in formula"),
+        ("N2", "bad.sheet", "grid address s!A1 in formula")]
 
 
 def test_n3_overlapping_inputs_warn_once_per_pair():

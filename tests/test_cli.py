@@ -549,6 +549,19 @@ def test_eval_loads_no_audit_module(tmp_path):
     assert proc.stdout.splitlines()[-1] == "True"
 
 
+def test_the_package_exports_each_name_of_its_modules():
+    # namebook imports a name's module on the first read of the name
+    # off the package, binds it there, and refuses a name not exported.
+    import namebook
+    for name in namebook.__all__:
+        value = getattr(namebook, name)
+        module = sys.modules["namebook." + namebook._MODULE_OF[name]]
+        assert value is getattr(module, name), name
+        assert vars(namebook)[name] is value, name
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        namebook.nope
+
+
 # --- fuzz -------------------------------------------------------------------
 
 _FIXTURE_TEXTS = [text for _, text in _fixture_docs()]

@@ -7,11 +7,12 @@ oracle.py, before and after cell edits.  The gates count what a second
 evaluate of the chain book does (no name lookups, a range copy only for
 reads that are not an owner's exact block, and no operand layout), how
 often two recalcs test operand kinds, what a first one asks of the
-owner index, what its programs keep in memory, and how many calls a
-rebuild makes per name; and, on the sweep book, how many calls a recalc
-makes inside its sweep, that it compiles nothing, resolves no name and
-maps no arithmetic kernel, and that its kept layout follows its inputs
-from floats to text or blanks and back."""
+owner index (the owners of each input name, once), what its programs
+keep in memory, and how many calls a rebuild makes per name; and, on
+the sweep book, how many calls a recalc makes inside its sweep, that it
+compiles nothing, resolves no name and maps no arithmetic kernel, and
+that its kept layout follows its inputs from floats to text or blanks
+and back."""
 
 import cProfile
 import os
@@ -217,9 +218,10 @@ def test_a_second_evaluate_resolves_no_name_and_copies_only_unbound_reads():
     assert want == 9  # of 561 range reads in the book's formulas
 
 
-def test_a_fresh_evaluate_asks_the_owner_index_once_per_range_name():
-    # The plan asks for each range name's owners once and keeps them;
-    # compiled reads, input values and overlays take them from the plan.
+def test_a_fresh_evaluate_asks_the_owner_index_once_per_input_range_name():
+    # A formula range owns its own cells alone, so the plan asks for the
+    # owners of each input range name once and keeps them; compiled
+    # reads, input values and overlays take them from the plan.
     _, wb = _chain()
     prof = cProfile.Profile()
     prof.enable()
@@ -227,8 +229,7 @@ def test_a_fresh_evaluate_asks_the_owner_index_once_per_range_name():
     prof.disable()
     stats = pstats.Stats(prof).stats
     asked = stats[cProfile.label(Workbook.formula_owners.__code__)][1]
-    ranges = sum(nd.target is not None for nd in wb.names.values())
-    assert asked <= ranges == 321
+    assert asked <= len(wb.input_ranges()) == 1
 
 
 def _recalc_calls(doc, wb, *functions):

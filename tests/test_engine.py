@@ -275,6 +275,27 @@ def test_index_needs_both_axes_on_a_rectangle():
     assert store.value("wide.value") == REF_ERROR
 
 
+def test_index_over_a_scalar_source_treats_it_as_one_cell():
+    # A literal source is a 1x1 block: index 1 or a whole-axis 0 picks
+    # it, and any index past it is #REF!.
+    wb = Workbook().add_sheet("s", 1, 1)
+    wb.set_cell("s", 1, 1, 2.0)
+    wb.define_name(NameDef("k", target=GridRange("s", 1, 1, 1, 1)))
+    picks = {"one": ("INDEX(7, 1)", 7.0), "cell": ("INDEX(7, 1, 1)", 7.0),
+             "whole": ("INDEX(7, 0)", 7.0), "text": ('INDEX("x", 1, 0)', "x"),
+             "flag": ("INDEX(TRUE, k - 1)", True),
+             "below": ("INDEX(7, 2)", REF_ERROR),
+             "beside": ("INDEX(7, 1, 2)", REF_ERROR),
+             "by.name": ("INDEX(7, k)", REF_ERROR)}
+    for ident, (text, _) in picks.items():
+        wb.define_name(NameDef(ident, None, FORMULA,
+                               formula=parse_formula(text)))
+    store = evaluate(wb)
+    assert store.values == oracle_evaluate(wb)
+    for ident, (_, want) in picks.items():
+        assert repr(store.value(ident)) == repr(want), ident
+
+
 def test_an_error_index_or_an_error_source_is_the_result():
     # A scalar index that is an error, and array indices into a one-cell
     # source holding an error, each give that error.

@@ -183,6 +183,11 @@ def test_function_names_fold_to_upper():
     assert render(parse_formula("if(a, 1, 2)")).startswith("IF(")
 
 
+def test_render_refuses_what_is_not_an_expression():
+    with pytest.raises(TypeError, match="not an expression"):
+        render(Binary("+", NameRef("a"), ("b",)))
+
+
 def test_qualified_names():
     tree = parse_formula("master!list.A")
     assert tree == NameRef("list.A", "master")

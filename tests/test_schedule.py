@@ -2,20 +2,25 @@
 they form and the order those groups run in.
 
 The scheduler reads the range names each formula reads from the
-dependency graph, finds the owners of each read through the workbook's
-formula-owner index and orders groups with one heap-based Kahn sort.  The
-reference below is the direct form of the same rules: the reads found by
-walking each formula's syntax tree through formula names, every read
-checked against every formula range, and the next group picked by sorting
-all that are ready after each pick.  Both must agree exactly, and the
-indexed form must grow linearly with the number of names, a sweep's
-per-cell work must not look names up again, and reading a document must
-cost few calls per formula token.  The graph itself is kept on the
-workbook: it must follow every change to the name table, and one command
-must walk each formula once (lint twice).  evaluate keeps its plan, the
-ordered groups, with that graph: a second evaluate of an unchanged name
-table plans nothing, and each sweep's reads of its own members are the
-scheduler's, equal to the reference below that derives them per sweep."""
+dependency graph, finds the owners of each read of an input name through
+the workbook's formula-owner index (a formula range owns its own cells)
+and orders the formula ranges with one heap-based Kahn sort.  Only when
+that sort stalls on a cycle does it find the groups with Tarjan's
+algorithm and order them with a second Kahn sort, so an acyclic book
+pays for neither, and planning costs the same calls per formula range at
+any size.  The reference below is the direct form of the same rules: the
+reads found by walking each formula's syntax tree through formula names,
+every read checked against every formula range, and the next group
+picked by sorting all that are ready after each pick.  Both must agree
+exactly, and the indexed form must grow linearly with the number of
+names, a sweep's per-cell work must not look names up again, and reading
+a document must cost few calls per formula token.  The graph itself is
+kept on the workbook: it must follow every change to the name table, and
+one command must walk each formula once (lint twice).  evaluate keeps its
+plan, the ordered groups, with that graph: a second evaluate of an
+unchanged name table plans nothing, and each sweep's reads of its own
+members are the scheduler's, equal to the reference below that derives
+them per sweep."""
 
 import cProfile
 import itertools
@@ -25,9 +30,10 @@ import random
 from namebook import formula
 from namebook.cli import main
 from namebook.docio import rebuild
-from namebook.engine import (CycleError, _plan, _shift_between, _sort_key,
-                             _tarjan, _through_formulas, _validate,
-                             build_dep_graph, evaluate, topo_order)
+from namebook.engine import (CycleError, _kahn, _plan, _shift_between,
+                             _sort_key, _tarjan, _through_formulas,
+                             _validate, build_dep_graph, evaluate,
+                             topo_order)
 from namebook.formula import (Binary, NameRef, names_referenced,
                               parse_formula, tokenize)
 from namebook.values import CYCLE_ERROR
@@ -187,6 +193,25 @@ def _row_recurrence(text, *twins, cols=8):
     return wb
 
 
+def _stalled_book():
+    """A swept pair, m and n, whose keys sort between lone formula ranges:
+    a and b are ready before it, c reads it, and z is ready before it
+    but sorts after it, so a Kahn sort of the ranges stalls on the pair
+    and the pair runs between them."""
+    wb = Workbook().add_sheet("s", 7, 8)
+    wb.set_cell("s", 7, 3, True)
+    wb.define_name(NameDef("first?", target=GridRange("s", 3, 7, 7, 7)))
+    _formula_range(wb, "a", GridRange("s", 3, 7, 1, 1), "2")
+    _formula_range(wb, "b", GridRange("s", 3, 7, 2, 2), "3")
+    _formula_range(wb, "c", GridRange("s", 3, 7, 3, 3), "n + 1")
+    _formula_range(wb, "m", GridRange("s", 3, 7, 4, 4),
+                   "IF(first?, a, ←n + 1)")
+    n = _formula_range(wb, "n", GridRange("s", 3, 7, 5, 5), "m * 2")
+    wb.define_name(shift_name(n, "←n", 0, -1))
+    _formula_range(wb, "z", GridRange("s", 3, 7, 6, 6), "b")
+    return wb
+
+
 def _refused_books():
     """One small book per reason a group is refused: label, book, the
     refused members and the reason."""
@@ -238,6 +263,7 @@ def test_each_refused_group_names_its_reason_and_paints_cycle():
 
 def _books():
     yield "crossed", _crossed_book()
+    yield "stalled", _stalled_book()
     for label, wb, _, _ in _refused_books():
         yield label, wb
     yield "fixtureA", fixture_a()
@@ -583,6 +609,51 @@ def test_a_book_without_formula_ranges_is_planned_once():
     assert store.scalar("twice") == 10.0
     assert not {cProfile.label(f.__code__) for f in (topo_order, _plan)} \
         & again.keys()
+
+
+def _sorts_in_a_fresh_evaluate(wb):
+    """[_tarjan calls, _kahn calls] of one evaluate."""
+    prof = cProfile.Profile()
+    prof.enable()
+    evaluate(wb)
+    prof.disable()
+    stats = pstats.Stats(prof).stats
+    return [stats.get(cProfile.label(f.__code__), (0, 0))[1]
+            for f in (_tarjan, _kahn)]
+
+
+def test_only_a_book_whose_reads_form_a_cycle_finds_components():
+    # An acyclic book is ordered by topo_order's Kahn sort and by one
+    # more in _plan.  A group of two or more formula ranges stalls that
+    # sort, so _plan finds the components and orders them with a second
+    # Kahn sort, and a valid sweep orders its members with a third.  A
+    # lone range reading its own cells is refused by _validate alone.
+    assert _sorts_in_a_fresh_evaluate(rebuild(_chain_doc(300))) == [0, 2]
+    assert _sorts_in_a_fresh_evaluate(_stalled_book()) == [1, 4]
+    for label, wb, members, _ in _refused_books():
+        tarjan, kahn = _sorts_in_a_fresh_evaluate(wb)
+        assert tarjan == (len(members) > 1), label
+        assert kahn == 2 + tarjan, label
+
+
+def _planning_calls_per_formula_range(n):
+    wb = rebuild(_chain_doc(n))
+    graph = build_dep_graph(wb)
+    prof = cProfile.Profile()
+    prof.enable()
+    topo_order(graph)
+    _plan(wb, graph)
+    prof.disable()
+    return pstats.Stats(prof).total_calls / n
+
+
+def test_planning_costs_the_same_calls_per_formula_range_at_any_size():
+    # Counting calls instead of timing keeps the gate deterministic: a
+    # linear planner makes as many calls per formula range at 300 ranges
+    # as at 150.
+    small = _planning_calls_per_formula_range(150)
+    large = _planning_calls_per_formula_range(300)
+    assert abs(large / small - 1) <= 0.05, (small, large)
 
 
 def _diamond_into_the_sweep(levels):
