@@ -54,14 +54,15 @@ cycles on it, and there is one read analysis over it, the planner's
 through formula names and the owners of each range name.  A formula
 range owns its own cells alone, so the plan asks Workbook.formula_owners
 only about each input range name, once.  One Kahn sort orders the
-formula ranges; only a book whose reads form a cycle has its components
-found (_tarjan) and sorted.  Groups, their order, each refusal
-or sweep direction, and what each sweep reads of its own members all
-come from that table, which is what makes cross-name recurrences
-(interest on a prior balance feeding the balance itself) come out in the
-right order.  The plan, the ordered groups and those owners, is kept
-with the graph with the compiled programs, so only a change to the name
-table makes evaluate() plan and compile again; a cell edit does not.
+names (topo_order) and one the formula ranges; only where one stalls on
+a cycle does _components find the components (_tarjan) and order them.
+Groups, their order, each refusal or sweep direction, and what each
+sweep reads of its own members all come from that table, which is what
+makes cross-name recurrences (interest on a prior balance feeding the
+balance itself) come out in the right order.  The plan, the ordered
+groups and those owners, is kept with the graph with the compiled
+programs, so only a change to the name table makes evaluate() plan and
+compile again; a cell edit does not.
 
 So are the last values.  While they are kept, Workbook.set_cell and
 fill_block record the rectangles they write, and the next evaluate()
@@ -210,16 +211,16 @@ def topo_order(g: DepGraph) -> list:
     """Names ordered so each follows its non-recurrence predecessors.
 
     Ties break in lexicographic identifier order, so the result is total
-    and deterministic.  Raises CycleError naming the strongly connected
-    component when no such order exists.
+    and deterministic.  Raises CycleError naming the cyclic component of
+    _components whose first member sorts first when no such order exists.
     """
     deps = {u: {v for v in g.edges.get(u, ()) if (u, v) not in g.recurrence}
             for u in g.nodes}
     order = _kahn(g.nodes, deps)
     if len(order) != len(g.nodes):
-        placed = set(order)
-        stuck = [k for k in g.nodes if k not in placed]
-        comp = _cycle_component(stuck, deps)
+        comp = min((c for c in _components(g.nodes, deps)
+                    if len(c) > 1 or c[0] in deps[c[0]]),
+                   key=lambda c: _sort_key(c[0]))
         raise CycleError([g.display[k] for k in comp])
     return order
 
@@ -250,13 +251,15 @@ def _kahn(nodes, deps):
     return order
 
 
-def _cycle_component(stuck, deps):
-    """Smallest strongly connected knot among the unordered names."""
-    stuck_set = set(stuck)
-    adj = {k: deps[k] & stuck_set for k in stuck}
-    comps = _tarjan(stuck, adj)
-    cyclic = [c for c in comps if len(c) > 1 or c[0] in adj[c[0]]]
-    return min(cyclic, key=lambda c: _sort_key(c[0]))
+def _components(nodes, deps):
+    """A stalled Kahn sort's strongly connected components (_tarjan) of
+    nodes, which hold every node deps names: sorted by first member, then
+    ordered by a second Kahn sort so each follows those it depends on."""
+    comps = sorted(_tarjan(nodes, deps), key=lambda c: _sort_key(c[0]))
+    index = {m: i for i, c in enumerate(comps) for m in c}
+    gdeps = [{index[w] for u in c for w in deps[u]} - {i}
+             for i, c in enumerate(comps)]
+    return [comps[i] for i in _kahn(range(len(comps)), gdeps)]
 
 
 def _tarjan(nodes, adj):
@@ -332,8 +335,8 @@ class ValueStore(Record):
 def _through_formulas(wb: Workbook, graph: DepGraph, root, skip=()):
     """Depth-first walk of graph.edges from root that enters formula names,
     except those in skip.  Returns the range names reached, in the order
-    first reached, and the keys of the formula names entered, each after
-    every one it reads (post-order), with root last."""
+    first reached, and the formula names entered, each after every one
+    it reads (post-order), with root last; both as NameKeys."""
     reads = []
     entered = []
     seen = set()
@@ -349,7 +352,7 @@ def _through_formulas(wb: Workbook, graph: DepGraph, root, skip=()):
                 stack.append((k, iter(graph.edges[k])))
                 break
             if nd.target is not None:
-                reads.append(nd)
+                reads.append(k)
         else:
             stack.pop()
             entered.append(key)
@@ -383,16 +386,18 @@ def _plan(wb: Workbook, graph: DepGraph) -> list:
     overlap, so one owns its own cells alone, and only an input range
     asks Workbook.formula_owners.  The read table holds, per formula
     range u, one (read, owner, shift) entry for each owner of each range
-    name u reads through formula names.  The shift is (0, 0) for an
-    aligned read, the one-cell step of a displaced read a sweep can
-    order, or None for any other read, which needs its owner whole
-    first.  Groups are the strongly connected components of reader ->
-    owner, owners first, ties broken by first member.  One Kahn sort of
-    the ranges, each range's reads of itself dropped, gives that order
-    when every component is a lone range.  Only when it stalls on a cycle
-    does _tarjan find the components, for a second Kahn sort to order."""
-    fkeys = sorted((nd.key() for nd in wb.formula_bearing()), key=_sort_key)
-    graph.shapes = {u: wb.bounded(wb.names[u].target).shape() for u in fkeys}
+    name u reads through formula names, both NameKeys as graph.edges
+    holds them.  The shift is (0, 0) for an aligned read, the one-cell
+    step of a displaced read a sweep can order, or None for any other
+    read, which needs its owner whole first.  Groups are the strongly
+    connected components of reader -> owner, owners first, ties broken by
+    first member.  One Kahn sort of the ranges, each range's reads of
+    itself dropped, gives that order when every component is a lone
+    range; only when it stalls on a cycle does _components find them."""
+    names = wb.names
+    fkeys = [u for u in graph.nodes  # in _sort_key order
+             if names[u].formula is not None and names[u].target is not None]
+    graph.shapes = {u: wb.bounded(names[u].target).shape() for u in fkeys}
     graph.owners = {u: [u] for u in fkeys}
     for nd in wb.input_ranges():
         graph.owners[nd.key()] = sorted(wb.formula_owners(nd.target),
@@ -404,21 +409,16 @@ def _plan(wb: Workbook, graph: DepGraph) -> list:
         entered[u] = walked[:-1]  # u itself comes last
         row = table[u] = []
         for v in reads:
-            for w in graph.owners[v.key()]:
-                owner = wb.names[w]
-                d = ((0, 0) if v.target == owner.target
-                     else _shift_between(owner, v))
+            read = names[v]
+            for w in graph.owners[v]:
+                owner = names[w]
+                d = ((0, 0) if read.target == owner.target
+                     else _shift_between(owner, read))
                 row.append((v, w, d if d in _ORDERABLE else None))
     deps = {u: {w for _, w, _ in table[u] if w != u} for u in fkeys}
     order = _kahn(fkeys, deps)
-    if len(order) == len(fkeys):
-        comps = [[u] for u in order]
-    else:
-        comps = sorted(_tarjan(fkeys, deps), key=lambda c: _sort_key(c[0]))
-        index = {m: i for i, c in enumerate(comps) for m in c}
-        gdeps = [{index[w] for u in c for w in deps[u]} - {i}
-                 for i, c in enumerate(comps)]
-        comps = [comps[i] for i in _kahn(range(len(comps)), gdeps)]
+    comps = ([[u] for u in order] if len(order) == len(fkeys)
+             else _components(fkeys, deps))
     return [_validate(wb, graph, c, table, entered) for c in comps]
 
 
@@ -465,7 +465,7 @@ def _validate(wb: Workbook, graph: DepGraph, members, table, entered):
     order = _kahn(members, deps)
     if len(order) != len(members):
         return _Group(members, direction, failed="mutual reference")
-    refmap = {v.key(): (w, *d, wb.bounded(v.target)) for v, w, d in swept}
+    refmap = {v: (w, *d, wb.bounded(wb.names[v].target)) for v, w, d in swept}
     inlined = set()
     for m in members:
         for k in entered[m]:

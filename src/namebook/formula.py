@@ -22,15 +22,14 @@ class, run over the formula once by finditer; an identifier of ASCII
 characters needs no check after its match.  tokenize makes plain (kind,
 lexeme, start, end) tuples, which parse_formula hands straight to the
 parser.  The parser climbs precedence (Pratt, "Top Down Operator
-Precedence", POPL 1973): one loop reads every binary
-operator at a given binding level or tighter from _BINARY_LEVEL, the
-table render also uses to decide where parentheses go, and reads a right
-operand that is one name or number in that loop, without recursing.
-Both do a small, fixed amount of Python work per token, and each tree
-node is a slot record (values.Record) built by one plain __init__.  A
-character-at-a-time lexer and a recursive-descent parser with one method
-per level, which they must match token for token, tree for tree and
-error for error, are kept in tests/formula_reference.py.
+Precedence", POPL 1973): one loop reads every binary operator at a given
+binding level or tighter from _BINARY_LEVEL, the table render also uses
+to decide where parentheses go, and recurses once for each right
+operand.  Both do a small, fixed amount of Python work per token, and
+each tree node is a slot record (values.Record) built by one plain
+__init__.  A character-at-a-time lexer and a recursive-descent parser
+with one method per level, which they must match token for token, tree
+for tree and error for error, are kept in tests/formula_reference.py.
 
 Parentheses, call arguments and unary minus signs nest at most
 MAX_NESTING levels and the expression tree is at most MAX_DEPTH levels
@@ -337,8 +336,7 @@ def _binary(toks, pos, floor, nesting):
     the parentheses, arguments and minus signs open around it.  One call
     reads the minus signs, the primaries joined by INTERSECT, the "%"
     signs and the binary operators at floor or tighter, left to right.
-    It recurses for a parenthesis, an argument, and a right operand that
-    is more than one name or number."""
+    It recurses for a parenthesis, an argument, and each right operand."""
     kind, lexeme, _, _ = toks[pos]
     signs = 0
     while lexeme == "-":
@@ -408,24 +406,6 @@ def _binary(toks, pos, floor, nesting):
         level = _BINARY_LEVEL.get(lexeme, 0)
         if level < floor:
             return e, pos
-        # A right operand that is one name or number, followed by an
-        # operator that binds no tighter, is read here without recursing.
-        kind, word, _, _ = toks[pos + 1]
-        if kind is _IDENT or kind is _NUMBER:
-            after = toks[pos + 2]
-            if (after[0] is not _LPAREN and after[0] is not _INTERSECT
-                    and after[1] != "%"
-                    and _BINARY_LEVEL.get(after[1], 0) <= level):
-                if kind is _IDENT:
-                    rhs = NameRef(word)
-                elif math.isfinite(value := float(word)):
-                    rhs = NumberLit(value)
-                else:
-                    _fail(toks[pos + 1], "a finite number")
-                e = Binary(lexeme, e, rhs)
-                pos += 2
-                lexeme = after[1]
-                continue
         rhs, pos = _binary(toks, pos + 1, level + 1, nesting)
         e = Binary(lexeme, e, rhs)
         lexeme = toks[pos][1]

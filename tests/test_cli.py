@@ -562,6 +562,17 @@ def test_the_package_exports_each_name_of_its_modules():
         namebook.nope
 
 
+def test_the_cli_module_binds_an_audit_view_on_first_read():
+    # cli binds the audit views on first use, by its own commands or by
+    # an attribute read from outside, and refuses any other name.
+    from namebook import audit
+    assert cli.__getattr__("lint") is audit.lint
+    assert cli.lint is audit.lint
+    with pytest.raises(AttributeError,
+                       match="module 'namebook.cli' has no attribute 'main2'"):
+        cli.__getattr__("main2")
+
+
 # --- fuzz -------------------------------------------------------------------
 
 _FIXTURE_TEXTS = [text for _, text in _fixture_docs()]

@@ -91,7 +91,7 @@ def _swept_inputs(wb):
             continue
         for m in g.members:
             reads, _ = engine._through_formulas(wb, graph, m)
-            out.update(v.key() for v in reads if v.formula is None)
+            out.update(v for v in reads if wb.names[v].formula is None)
     return sorted(out, key=engine._sort_key)
 
 

@@ -8,7 +8,8 @@ and orders the formula ranges with one heap-based Kahn sort.  Only when
 that sort stalls on a cycle does it find the groups with Tarjan's
 algorithm and order them with a second Kahn sort, so an acyclic book
 pays for neither, and planning costs the same calls per formula range at
-any size.  The reference below is the direct form of the same rules: the
+any size; the planner reads every name by the key the graph holds.
+topo_order's CycleError names the cycle whose first member sorts first.  The reference below is the direct form of the same rules: the
 reads found by walking each formula's syntax tree through formula names,
 every read checked against every formula range, and the next group
 picked by sorting all that are ready after each pick.  Both must agree
@@ -26,6 +27,8 @@ import cProfile
 import itertools
 import pstats
 import random
+
+import pytest
 
 from namebook import formula
 from namebook.cli import main
@@ -281,8 +284,7 @@ def test_schedule_matches_the_direct_scan_and_selection_order():
         for nd in wb.formula_bearing():
             walked = [v.key() for v in _expanded_range_targets(wb, nd)]
             reads = _through_formulas(wb, graph, nd.key())[0]
-            assert [v.key() for v in reads] == list(dict.fromkeys(walked)), \
-                (label, nd.display())
+            assert reads == list(dict.fromkeys(walked)), (label, nd.display())
         got = [(g.members, g.order, g.failed, g.direction)
                for g in _plan(wb, graph)]
         want = _reference_schedule(wb)
@@ -328,7 +330,7 @@ def test_rebuild_and_evaluate_grow_linearly_with_the_names():
 def test_rebuild_spends_few_calls_per_formula_token():
     # Reading a document is mostly lexing and parsing its formulas, so its
     # cost is counted per formula token.  The regex lexer and the
-    # precedence-climbing parser make about 17 calls per token here, one
+    # precedence-climbing parser make about 12 calls per token here, one
     # __init__ per tree node among them; the character-loop lexer and
     # one-method-per-level parser made about 40.  Calls are summed over
     # code objects, since pstats keeps one of several that share a label.
@@ -487,6 +489,64 @@ def _outcome(wb):
         return exc.members
 
 
+# Three cycles, each with a name downstream of it: a self-loop (c), two
+# formula names (b, k), and three names through the formula range q with
+# the sheet-scoped t!a.  Each cycle's first member by _sort_key is
+# (a, t), (b) and (c), so the three-name cycle is named first, although
+# its display t!a sorts last, Early, which reads it, sorts first, and it
+# reads the self-loop, so a Kahn sort of the components places it last.
+_CYCLES_DOC = """#%NAMESDOC v1
+[SHEET] s rows=2 cols=2
+[SHEET] t rows=1 cols=1
+[NAME] scope=workbook id=Early kind=formula array=0
+  formula=p + 1
+[NAME] scope=workbook id=b kind=formula array=0
+  formula=k * 2
+[NAME] scope=workbook id=k kind=formula array=0
+  formula=b + 1
+[NAME] scope=workbook id=c kind=formula array=0
+  formula=c + 1
+[NAME] scope=workbook id=p kind=formula array=0
+  formula=SUM(q) + 1
+[NAME] scope=workbook id=q kind=range array=1
+  target=s!A1:B1
+  formula=t!a * 2 + c
+[NAME] scope=t id=a kind=formula array=0
+  formula=p - 1
+[NAME] scope=workbook id=after.b kind=range array=1
+  target=s!A2:B2
+  formula=b + k
+[NAME] scope=workbook id=after.c kind=formula array=0
+  formula=c * 2
+"""
+
+
+def test_a_cycle_error_names_the_cycle_whose_first_member_sorts_first(
+        tmp_path, capsys):
+    # Each cycle is broken in turn, so the next one is named, until the
+    # book evaluates; evaluate, linear_listing and `namebook eval` name
+    # the same cycle.
+    from namebook.audit import linear_listing
+    text = _CYCLES_DOC
+    doc = tmp_path / "cycles.nsdoc"
+    for named, broken in (("p, q, t!a", "formula=p - 1"),
+                          ("b, k", "formula=k * 2"),
+                          ("c", "formula=c + 1")):
+        message = "cycle through {%s}" % named
+        for run in (evaluate, linear_listing):
+            with pytest.raises(CycleError) as info:
+                run(rebuild(text))
+            assert str(info.value) == message, run
+        doc.write_text(text, encoding="utf-8")
+        assert main(["eval", str(doc)]) == 2
+        out = capsys.readouterr()
+        assert (out.out, out.err) == ("", "#CYCLE! %s\n" % message)
+        text = text.replace(broken, "formula=1")
+    store = evaluate(rebuild(text))
+    assert store.scalar("Early") == 8.0 and store.scalar("after.c") == 2.0
+    assert not store.has_errors()
+
+
 def _walks_per_formula(tmp_path, capsys, argv):
     doc = tmp_path / "chain.nsdoc"
     doc.write_text(_chain_doc(300), encoding="utf-8")
@@ -524,10 +584,10 @@ def _reference_sweep_maps(wb, graph, group):
     for m in group.members:
         reads, entered = _through_formulas(wb, graph, m)
         through[m] = entered[:-1]
-        for v in reads:
-            vkey = v.key()
+        for vkey in reads:
             if vkey in refmap:
                 continue
+            v = wb.names[vkey]
             vrng = v.target.clamp(wb.sheet(v.target.sheet).rows)
             aligned = by_target.get(v.target)
             if aligned is not None:
@@ -654,6 +714,22 @@ def test_planning_costs_the_same_calls_per_formula_range_at_any_size():
     small = _planning_calls_per_formula_range(150)
     large = _planning_calls_per_formula_range(300)
     assert abs(large / small - 1) <= 0.05, (small, large)
+
+
+def test_a_fresh_plan_keys_an_input_range_name_at_most_once():
+    # The plan lists the formula ranges off graph.nodes, which are in
+    # _sort_key order, and reads every name by the key graph.edges holds,
+    # so it builds a key only to ask the owner index about an input name.
+    key = cProfile.label(NameDef.key.__code__)
+    books = itertools.chain(_books(), [("chain", rebuild(_chain_doc(300)))])
+    for label, wb in books:
+        graph = build_dep_graph(wb)
+        prof = cProfile.Profile()
+        prof.enable()
+        _plan(wb, graph)
+        prof.disable()
+        calls = pstats.Stats(prof).stats.get(key, (0, 0))[1]
+        assert calls <= len(wb.input_ranges()), label
 
 
 def _diamond_into_the_sweep(levels):
